@@ -49,7 +49,7 @@ def _write_text(args, text: str) -> None:
 
 
 def _emit_json(args, payload: dict) -> None:
-    _write_text(args, json.dumps(payload, indent=2) + "\n")
+    _write_text(args, json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def _manifest(args, command: str, inputs: list[str]) -> dict:
@@ -57,7 +57,7 @@ def _manifest(args, command: str, inputs: list[str]) -> dict:
         "command": command,
         "inputs": inputs,
         "seed": args.seed,
-        "tolerance": args.tol,
+        "tolerance": getattr(args, "tol", None),
         "tool_version": __version__,
     }
 
@@ -150,29 +150,31 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _finite_numbers(obj: dict, key: str) -> np.ndarray:
+    values = obj[key]
+    if not isinstance(values, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+    ):
+        raise ValueError(f"{key} must be a list of numbers")
+    out = np.array(values, dtype=float)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{key} must be finite")
+    return out
+
+
 def _cmd_reconstruct(args) -> int:
     obj = _load_json(args.data)
     povm = serialize.decode_povm(_load_json(args.povm))
     residual_tol = args.tol if args.tol is not None else tomography.RESIDUAL_TOL
     if isinstance(obj, dict) and "outcome_counts" in obj:
-        counts = np.array(obj["outcome_counts"])
-        state, diag = tomography.reconstruct_from_counts(
-            counts, povm, project=args.project, residual_tol=residual_tol
-        )
+        data = _finite_numbers(obj, "outcome_counts")
+        estimate = tomography.reconstruct_from_counts
     elif isinstance(obj, dict) and "probabilities" in obj:
-        probs = np.array([float(p) for p in obj["probabilities"]])
-        state = tomography.reconstruct(probs, povm, residual_tol=residual_tol)
-        evals = np.linalg.eigvalsh(state)
-        diag = tomography.ReconstructionDiagnostics(
-            residual=0.0, eigenvalues=tuple(float(v) for v in evals), projected=False
-        )
-        if args.project:
-            state = tomography.project_to_state(state)
-            diag = tomography.ReconstructionDiagnostics(
-                residual=diag.residual, eigenvalues=diag.eigenvalues, projected=True
-            )
+        data = _finite_numbers(obj, "probabilities")
+        estimate = tomography.reconstruct_from_probabilities
     else:
         raise ValueError(f"{args.data}: expected outcome_counts or probabilities")
+    state, diag = estimate(data, povm, project=args.project, residual_tol=residual_tol)
     payload = {
         "state": serialize.encode_operator(state),
         "diagnostics": {
@@ -278,7 +280,6 @@ def _cmd_bloch_export(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    common.add_argument("--tol", type=float, default=None, help="tolerance override")
     common.add_argument("--output", default=None, help="output path ('-' = stdout)")
 
     parser = argparse.ArgumentParser(
@@ -308,6 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("data", help="counts or probabilities JSON")
     p.add_argument("povm", help="POVM JSON")
     p.add_argument("--project", action="store_true", help="project onto valid states")
+    p.add_argument("--tol", type=float, default=None, help="residual tolerance override")
     p.set_defaults(handler=_cmd_reconstruct)
 
     p = sub.add_parser("vn-check", parents=[common], help="joint-programmability condition")
@@ -350,7 +352,9 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, InvalidPovmError, OSError, KeyError, TypeError, IndexError) as exc:
+    except (
+        ValueError, InvalidPovmError, OSError, KeyError, TypeError, IndexError, OverflowError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

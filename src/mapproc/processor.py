@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import ATOL, dag, is_unitary
+from .qcore import ATOL, dag, identity_multiple, is_unitary
+from .sampling import as_generator
 
 PROB_FLOOR = 1e-12
 
@@ -292,10 +293,9 @@ def sample_outcomes(
     p = outcome_probabilities(rho, povm)
     p = np.clip(p, 0.0, None)
     p = p / p.sum()
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if n == 0:
         return np.zeros(len(povm), dtype=np.int64)
-    return rng.multinomial(n, p)
+    return as_generator(seed).multinomial(n, p)
 
 
 def is_trivial_povm(povm: list[np.ndarray], tol: float = ATOL) -> np.ndarray | None:
@@ -304,12 +304,10 @@ def is_trivial_povm(povm: list[np.ndarray], tol: float = ATOL) -> np.ndarray | N
     A trivial POVM yields data-independent statistics.
     """
     validate_povm(povm, tol)
-    d = np.asarray(povm[0]).shape[0]
-    eye = np.eye(d)
     cs = []
     for f in povm:
-        c = np.trace(np.asarray(f, dtype=complex)).real / d
-        if c < -tol or np.max(np.abs(f - c * eye)) > tol:
+        c = identity_multiple(f, tol)
+        if c is None or c.real < -tol:
             return None
-        cs.append(max(c, 0.0))
+        cs.append(max(c.real, 0.0))
     return np.array(cs)

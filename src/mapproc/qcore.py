@@ -90,6 +90,15 @@ def is_projector(m: np.ndarray, tol: float = ATOL) -> bool:
     return is_hermitian(m, tol) and bool(np.max(np.abs(m @ m - m)) <= tol)
 
 
+def identity_multiple(m: np.ndarray, tol: float = ATOL) -> complex | None:
+    """Return c = Tr(m)/d when m equals c*I within tol (max-norm), else None."""
+    m = np.asarray(m, dtype=complex)
+    c = complex(np.trace(m) / m.shape[0])
+    if np.max(np.abs(m - c * np.eye(m.shape[0]))) > tol:
+        return None
+    return c
+
+
 def is_density_operator(m: np.ndarray, tol: float = ATOL) -> bool:
     """Hermitian, unit trace, and no eigenvalue below -tol."""
     m = np.asarray(m, dtype=complex)

@@ -8,6 +8,8 @@ malformed document so callers can map that to a clean exit.
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 from .processor import OutcomePartition, Processor, ProgramState
@@ -21,10 +23,12 @@ def encode_complex(z: complex) -> list[float]:
 def decode_complex(obj) -> complex:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise ValueError(f"complex value must be a [re, im] pair, got {obj!r}")
-    re, im = obj
-    if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj):
         raise ValueError(f"complex components must be numbers, got {obj!r}")
-    return complex(re, im)
+    z = complex(*obj)
+    if not cmath.isfinite(z):
+        raise ValueError(f"complex components must be finite, got {obj!r}")
+    return z
 
 
 def encode_operator(m: np.ndarray) -> dict:
@@ -49,10 +53,7 @@ def decode_operator(obj) -> np.ndarray:
         raise ValueError("operator dimensions must be positive")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ValueError(f"operator needs {rows * cols} entries, got {len(data) if isinstance(data, list) else 'non-list'}")
-    flat = np.array([decode_complex(z) for z in data], dtype=complex)
-    if not np.all(np.isfinite(flat.real)) or not np.all(np.isfinite(flat.imag)):
-        raise ValueError("operator entries must be finite")
-    return flat.reshape(rows, cols)
+    return np.array([decode_complex(z) for z in data], dtype=complex).reshape(rows, cols)
 
 
 def encode_state(v: np.ndarray) -> dict:

@@ -97,12 +97,26 @@ class Tomographer:
         return cls(povm=tuple(np.asarray(f, dtype=complex) for f in povm),
                    gram=gram, dual_frame=tuple(duals))
 
-    def _invert(self, p: np.ndarray) -> tuple[np.ndarray, float]:
-        coeff = np.linalg.pinv(self.gram, rcond=GRAM_RCOND) @ p
-        residual = float(np.linalg.norm(self.gram @ coeff - p))
-        rho = np.zeros_like(self.povm[0])
-        for c, f in zip(coeff, self.povm):
-            rho = rho + c * f
+    def _invert(
+        self, probabilities: np.ndarray, residual_tol: float
+    ) -> tuple[np.ndarray, float]:
+        """rho = sum_k p_k D_k and its residual ||Tr(F_j rho) - p_j||.
+
+        The residual equals ||G G^+ p - p||, the part of p no operator
+        reproduces; above ``residual_tol`` the inversion is refused.
+        """
+        p = np.asarray(probabilities, dtype=float)
+        if p.shape != (len(self.povm),):
+            raise ValueError(
+                f"expected {len(self.povm)} probabilities, got shape {p.shape}"
+            )
+        if abs(p.sum() - 1.0) > PROB_SUM_TOL:
+            raise ValueError(f"probabilities sum to {p.sum()}, expected 1")
+        rho = np.tensordot(p, np.asarray(self.dual_frame), axes=1)
+        fitted = np.einsum("kij,ji->k", np.asarray(self.povm), rho).real
+        residual = float(np.linalg.norm(fitted - p))
+        if residual > residual_tol:
+            raise InconsistentProbabilitiesError(residual, residual_tol)
         return 0.5 * (rho + dag(rho)), residual
 
     def reconstruct(
@@ -114,17 +128,7 @@ class Tomographer:
         probabilities of a valid state return that state exactly (to
         rounding).
         """
-        p = np.asarray(probabilities, dtype=float)
-        if p.shape != (len(self.povm),):
-            raise ValueError(
-                f"expected {len(self.povm)} probabilities, got shape {p.shape}"
-            )
-        if abs(p.sum() - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"probabilities sum to {p.sum()}, expected 1")
-        rho, residual = self._invert(p)
-        if residual > residual_tol:
-            raise InconsistentProbabilitiesError(residual, residual_tol)
-        return rho
+        return self._invert(probabilities, residual_tol)[0]
 
 
 def reconstruct(
@@ -154,6 +158,29 @@ def project_to_state(estimate: np.ndarray) -> np.ndarray:
     return (evecs * clipped) @ evecs.conj().T
 
 
+def reconstruct_from_probabilities(
+    probabilities: np.ndarray,
+    povm: list[np.ndarray],
+    project: bool = False,
+    residual_tol: float = RESIDUAL_TOL,
+) -> tuple[np.ndarray, ReconstructionDiagnostics]:
+    """Linear inversion with diagnostics.
+
+    With ``project`` the estimate is moved to the closest point of the PSD
+    unit-trace cone by eigenvalue clipping; the diagnostics always report
+    the pre-projection spectrum and the Gram-system residual.
+    """
+    estimate, residual = Tomographer.build(povm)._invert(probabilities, residual_tol)
+    diagnostics = ReconstructionDiagnostics(
+        residual=residual,
+        eigenvalues=tuple(float(v) for v in np.linalg.eigvalsh(estimate)),
+        projected=bool(project),
+    )
+    if project:
+        return project_to_state(estimate), diagnostics
+    return estimate, diagnostics
+
+
 def reconstruct_from_counts(
     counts: np.ndarray,
     povm: list[np.ndarray],
@@ -162,10 +189,7 @@ def reconstruct_from_counts(
 ) -> tuple[np.ndarray, ReconstructionDiagnostics]:
     """Linear inversion of observed frequencies.
 
-    Feeds counts/total to the exact reconstruction.  With ``project`` the
-    estimate is moved to the closest point of the PSD unit-trace cone by
-    eigenvalue clipping; the diagnostics always report the pre-projection
-    spectrum and the Gram-system residual.
+    Feeds counts/total to reconstruct_from_probabilities.
     """
     counts = np.asarray(counts)
     if np.any(counts < 0):
@@ -173,17 +197,6 @@ def reconstruct_from_counts(
     total = counts.sum()
     if total <= 0:
         raise ValueError("counts must have a positive total")
-    tom = Tomographer.build(povm)
-    freq = counts / float(total)
-    estimate, residual = tom._invert(freq)
-    if residual > residual_tol:
-        raise InconsistentProbabilitiesError(residual, residual_tol)
-    evals = np.linalg.eigvalsh(estimate)
-    diagnostics = ReconstructionDiagnostics(
-        residual=residual,
-        eigenvalues=tuple(float(v) for v in evals),
-        projected=bool(project),
+    return reconstruct_from_probabilities(
+        counts / float(total), povm, project=project, residual_tol=residual_tol
     )
-    if project:
-        return project_to_state(estimate), diagnostics
-    return estimate, diagnostics

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import ATOL, dag, is_projector
-from .processor import Processor, ProgramState, kraus_operators
+from .qcore import ATOL, dag, identity_multiple, is_projector
+from .processor import PROB_FLOOR, Processor, ProgramState, kraus_operators
 from .sampling import as_generator, random_rank_one_measurement
 
 POSTULATE_ATOL = 1e-8
@@ -33,6 +33,25 @@ class IsometryViolationError(ValueError):
         self.slots = slots
 
 
+def _rank_one_pvm_defect(projs: tuple[np.ndarray, ...], tol: float) -> str | None:
+    """Why the operators are not d orthogonal rank-1 projectors summing to I, or None."""
+    d = projs[0].shape[0]
+    if len(projs) != d:
+        return f"need {d} projectors on dimension {d}, got {len(projs)}"
+    for j, e in enumerate(projs):
+        if e.shape != (d, d):
+            return "projectors must share one dimension"
+        if not is_projector(e, tol) or abs(np.trace(e).real - 1.0) > tol:
+            return f"element {j} is not a rank-1 projector"
+    if np.max(np.abs(sum(projs) - np.eye(d))) > tol:
+        return "projectors must sum to the identity"
+    for j in range(d):
+        for k in range(j + 1, d):
+            if np.max(np.abs(projs[j] @ projs[k])) > tol:
+                return f"projectors {j} and {k} are not orthogonal"
+    return None
+
+
 @dataclass(frozen=True)
 class VonNeumannMeasurement:
     """Ordered complete family of d mutually orthogonal rank-1 projectors."""
@@ -43,22 +62,9 @@ class VonNeumannMeasurement:
         projs = tuple(np.asarray(e, dtype=complex) for e in self.projectors)
         if not projs:
             raise ValueError("measurement needs at least one projector")
-        d = projs[0].shape[0]
-        if len(projs) != d:
-            raise ValueError(f"need {d} projectors on dimension {d}, got {len(projs)}")
-        total = np.zeros((d, d), dtype=complex)
-        for j, e in enumerate(projs):
-            if e.shape != (d, d):
-                raise ValueError("projectors must share one dimension")
-            if not is_projector(e, ATOL) or abs(np.trace(e).real - 1.0) > ATOL:
-                raise ValueError(f"element {j} is not a rank-1 projector")
-            total += e
-        if np.max(np.abs(total - np.eye(d))) > ATOL:
-            raise ValueError("projectors must sum to the identity")
-        for j in range(d):
-            for k in range(j + 1, d):
-                if np.max(np.abs(projs[j] @ projs[k])) > ATOL:
-                    raise ValueError(f"projectors {j} and {k} are not orthogonal")
+        defect = _rank_one_pvm_defect(projs, ATOL)
+        if defect is not None:
+            raise ValueError(defect)
         object.__setattr__(self, "projectors", projs)
 
     @classmethod
@@ -97,10 +103,7 @@ def kraus_compatibility(
         if a.shape != (d, d) or b.shape != (d, d):
             raise ValueError("paired operators must share one dimension")
         s += dag(a) @ b
-    k = complex(np.trace(s) / d)
-    if np.max(np.abs(s - k * np.eye(d))) > tol:
-        return s, None
-    return s, k
+    return s, identity_multiple(s, tol)
 
 
 def coprogram_condition(
@@ -137,10 +140,7 @@ def coprogram_condition(
         if not (0 <= i < len(m1.projectors) and 0 <= j < len(m2.projectors)):
             raise ValueError(f"pairing ({i}, {j}) outside the outcome ranges")
         s += w * (m1.projectors[i] @ m2.projectors[j])
-    k = complex(np.trace(s) / d)
-    if np.max(np.abs(s - k * np.eye(d))) > tol:
-        return s, None
-    return s, k
+    return s, identity_multiple(s, tol)
 
 
 @dataclass(frozen=True)
@@ -230,109 +230,105 @@ class SynthesisReport:
         return self.processor.gate
 
 
-def _complete_columns(columns: list[np.ndarray], dim: int) -> list[np.ndarray]:
-    """Extend orthonormal columns to a full basis, deterministic pivot order."""
-    basis = list(columns)
-    for p in range(dim):
-        if len(basis) == dim:
-            break
-        e = np.zeros(dim, dtype=complex)
-        e[p] = 1.0
-        v = e.copy()
-        for b in basis:
-            v -= b * (b.conj() @ v)
-        norm = np.linalg.norm(v)
-        if norm > 1e-7:
-            basis.append(v / norm)
-    if len(basis) != dim:
-        raise RuntimeError("column completion failed to span the space")
-    return basis
+def _complement(v: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the orthogonal complement of v's columns."""
+    q, _ = np.linalg.qr(v, mode="complete")
+    return q[:, v.shape[1]:]
 
 
-def _assemble_gate(
-    padded: list[list[np.ndarray]],
+def _check_isometry(image: np.ndarray, padded: np.ndarray) -> None:
+    """Raise IsometryViolationError unless image^dagger image = I.
+
+    Block (a, b) of the Gram matrix is sum_k padded[a, k]^dagger padded[b, k];
+    the first failing block in row-major order is reported with the slots
+    whose cross terms do not vanish.
+    """
+    n, _, d, _ = padded.shape
+    gram = dag(image) @ image
+    defect = np.abs(gram - np.eye(n * d)).reshape(n, d, n, d).max(axis=(1, 3))
+    bad = np.argwhere(defect > ATOL)
+    if len(bad) == 0:
+        return
+    a, b = (int(x) for x in bad[0])
+    slots: tuple[int, ...] = ()
+    if a != b:
+        cross = np.einsum("kri,krj->kij", padded[a].conj(), padded[b])
+        slots = tuple(int(k) for k in np.flatnonzero(np.abs(cross).max(axis=(1, 2)) > ATOL))
+    raise IsometryViolationError(a, b, slots)
+
+
+def _program_ops(proc: Processor, state: np.ndarray) -> np.ndarray:
+    """Kraus operators of a pure program, stacked by processor outcome."""
+    return np.array([op for _, _, op in kraus_operators(proc, ProgramState.pure(state))])
+
+
+def _post_states_match(
+    ops: np.ndarray,
+    slot_map: tuple[int, ...],
+    projectors: tuple[np.ndarray, ...],
+    rho: np.ndarray,
+    floor: float,
+) -> bool:
+    """Projection postulate on one input state.
+
+    Every processor outcome k with probability Tr(A_k rho A_k^dagger) above
+    ``floor`` must leave the data in the projector of the measurement
+    outcome placed in slot k.  Slots outside the slot map target the zero
+    operator, which no unit-trace post-state matches, so a likely outcome
+    there fails.
+    """
+    branches = ops @ rho @ ops.conj().transpose(0, 2, 1)
+    p = np.trace(branches, axis1=1, axis2=2).real
+    target = np.zeros_like(branches)
+    target[list(slot_map)] = projectors
+    live = p > floor
+    posts = branches[live] / p[live, None, None]
+    return bool(np.all(np.abs(posts - target[live]) <= POSTULATE_ATOL))
+
+
+def _synthesize(
+    padded: np.ndarray,
     states: tuple[np.ndarray, ...],
-    d: int,
-    dp: int,
-) -> np.ndarray:
-    """Unitary acting as psi (x) state_a -> sum_k (padded[a][k] psi) (x) |k>."""
-    dim = d * dp
-    eye_d = np.eye(d, dtype=complex)
-    eye_p = np.eye(dp, dtype=complex)
-    dom, img = [], []
-    for a, state in enumerate(states):
-        for i in range(d):
-            dom.append(np.kron(eye_d[i], state))
-            out = np.zeros(dim, dtype=complex)
-            for k in range(dp):
-                out += np.kron(padded[a][k] @ eye_d[i], eye_p[k])
-            img.append(out)
-    dom_full = _complete_columns(dom, dim)
-    img_full = _complete_columns(img, dim)
-    gate = np.zeros((dim, dim), dtype=complex)
-    for a, b in zip(dom_full, img_full):
-        gate += np.outer(b, a.conj())
-    return gate
-
-
-def _check_isometry(padded: list[list[np.ndarray]], d: int, dp: int) -> None:
-    n = len(padded)
-    for a in range(n):
-        for b in range(n):
-            s = np.zeros((d, d), dtype=complex)
-            bad = []
-            for k in range(dp):
-                term = dag(padded[a][k]) @ padded[b][k]
-                s += term
-                if a != b and np.max(np.abs(term)) > ATOL:
-                    bad.append(k)
-            target = np.eye(d) if a == b else np.zeros((d, d))
-            if np.max(np.abs(s - target)) > ATOL:
-                raise IsometryViolationError(a, b, tuple(bad))
-
-
-def _verify_realizations(
-    processor: Processor,
-    padded: list[list[np.ndarray]],
     measurements: list[VonNeumannMeasurement],
-    assign_states: tuple[np.ndarray, ...],
     slot_maps: tuple[tuple[int, ...], ...],
-    relabelings: list[np.ndarray | None],
-) -> tuple[MeasurementRealization, ...]:
-    d, dp = processor.data_dim, processor.program_dim
-    records = []
+    relabelings: tuple[np.ndarray | None, ...],
+) -> SynthesisReport:
+    """Processor acting as psi (x) states[a] -> sum_k (padded[a, k] psi) (x) |k>.
+
+    ``padded`` has shape (n, dp, d, d).  Column (a, i) of the image
+    isometry V is the image of e_i (x) states[a], and the same column of
+    the domain isometry W is e_i (x) states[a] itself, so the gate is
+    V W^dagger plus V_perp W_perp^dagger on the orthogonal complements.
+    """
+    n, dp, d, _ = padded.shape
+    image = padded.transpose(2, 1, 0, 3).reshape(d * dp, n * d)
+    _check_isometry(image, padded)
+    domain = np.einsum("ij,am->jmai", np.eye(d), np.asarray(states)).reshape(d * dp, n * d)
+    gate = image @ dag(domain) + _complement(image) @ dag(_complement(domain))
+    proc = Processor(data_dim=d, program_dim=dp, gate=gate)
     mixed = np.eye(d, dtype=complex) / d
+    records = []
     for a, m in enumerate(measurements):
-        triples = kraus_operators(processor, ProgramState.pure(assign_states[a]))
-        realized = [dag(op) @ op for _, _, op in triples]
-        ok = all(
-            np.max(np.abs(realized[slot] - dag(padded[a][slot]) @ padded[a][slot]))
-            <= 10 * ATOL
-            for slot in range(dp)
-        )
-        slot_to_outcome = {slot: j for j, slot in enumerate(slot_maps[a])}
-        compliant = True
-        for _, slot, op in triples:
-            p = np.trace(op @ mixed @ dag(op)).real
-            if p <= 1e-12:
-                continue
-            post = op @ mixed @ dag(op) / p
-            j = slot_to_outcome.get(slot)
-            if j is None or np.max(np.abs(post - m.projectors[j])) > POSTULATE_ATOL:
-                compliant = False
+        ops = _program_ops(proc, states[a])
+        realized = ops.conj().transpose(0, 2, 1) @ ops
+        wanted = padded[a].conj().transpose(0, 2, 1) @ padded[a]
         records.append(
             MeasurementRealization(
                 index=a,
                 projectors=m.projectors,
-                program_state=assign_states[a],
+                program_state=states[a],
                 slot_map=slot_maps[a],
                 realized_povm=tuple(realized),
-                realized=ok,
-                postulate_compliant=compliant,
+                realized=bool(np.max(np.abs(realized - wanted)) <= 10 * ATOL),
+                postulate_compliant=_post_states_match(
+                    ops, slot_maps[a], m.projectors, mixed, PROB_FLOOR
+                ),
                 relabeling=relabelings[a],
             )
         )
-    return tuple(records)
+    return SynthesisReport(
+        processor=proc, unitary=True, completion_used=dp > n, measurements=tuple(records)
+    )
 
 
 def build_orthogonal_processor(
@@ -349,27 +345,16 @@ def build_orthogonal_processor(
     if len(measurements) != len(assign.program_states):
         raise ValueError("one measurement per program state required")
     d = measurements[0].dim
-    dp = assign.program_dim
-    padded = []
-    for a, m in enumerate(measurements):
+    padded = np.zeros((len(measurements), assign.program_dim, d, d), dtype=complex)
+    for a, (m, slots) in enumerate(zip(measurements, assign.slot_maps)):
         if m.dim != d:
             raise ValueError("measurements must share one dimension")
-        ops = [np.zeros((d, d), dtype=complex) for _ in range(dp)]
-        for j, slot in enumerate(assign.slot_maps[a]):
-            ops[slot] = m.projectors[j]
-        padded.append(ops)
-    _check_isometry(padded, d, dp)
-    gate = _assemble_gate(padded, assign.program_states, d, dp)
-    proc = Processor(data_dim=d, program_dim=dp, gate=gate)
-    records = _verify_realizations(
-        proc, padded, measurements, assign.program_states, assign.slot_maps,
-        [None] * len(measurements),
-    )
-    return SynthesisReport(
-        processor=proc,
-        unitary=True,
-        completion_used=dp > len(measurements),
-        measurements=records,
+        if len(slots) != d:
+            raise ValueError(f"slot map {a} needs {d} slots, got {len(slots)}")
+        padded[a, list(slots)] = m.projectors
+    return _synthesize(
+        padded, assign.program_states, measurements, assign.slot_maps,
+        (None,) * len(measurements),
     )
 
 
@@ -391,33 +376,15 @@ def relaxed_pvm_processor(pvms: list[VonNeumannMeasurement]) -> SynthesisReport:
     for m in pvms:
         if m.dim != d:
             raise ValueError("measurements must share one dimension")
-    dp = d
-    eye = np.eye(dp, dtype=complex)
-    eye_data = np.eye(d, dtype=complex)
-    padded = []
-    relabelings: list[np.ndarray | None] = []
+    outcomes = np.arange(d)
+    # slot k of program alpha holds |(k + alpha) mod d><phi_k|
+    padded = np.zeros((n, d, d, d), dtype=complex)
     for a, m in enumerate(pvms):
-        ops = []
-        u = np.zeros((d, d), dtype=complex)
-        for k in range(d):
-            phi = m.basis_vector(k)
-            shifted = eye_data[(k + a) % d]
-            ops.append(np.outer(shifted, phi.conj()))
-            u += np.outer(shifted, phi.conj())
-        padded.append(ops)
-        relabelings.append(u)
-    _check_isometry(padded, d, dp)
-    gate = _assemble_gate(padded, tuple(eye[a] for a in range(n)), d, dp)
-    proc = Processor(data_dim=d, program_dim=dp, gate=gate)
-    slot_maps = tuple(tuple(range(d)) for _ in range(n))
-    records = _verify_realizations(
-        proc, padded, pvms, tuple(eye[a] for a in range(n)), slot_maps, relabelings
-    )
-    return SynthesisReport(
-        processor=proc,
-        unitary=True,
-        completion_used=n < dp,
-        measurements=records,
+        phis = np.array([m.basis_vector(k) for k in outcomes])
+        padded[a, outcomes, (outcomes + a) % d] = phis.conj()
+    return _synthesize(
+        padded, tuple(np.eye(d, dtype=complex)[:n]), pvms,
+        (tuple(range(d)),) * n, tuple(padded.sum(axis=1)),
     )
 
 
@@ -442,19 +409,13 @@ def verify_projection_postulate(
             break
     if record is None:
         raise ValueError("measurement is not realized by this report")
-    triples = kraus_operators(report.processor, ProgramState.pure(record.program_state))
-    ops = {k: op for _, k, op in triples}
-    for rho in samples:
-        rho = np.asarray(rho, dtype=complex)
-        for j, slot in enumerate(record.slot_map):
-            op = ops[slot]
-            p = np.trace(dag(op) @ op @ rho).real
-            if p <= 1e-10:
-                continue
-            post = op @ rho @ dag(op) / p
-            if np.max(np.abs(post - measurement.projectors[j])) > POSTULATE_ATOL:
-                return False
-    return True
+    ops = _program_ops(report.processor, record.program_state)
+    return all(
+        _post_states_match(
+            ops, record.slot_map, measurement.projectors, np.asarray(rho, dtype=complex), 1e-10
+        )
+        for rho in samples
+    )
 
 
 @dataclass(frozen=True)
@@ -602,16 +563,6 @@ def search_extra_relaxed_program(
             continue
         triples = kraus_operators(proc, ProgramState.pure(v))
         povm = [dag(op) @ op for _, _, op in triples]
-        if _is_rank_one_pvm(povm):
+        if _rank_one_pvm_defect(povm, 1e-8) is None:
             hits.append(v)
     return ExtraProgramSearchResult(trials=trials, hits=tuple(hits))
-
-
-def _is_rank_one_pvm(povm: list[np.ndarray], tol: float = 1e-8) -> bool:
-    d = povm[0].shape[0]
-    total = np.zeros((d, d), dtype=complex)
-    for f in povm:
-        if not is_projector(f, tol) or abs(np.trace(f).real - 1.0) > tol:
-            return False
-        total += f
-    return bool(np.max(np.abs(total - np.eye(d))) <= tol)

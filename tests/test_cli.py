@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from mapproc import serialize
 from mapproc.cli import main
@@ -168,6 +169,38 @@ class TestReconstruct:
         state = serialize.decode_operator(doc["state"])
         assert np.linalg.eigvalsh(state).min() > -1e-12
 
+    def test_probabilities_report_the_inversion_residual(self, tmp_path):
+        # six Pauli eigenprojectors / 3; (1, 1, -1, -1, 0, 0) lies outside the
+        # range of their Gram matrix, so it survives as residual 2e-7
+        elements = [(np.eye(2) + s * pauli(axis)) / 6 for axis in (3, 1, 2) for s in (1, -1)]
+        povm = write_json(tmp_path, "mub.json", serialize.encode_povm(elements))
+        p = np.full(6, 1 / 6) + 1e-7 * np.array([1, 1, -1, -1, 0, 0])
+        probs = write_json(tmp_path, "p.json", {"probabilities": list(p)})
+        code, out = run(tmp_path, "reconstruct", probs, povm, "--tol", "3e-7")
+        doc = json.loads(out.read_text())
+        assert code == 0
+        assert abs(doc["diagnostics"]["residual"] - 2e-7) < 1e-12
+        assert doc["manifest"]["tolerance"] == 3e-7
+        code, _ = run(tmp_path, "reconstruct", probs, povm, "--tol", "1e-7")
+        assert code == 3
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"probabilities": [0.25, NaN, 0.25, 0.5]}',
+            '{"outcome_counts": [true, 300, 250, 250]}',
+            '{"outcome_counts": [1' + "0" * 400 + ', 300, 250, 250]}',
+        ],
+    )
+    def test_nan_boolean_or_overflowing_data_exits_2(self, tmp_path, capsys, text):
+        data = tmp_path / "bad.json"
+        data.write_text(text)
+        code, out = run(tmp_path, "reconstruct", str(data), sic_povm_file(tmp_path))
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_pvm_input_exits_3_naming_rank(self, tmp_path, capsys):
         pvm = write_json(
             tmp_path,
@@ -277,3 +310,12 @@ def test_stdout_and_stdin_streams(tmp_path, capsys, monkeypatch):
 def test_no_command_prints_help_and_exits_2(capsys):
     assert main([]) == 2
     assert "usage" in capsys.readouterr().out
+
+
+def test_tol_belongs_to_reconstruct_only(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["qid-povm", "--sic", "--tol", "1e-3"])
+    assert exc.value.code == 2
+    code, out = run(tmp_path, "qid-povm", "--sic")
+    assert code == 0
+    assert json.loads(out.read_text())["manifest"]["tolerance"] is None

@@ -66,6 +66,11 @@ def test_measurement_both_forms():
         (serialize.decode_povm, {"elements": []}),
         (serialize.decode_measurement, {"dim": 2}),
         (serialize.decode_measurement_list, {"measurements": "x"}),
+        (serialize.decode_complex, [True, 0]),
+        (serialize.decode_complex, [float("nan"), 0]),
+        (serialize.decode_complex, [0, float("inf")]),
+        (serialize.decode_state, {"dim": 1, "amp": [[float("nan"), 0]]}),
+        (serialize.decode_operator, {"rows": 1, "cols": 1, "data": [[0, float("-inf")]]}),
     ],
 )
 def test_malformed_documents_raise_value_error(decoder, payload):

@@ -13,6 +13,7 @@ from mapproc.tomography import (
     project_to_state,
     reconstruct,
     reconstruct_from_counts,
+    reconstruct_from_probabilities,
 )
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
@@ -101,6 +102,17 @@ class TestReconstruct:
         rho = random_density_operator(2, seed=12)
         p = outcome_probabilities(rho, povm)
         assert trace_distance(reconstruct(p, povm), rho) < 1e-10
+
+    def test_residual_is_the_part_no_operator_reproduces(self):
+        # (1, 1, -1, -1, 0, 0) is orthogonal to Tr(F_j X) for every operator X
+        povm = mub_povm()
+        rho = random_density_operator(2, seed=13)
+        p = outcome_probabilities(rho, povm) + 1e-7 * np.array([1, 1, -1, -1, 0, 0])
+        state, diag = reconstruct_from_probabilities(p, povm)
+        gram = gram_matrix(povm)
+        assert np.isclose(diag.residual, np.linalg.norm(gram @ np.linalg.pinv(gram) @ p - p))
+        assert np.isclose(diag.residual, 2e-7, rtol=1e-6)
+        assert trace_distance(state, rho) < 1e-10
 
     def test_affine_in_probabilities(self, sic_elements):
         rng = np.random.default_rng(19)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mapproc.processor import Processor, ProgramState, kraus_operators, outcome_probabilities
-from mapproc.qcore import dag, pauli
+from mapproc.qcore import dag, is_unitary, pauli
 from mapproc.sampling import haar_unitary, random_density_operator, random_rank_one_measurement
 from mapproc.vnmeas import (
     IsometryViolationError,
@@ -187,6 +187,60 @@ class TestBuildOrthogonalProcessor:
                     op = [a for _, k, a in triples if k == slot][0]
                     p = np.trace(dag(op) @ op @ rho).real
                     assert abs(p - np.trace(m.projectors[j] @ rho).real) < 1e-10
+
+
+    def test_slot_map_must_cover_every_outcome(self):
+        assign = SlotAssignment(
+            program_dim=3, program_states=(np.eye(3)[0],), slot_maps=((0,),)
+        )
+        with pytest.raises(ValueError, match="needs 2 slots"):
+            build_orthogonal_processor(assign, [SZ])
+
+
+class TestSynthesisInvariants:
+    """Unitarity, realization and the defining gate action on every size."""
+
+    @staticmethod
+    def assert_gate_applies(report, padded):
+        # gate (e_i (x) state_a) = sum_k (padded[a][k] e_i) (x) |k>
+        d, dp = report.processor.data_dim, report.processor.program_dim
+        eye_d, eye_p = np.eye(d), np.eye(dp)
+        for ops, rec in zip(padded, report.measurements):
+            for i in range(d):
+                want = sum(np.kron(ops[k] @ eye_d[i], eye_p[k]) for k in range(dp))
+                got = report.gate @ np.kron(eye_d[i], rec.program_state)
+                assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_padded_synthesis(self, d, n):
+        rng = np.random.default_rng(10 * d + n)
+        ms = [random_measurement(d, rng) for _ in range(n)]
+        assign = pad_with_zero_slots(ms)
+        report = build_orthogonal_processor(assign, ms)
+        assert is_unitary(report.gate)
+        assert all(rec.realized and rec.postulate_compliant for rec in report.measurements)
+        padded = []
+        for m, slots in zip(ms, assign.slot_maps):
+            ops = [np.zeros((d, d))] * assign.program_dim
+            for j, slot in enumerate(slots):
+                ops[slot] = m.projectors[j]
+            padded.append(ops)
+        self.assert_gate_applies(report, padded)
+
+    @pytest.mark.parametrize("d,n", [(d, n) for d in (2, 3, 4, 5) for n in range(1, d + 1)])
+    def test_shift_synthesis(self, d, n):
+        rng = np.random.default_rng(100 + 10 * d + n)
+        ms = [random_measurement(d, rng) for _ in range(n)]
+        report = relaxed_pvm_processor(ms)
+        assert is_unitary(report.gate)
+        assert all(rec.realized for rec in report.measurements)
+        eye = np.eye(d)
+        padded = [
+            [np.outer(eye[(k + a) % d], m.basis_vector(k).conj()) for k in range(d)]
+            for a, m in enumerate(ms)
+        ]
+        self.assert_gate_applies(report, padded)
 
 
 class TestRelaxedProcessor:
