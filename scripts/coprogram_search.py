@@ -36,7 +36,7 @@ def main() -> None:
     for dim in args.dims:
         rng = np.random.default_rng(args.seed + 1)
         pvms = [
-            VonNeumannMeasurement(projectors=tuple(random_rank_one_measurement(dim, rng)))
+            VonNeumannMeasurement(projectors=random_rank_one_measurement(dim, rng))
             for _ in range(dim)
         ]
         extra = search_extra_relaxed_program(pvms, trials=args.trials, seed=args.seed)

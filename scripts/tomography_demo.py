@@ -24,7 +24,7 @@ def main() -> None:
     parser.add_argument("--project", action="store_true")
     args = parser.parse_args()
 
-    povm = [np.asarray(f) for f in qid_povm(sic_program()).elements]
+    povm = qid_povm(sic_program()).elements
     print(f"{'shots':>10}  {'median TD':>10}  {'p99 TD':>10}")
     for shots in args.shots:
         distances = []

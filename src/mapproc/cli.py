@@ -238,10 +238,9 @@ def _cmd_vn_synth(args) -> int:
         slot_maps = tuple(tuple(int(s) for s in m) for m in json.loads(args.slots))
         if args.program_dim is None:
             raise ValueError("--slots requires --program-dim")
-        eye = np.eye(args.program_dim, dtype=complex)
         assign = vnmeas.SlotAssignment(
             program_dim=args.program_dim,
-            program_states=tuple(eye[a] for a in range(len(ms))),
+            program_states=np.eye(args.program_dim, dtype=complex)[: len(ms)],
             slot_maps=slot_maps,
         )
     else:

@@ -129,10 +129,8 @@ class ProgramState:
         return len(self.components[0][1])
 
     def density(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for w, v in self.components:
-            out += w * np.outer(v, v.conj())
-        return out
+        weights, states = zip(*self.components)
+        return np.einsum("c,ci,cj->ij", weights, states, np.conj(states))
 
 
 @dataclass(frozen=True)
@@ -171,21 +169,25 @@ class OutcomePartition:
 
 @dataclass(frozen=True)
 class InducedInstrument:
-    """Per-outcome Kraus branches and the matching POVM elements."""
+    """Per-block Kraus branches and the matching POVM elements.
 
-    branches: tuple[tuple[tuple[float, int, np.ndarray], ...], ...]
-    povm: tuple[np.ndarray, ...]
+    ``branches[b]`` is the (m_b, d, d) stack of the Kraus operators whose
+    outcomes fall in block b; ``povm`` is the (blocks, d, d) stack of
+    sum A^dagger A over each block.
+    """
+
+    branches: tuple[np.ndarray, ...]
+    povm: np.ndarray
 
 
-def kraus_operators(
-    proc: Processor, program: ProgramState
-) -> list[tuple[float, int, np.ndarray]]:
-    """Extract the Kraus branches induced by a program state.
+def kraus_operators(proc: Processor, program: ProgramState) -> np.ndarray:
+    """Extract the Kraus operators induced by a program state.
 
-    Returns (weight, outcome index k, operator) triples, one per program
-    component and outcome, where the operator is the gate contracted with
-    <k| on the program output and the component state on the program
-    input.  The weighted squared branches sum to the identity.
+    Returns a (components, program_dim, d, d) array whose entry [c, k] is
+    sqrt(w_c) times the gate contracted with <k| on the program output and
+    the component state on the program input, so the squared operators
+    sum to the identity over both leading axes.  Weights are clipped at 0,
+    since ProgramState admits rounding dust down to -ATOL.
     """
     if program.dim != proc.program_dim:
         raise ValueError(
@@ -193,69 +195,68 @@ def kraus_operators(
             f"program_dim {proc.program_dim}"
         )
     d, dp = proc.data_dim, proc.program_dim
-    g4 = proc.gate.reshape(d, dp, d, dp)
-    out = []
-    for w, v in program.components:
-        contracted = np.einsum("imjn,n->imj", g4, v)
-        for k in range(dp):
-            a_k = np.einsum("m,imj->ij", proc.program_basis[k].conj(), contracted)
-            out.append((w, k, a_k))
-    return out
+    weights, states = zip(*program.components)
+    inputs = np.sqrt(np.clip(weights, 0.0, None))[:, None] * np.array(states)
+    contracted = proc.gate.reshape(d, dp, d, dp) @ inputs.T
+    return np.einsum("km,imjc->ckij", proc.program_basis.conj(), contracted)
 
 
 def induced_instrument(
     proc: Processor, program: ProgramState, partition: OutcomePartition
 ) -> InducedInstrument:
-    """Group the Kraus branches by partition block and form the POVM."""
+    """Group the Kraus operators by partition block and form the POVM."""
     if partition.num_indices != proc.program_dim:
         raise ValueError("partition does not cover the program outcomes")
-    triples = kraus_operators(proc, program)
-    branches = []
-    povm = []
-    for block in partition.blocks:
-        blk = tuple(t for t in triples if t[1] in block)
-        f = np.zeros((proc.data_dim, proc.data_dim), dtype=complex)
-        for w, _, a in blk:
-            f += w * (dag(a) @ a)
-        branches.append(blk)
-        povm.append(f)
-    return InducedInstrument(branches=tuple(branches), povm=tuple(povm))
+    d = proc.data_dim
+    ops = kraus_operators(proc, program)
+    branches = tuple(ops[:, list(block)].reshape(-1, d, d) for block in partition.blocks)
+    povm = np.array([np.einsum("kji,kjl->il", b.conj(), b) for b in branches])
+    return InducedInstrument(branches=branches, povm=povm)
 
 
 def induced_povm(
     proc: Processor, program: ProgramState, partition: OutcomePartition
-) -> list[np.ndarray]:
-    """POVM element per partition block: weighted sums of A^dagger A."""
-    return list(induced_instrument(proc, program, partition).povm)
+) -> np.ndarray:
+    """(blocks, d, d) stack of POVM elements: sums of A^dagger A per block."""
+    return induced_instrument(proc, program, partition).povm
 
 
-def validate_povm(povm: list[np.ndarray], tol: float = ATOL) -> None:
-    """Raise InvalidPovmError unless the elements are PSD and sum to identity.
+def validate_povm(povm: np.ndarray, tol: float = ATOL) -> np.ndarray:
+    """Return the elements as one (n, d, d) stack if they form a POVM.
 
-    Negative eigenvalue dust above -tol is tolerated (treated as zero).
+    ``povm`` is a stack or any sequence of (d, d) operators.  Raises
+    InvalidPovmError, naming the first offending element, unless every
+    element is Hermitian and PSD and they sum to the identity.  Negative
+    eigenvalue dust above -tol is tolerated (treated as zero).
     """
     if len(povm) == 0:
         raise InvalidPovmError("empty POVM")
-    d = np.asarray(povm[0]).shape[0]
-    total = np.zeros((d, d), dtype=complex)
-    for i, f in enumerate(povm):
-        f = np.asarray(f, dtype=complex)
-        if f.shape != (d, d):
-            raise InvalidPovmError(f"element {i} has shape {f.shape}, expected ({d}, {d})")
-        if np.max(np.abs(f - dag(f))) > tol:
-            raise InvalidPovmError(f"element {i} is not Hermitian")
-        if np.linalg.eigvalsh(f).min() < -tol:
-            raise InvalidPovmError(f"element {i} is not positive semidefinite")
-        total += f
-    if np.max(np.abs(total - np.eye(d))) > tol:
+    d = np.shape(povm[0])[0]
+    try:
+        f = np.asarray(povm, dtype=complex)
+    except ValueError:  # elements of different shapes do not stack
+        f = np.empty(0)
+    if f.shape[1:] != (d, d):
+        i = next((i for i, e in enumerate(povm) if np.shape(e) != (d, d)), None)
+        if i is None:
+            raise InvalidPovmError("elements must be numeric (d, d) operators")
+        raise InvalidPovmError(f"element {i} has shape {np.shape(povm[i])}, expected ({d}, {d})")
+    skew = np.abs(f - f.conj().transpose(0, 2, 1)).max(axis=(1, 2)) > tol
+    bad = skew | (np.linalg.eigvalsh(f).min(axis=1) < -tol)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InvalidPovmError(
+            f"element {i} is not {'Hermitian' if skew[i] else 'positive semidefinite'}"
+        )
+    if np.max(np.abs(f.sum(axis=0) - np.eye(d))) > tol:
         raise InvalidPovmError("elements do not sum to the identity")
+    return f
 
 
-def outcome_probabilities(rho: np.ndarray, povm: list[np.ndarray]) -> np.ndarray:
+def outcome_probabilities(rho: np.ndarray, povm: np.ndarray) -> np.ndarray:
     """p_a = Tr(rho F_a) for each POVM element, unclamped."""
-    validate_povm(povm)
-    rho = np.asarray(rho, dtype=complex)
-    return np.array([np.trace(rho @ f).real for f in povm])
+    f = validate_povm(povm)
+    return np.einsum("ij,kji->k", np.asarray(rho, dtype=complex), f).real
 
 
 def post_measurement_state(
@@ -277,15 +278,13 @@ def post_measurement_state(
     p = np.trace(rho @ inst.povm[outcome]).real
     if p <= PROB_FLOOR:
         raise ImpossibleOutcomeError(outcome, p)
-    out = np.zeros_like(rho)
-    for w, _, a in inst.branches[outcome]:
-        out += w * (a @ rho @ dag(a))
-    out /= p
+    branch = inst.branches[outcome]
+    out = np.einsum("kij,jl,kml->im", branch, rho, branch.conj()) / p
     return 0.5 * (out + dag(out))
 
 
 def sample_outcomes(
-    rho: np.ndarray, povm: list[np.ndarray], n: int, seed: int | np.random.Generator
+    rho: np.ndarray, povm: np.ndarray, n: int, seed: int | np.random.Generator
 ) -> np.ndarray:
     """Multinomial outcome counts; deterministic for a fixed seed."""
     if n < 0:
@@ -298,16 +297,12 @@ def sample_outcomes(
     return as_generator(seed).multinomial(n, p)
 
 
-def is_trivial_povm(povm: list[np.ndarray], tol: float = ATOL) -> np.ndarray | None:
+def is_trivial_povm(povm: np.ndarray, tol: float = ATOL) -> np.ndarray | None:
     """Return the scalars c_k when every element is c_k * identity, else None.
 
     A trivial POVM yields data-independent statistics.
     """
-    validate_povm(povm, tol)
-    cs = []
-    for f in povm:
-        c = identity_multiple(f, tol)
-        if c is None or c.real < -tol:
-            return None
-        cs.append(max(c.real, 0.0))
-    return np.array(cs)
+    c = identity_multiple(validate_povm(povm, tol), tol)
+    if c is None or np.any(c.real < -tol):
+        return None
+    return np.maximum(c.real, 0.0)

@@ -18,12 +18,12 @@ import numpy as np
 ATOL = 1e-10
 RANK_CUTOFF = 1e-9
 
-_PAULI = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
+# sigma_0 = I, sigma_x, sigma_y, sigma_z as one (4, 2, 2) stack
+_PAULI = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+    dtype=complex,
 )
+_PAULI.setflags(write=False)
 
 
 def pauli(k: int) -> np.ndarray:
@@ -90,11 +90,15 @@ def is_projector(m: np.ndarray, tol: float = ATOL) -> bool:
     return is_hermitian(m, tol) and bool(np.max(np.abs(m @ m - m)) <= tol)
 
 
-def identity_multiple(m: np.ndarray, tol: float = ATOL) -> complex | None:
-    """Return c = Tr(m)/d when m equals c*I within tol (max-norm), else None."""
+def identity_multiple(m: np.ndarray, tol: float = ATOL) -> complex | np.ndarray | None:
+    """Return c = Tr(m)/d when m equals c*I within tol (max-norm), else None.
+
+    A stack of shape (n, d, d) gives the n scalars, or None unless every
+    operator passes.
+    """
     m = np.asarray(m, dtype=complex)
-    c = complex(np.trace(m) / m.shape[0])
-    if np.max(np.abs(m - c * np.eye(m.shape[0]))) > tol:
+    c = np.trace(m, axis1=-2, axis2=-1) / m.shape[-1]
+    if np.max(np.abs(m - c[..., None, None] * np.eye(m.shape[-1]))) > tol:
         return None
     return c
 
@@ -117,10 +121,7 @@ class BlochExpansion:
     vector: np.ndarray
 
     def assemble(self) -> np.ndarray:
-        out = self.scalar * _PAULI[0].astype(complex)
-        for c, s in zip(self.vector, _PAULI[1:]):
-            out = out + c * s
-        return out
+        return np.tensordot(np.append(self.scalar, self.vector), _PAULI, axes=1)
 
 
 def bloch_expand(h: np.ndarray, tol: float = ATOL) -> BlochExpansion:
@@ -135,24 +136,24 @@ def bloch_expand(h: np.ndarray, tol: float = ATOL) -> BlochExpansion:
     if not is_hermitian(h, tol):
         raise ValueError("bloch_expand expects a Hermitian operator")
     scalar = 0.5 * np.trace(h).real
-    vector = np.array([0.5 * np.trace(h @ _PAULI[j]).real for j in (1, 2, 3)])
+    vector = 0.5 * np.einsum("ij,kji->k", h, _PAULI[1:]).real
     return BlochExpansion(scalar=scalar, vector=vector)
 
 
-def operator_rank(ops: list[np.ndarray], cutoff: float = RANK_CUTOFF) -> int:
-    """Rank of a set of equal-shape operators under vectorization.
+def operator_rank(ops: np.ndarray, cutoff: float = RANK_CUTOFF) -> int:
+    """Rank of a stack of equal-shape operators under vectorization.
 
+    ``ops`` is an (n, ...) array or any sequence of equal-shape operators.
     Singular values below ``cutoff`` times the largest one are treated as
     zero.
     """
     if len(ops) == 0:
         raise ValueError("operator_rank of an empty set")
-    shape = np.asarray(ops[0]).shape
-    for o in ops:
-        if np.asarray(o).shape != shape:
-            raise ValueError("operator_rank expects operators of equal shape")
-    mat = np.stack([np.asarray(o, dtype=complex).ravel() for o in ops])
-    s = np.linalg.svd(mat, compute_uv=False)
+    try:
+        mat = np.asarray(ops, dtype=complex)
+    except ValueError as exc:  # the operators do not stack
+        raise ValueError("operator_rank expects operators of equal shape") from exc
+    s = np.linalg.svd(mat.reshape(len(mat), -1), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > cutoff * s[0]))

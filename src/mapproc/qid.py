@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import ATOL, bell_anchor, bloch_expand, dag, operator_rank, pauli, tensor
+from .qcore import _PAULI, ATOL, bell_anchor, bloch_expand, dag, operator_rank, pauli, tensor
 from .processor import OutcomePartition, Processor, ProgramState
 
 DATA_DIM = 2
@@ -26,7 +26,7 @@ def program_basis_state(k: int) -> np.ndarray:
     return tensor(pauli(k), np.eye(2)) @ bell_anchor()
 
 
-_XI = tuple(program_basis_state(k) for k in range(4))
+_XI = np.array([program_basis_state(k) for k in range(4)])
 
 
 def qid_unitary() -> Processor:
@@ -36,12 +36,8 @@ def qid_unitary() -> Processor:
     (1/2) sum_{k,j} (sigma_k sigma_j sigma_k) (x) |k><Xi_j|, which is
     unitary because sum_k sigma_k X sigma_k = 2 Tr(X) I.
     """
-    g = np.zeros((8, 8), dtype=complex)
-    eye4 = np.eye(4, dtype=complex)
-    for k in range(4):
-        for j in range(4):
-            branch = pauli(k) @ pauli(j) @ pauli(k)
-            g += 0.5 * np.kron(branch, np.outer(eye4[k], _XI[j].conj()))
+    branches = _PAULI[:, None] @ _PAULI[None, :] @ _PAULI[:, None]  # [k, j]
+    g = 0.5 * np.einsum("kjab,jn->akbn", branches, _XI.conj()).reshape(8, 8)
     return Processor(data_dim=DATA_DIM, program_dim=PROGRAM_DIM, gate=g)
 
 
@@ -63,7 +59,7 @@ class QidProgram:
 
     def state_vector(self) -> np.ndarray:
         """The two-qubit program vector sum_k alpha_k Xi_k."""
-        return sum(a * xi for a, xi in zip(self.amplitudes, _XI))
+        return self.amplitudes @ _XI
 
     def program_state(self) -> ProgramState:
         return ProgramState.pure(self.state_vector())
@@ -73,14 +69,14 @@ class QidProgram:
 class QidPovmReport:
     """The four-outcome POVM a QID program realizes.
 
-    ``program_operator`` is A = (1/2) sum alpha_j sigma_j; the elements are
-    sigma_k (A^dagger A) sigma_k.  ``anchor_bloch`` is the Bloch vector of
-    4*elements[0] - I; the POVM spans the qubit operator space exactly when
-    none of its components vanishes.
+    ``program_operator`` is A = (1/2) sum alpha_j sigma_j; ``elements`` is
+    the (4, 2, 2) stack of sigma_k (A^dagger A) sigma_k.  ``anchor_bloch``
+    is the Bloch vector of 4*elements[0] - I; the POVM spans the qubit
+    operator space exactly when none of its components vanishes.
     """
 
     program_operator: np.ndarray
-    elements: tuple[np.ndarray, ...]
+    elements: np.ndarray
     anchor_bloch: np.ndarray
     informationally_complete: bool
 
@@ -89,7 +85,7 @@ class QidPovmReport:
         out = []
         for k, f in enumerate(self.elements):
             # a state (I + r.sigma)/2 has Pauli coefficients r/2
-            v = 2 * bloch_expand(2 * np.asarray(f)).vector
+            v = 2 * bloch_expand(2 * f).vector
             out.append((f"F{k}", float(v[0]), float(v[1]), float(v[2])))
         return out
 
@@ -97,13 +93,12 @@ class QidPovmReport:
 def qid_povm(program: QidProgram) -> QidPovmReport:
     """POVM induced by a QID program under the finest outcome partition."""
     alpha = program.amplitudes
-    a_op = 0.5 * sum(alpha[j] * pauli(j) for j in range(4))
-    base = dag(a_op) @ a_op
-    elements = tuple(pauli(k) @ base @ pauli(k) for k in range(4))
+    a_op = 0.5 * np.tensordot(alpha, _PAULI, axes=1)
+    elements = np.einsum("kab,bc,kcd->kad", _PAULI, dag(a_op) @ a_op, _PAULI)
     vec = alpha[1:]
     anchor = alpha[0] * vec.conj() + alpha[0].conjugate() * vec + 1j * np.cross(vec.conj(), vec)
     anchor = anchor.real
-    ic = bool(np.all(np.abs(anchor) > ATOL)) and operator_rank(list(elements)) == 4
+    ic = bool(np.all(np.abs(anchor) > ATOL)) and operator_rank(elements) == 4
     return QidPovmReport(
         program_operator=a_op,
         elements=elements,

@@ -38,7 +38,7 @@ def random_density_operator(dim: int, seed: int | np.random.Generator) -> np.nda
     return rho / np.trace(rho).real
 
 
-def random_rank_one_measurement(dim: int, seed: int | np.random.Generator) -> list[np.ndarray]:
-    """Random ordered orthonormal-basis measurement: d rank-1 projectors."""
+def random_rank_one_measurement(dim: int, seed: int | np.random.Generator) -> np.ndarray:
+    """Random ordered orthonormal-basis measurement: (d, d, d) stack of rank-1 projectors."""
     u = haar_unitary(dim, seed)
-    return [np.outer(u[:, k], u[:, k].conj()) for k in range(dim)]
+    return np.einsum("ik,jk->kij", u, u.conj())

@@ -8,7 +8,7 @@ malformed document so callers can map that to a clean exit.
 
 from __future__ import annotations
 
-import cmath
+import math
 
 import numpy as np
 
@@ -20,15 +20,31 @@ def encode_complex(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
 
+def _real(x) -> float:
+    """A finite JSON number as a float; booleans are refused."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        raise ValueError(f"expected a number, got {x!r}")
+    try:
+        value = float(x)
+    except OverflowError as exc:
+        raise ValueError("number too large for a float") from exc
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {x!r}")
+    return value
+
+
+def _dimension(obj: dict, key: str) -> int:
+    """obj[key] as a positive JSON integer; booleans and floats are refused."""
+    value = obj.get(key)
+    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+        raise ValueError(f"{key} must be a positive integer, got {value!r}")
+    return value
+
+
 def decode_complex(obj) -> complex:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise ValueError(f"complex value must be a [re, im] pair, got {obj!r}")
-    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj):
-        raise ValueError(f"complex components must be numbers, got {obj!r}")
-    z = complex(*obj)
-    if not cmath.isfinite(z):
-        raise ValueError(f"complex components must be finite, got {obj!r}")
-    return z
+    return complex(_real(obj[0]), _real(obj[1]))
 
 
 def encode_operator(m: np.ndarray) -> dict:
@@ -45,12 +61,7 @@ def encode_operator(m: np.ndarray) -> dict:
 def decode_operator(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValueError("operator must be an object with rows/cols/data")
-    try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed operator: {exc}") from exc
-    if rows <= 0 or cols <= 0:
-        raise ValueError("operator dimensions must be positive")
+    rows, cols, data = _dimension(obj, "rows"), _dimension(obj, "cols"), obj.get("data")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ValueError(f"operator needs {rows * cols} entries, got {len(data) if isinstance(data, list) else 'non-list'}")
     return np.array([decode_complex(z) for z in data], dtype=complex).reshape(rows, cols)
@@ -66,10 +77,7 @@ def encode_state(v: np.ndarray) -> dict:
 def decode_state(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValueError("state must be an object with dim/amp")
-    try:
-        dim, amp = int(obj["dim"]), obj["amp"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed state: {exc}") from exc
+    dim, amp = _dimension(obj, "dim"), obj.get("amp")
     if not isinstance(amp, list) or len(amp) != dim:
         raise ValueError(f"state needs {dim} amplitudes")
     return np.array([decode_complex(z) for z in amp], dtype=complex)
@@ -84,13 +92,13 @@ def encode_program_state(ps: ProgramState) -> dict:
 
 
 def decode_program_state(obj) -> ProgramState:
-    if not isinstance(obj, dict) or "components" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("components"), list):
         raise ValueError("program state must carry a components list")
     comps = []
     for c in obj["components"]:
         if not isinstance(c, dict) or "weight" not in c or "state" not in c:
             raise ValueError("each component needs weight and state")
-        comps.append((float(c["weight"]), decode_state(c["state"])))
+        comps.append((_real(c["weight"]), decode_state(c["state"])))
     return ProgramState(components=tuple(comps))
 
 
@@ -106,14 +114,12 @@ def encode_processor(p: Processor) -> dict:
 def decode_processor(obj) -> Processor:
     if not isinstance(obj, dict):
         raise ValueError("processor must be an object")
-    try:
-        data_dim = int(obj["data_dim"])
-        program_dim = int(obj["program_dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed processor: {exc}") from exc
-    gate = decode_operator(obj["gate"])
+    data_dim, program_dim = _dimension(obj, "data_dim"), _dimension(obj, "program_dim")
+    gate = decode_operator(obj.get("gate"))
     basis = None
     if "program_basis" in obj:
+        if not isinstance(obj["program_basis"], list) or not obj["program_basis"]:
+            raise ValueError("program_basis must be a nonempty list of states")
         basis = np.stack([decode_state(v) for v in obj["program_basis"]])
     return Processor(data_dim=data_dim, program_dim=program_dim, gate=gate, program_basis=basis)
 
@@ -123,12 +129,18 @@ def encode_partition(part: OutcomePartition) -> dict:
 
 
 def decode_partition(obj) -> OutcomePartition:
-    if not isinstance(obj, dict) or "blocks" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("blocks"), list):
         raise ValueError("partition must carry a blocks list")
-    return OutcomePartition(blocks=tuple(tuple(int(k) for k in b) for b in obj["blocks"]))
+    blocks = obj["blocks"]
+    if not all(
+        isinstance(b, list) and all(isinstance(k, int) and not isinstance(k, bool) for k in b)
+        for b in blocks
+    ):
+        raise ValueError("partition blocks must be lists of integer outcome indices")
+    return OutcomePartition(blocks=tuple(tuple(b) for b in blocks))
 
 
-def encode_povm(elements: list[np.ndarray]) -> dict:
+def encode_povm(elements: np.ndarray) -> dict:
     return {"elements": [encode_operator(f) for f in elements]}
 
 
@@ -146,20 +158,20 @@ def encode_measurement(m: VonNeumannMeasurement) -> dict:
 
 def decode_measurement(obj) -> VonNeumannMeasurement:
     """Accept either projector or basis form."""
-    if not isinstance(obj, dict) or "dim" not in obj:
-        raise ValueError("measurement must carry a dim")
-    dim = int(obj["dim"])
-    if "projectors" in obj:
+    if not isinstance(obj, dict):
+        raise ValueError("measurement must be an object with a dim")
+    dim = _dimension(obj, "dim")
+    if isinstance(obj.get("projectors"), list):
         projs = [decode_operator(e) for e in obj["projectors"]]
         if any(p.shape != (dim, dim) for p in projs):
             raise ValueError("projector shape does not match dim")
-        return VonNeumannMeasurement(projectors=tuple(projs))
-    if "basis" in obj:
+        return VonNeumannMeasurement(projectors=projs)
+    if isinstance(obj.get("basis"), list):
         vectors = [decode_state(v) for v in obj["basis"]]
         if any(len(v) != dim for v in vectors):
             raise ValueError("basis vector length does not match dim")
         return VonNeumannMeasurement.from_basis(vectors)
-    raise ValueError("measurement needs either projectors or basis")
+    raise ValueError("measurement needs a projectors or a basis list")
 
 
 def decode_measurement_list(obj) -> list[VonNeumannMeasurement]:

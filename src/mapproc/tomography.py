@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import dag, is_hermitian, operator_rank
+from .qcore import ATOL, dag, operator_rank
 from .processor import validate_povm
 
 GRAM_RCOND = 1e-9
@@ -44,58 +44,45 @@ class InconsistentProbabilitiesError(ValueError):
         self.tolerance = tolerance
 
 
-def gram_matrix(povm: list[np.ndarray]) -> np.ndarray:
+def gram_matrix(povm: np.ndarray) -> np.ndarray:
     """Real symmetric matrix of pairwise overlaps Tr(F_j F_k)."""
-    for i, f in enumerate(povm):
-        if not is_hermitian(np.asarray(f, dtype=complex)):
-            raise ValueError(f"POVM element {i} is not Hermitian")
-    n = len(povm)
-    gram = np.empty((n, n), dtype=float)
-    for j in range(n):
-        for k in range(j, n):
-            gram[j, k] = gram[k, j] = np.trace(
-                np.asarray(povm[j], dtype=complex) @ np.asarray(povm[k], dtype=complex)
-            ).real
-    return gram
+    f = np.asarray(povm, dtype=complex)
+    skew = np.abs(f - f.conj().transpose(0, 2, 1)).max(axis=(1, 2)) > ATOL
+    if skew.any():
+        raise ValueError(f"POVM element {int(np.argmax(skew))} is not Hermitian")
+    return np.einsum("jab,kba->jk", f, f).real
 
 
-def is_informationally_complete(povm: list[np.ndarray]) -> bool:
+def is_informationally_complete(povm: np.ndarray) -> bool:
     """True when the elements span the full d^2-dimensional operator space."""
-    validate_povm(povm)
-    d = np.asarray(povm[0]).shape[0]
-    return operator_rank(list(povm)) == d * d
+    f = validate_povm(povm)
+    return operator_rank(f) == f.shape[1] ** 2
 
 
 @dataclass(frozen=True)
 class Tomographer:
     """Precomputed inversion data for one informationally complete POVM.
 
-    ``dual_frame`` holds operators D_k with rho = sum_k Tr(rho F_k) D_k;
-    it exists only for informationally complete POVMs, so construction
-    fails otherwise.  Instances are immutable and safe to share.
+    ``povm`` and ``dual_frame`` are (n, d, d) stacks; the dual operators
+    D_k give rho = sum_k Tr(rho F_k) D_k.  They exist only for
+    informationally complete POVMs, so construction fails otherwise.
+    Instances are immutable and safe to share.
     """
 
-    povm: tuple[np.ndarray, ...]
+    povm: np.ndarray
     gram: np.ndarray
-    dual_frame: tuple[np.ndarray, ...]
+    dual_frame: np.ndarray
 
     @classmethod
-    def build(cls, povm: list[np.ndarray]) -> "Tomographer":
-        validate_povm(povm)
-        d = np.asarray(povm[0]).shape[0]
-        rank = operator_rank(list(povm))
+    def build(cls, povm: np.ndarray) -> "Tomographer":
+        f = validate_povm(povm)
+        d = f.shape[1]
+        rank = operator_rank(f)
         if rank < d * d:
             raise UnderdeterminedPovmError(rank, d * d)
-        gram = gram_matrix(povm)
-        inv = np.linalg.pinv(gram, rcond=GRAM_RCOND)
-        duals = []
-        for k in range(len(povm)):
-            dual = np.zeros((d, d), dtype=complex)
-            for j in range(len(povm)):
-                dual += inv[k, j] * np.asarray(povm[j], dtype=complex)
-            duals.append(dual)
-        return cls(povm=tuple(np.asarray(f, dtype=complex) for f in povm),
-                   gram=gram, dual_frame=tuple(duals))
+        gram = gram_matrix(f)
+        dual = np.tensordot(np.linalg.pinv(gram, rcond=GRAM_RCOND), f, axes=1)
+        return cls(povm=f, gram=gram, dual_frame=dual)
 
     def _invert(
         self, probabilities: np.ndarray, residual_tol: float
@@ -112,8 +99,8 @@ class Tomographer:
             )
         if abs(p.sum() - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {p.sum()}, expected 1")
-        rho = np.tensordot(p, np.asarray(self.dual_frame), axes=1)
-        fitted = np.einsum("kij,ji->k", np.asarray(self.povm), rho).real
+        rho = np.tensordot(p, self.dual_frame, axes=1)
+        fitted = np.einsum("kij,ji->k", self.povm, rho).real
         residual = float(np.linalg.norm(fitted - p))
         if residual > residual_tol:
             raise InconsistentProbabilitiesError(residual, residual_tol)
@@ -133,7 +120,7 @@ class Tomographer:
 
 def reconstruct(
     probabilities: np.ndarray,
-    povm: list[np.ndarray],
+    povm: np.ndarray,
     residual_tol: float = RESIDUAL_TOL,
 ) -> np.ndarray:
     """One-shot linear inversion; see Tomographer.reconstruct."""
@@ -148,27 +135,30 @@ class ReconstructionDiagnostics:
 
 
 def project_to_state(estimate: np.ndarray) -> np.ndarray:
-    """Clip negative eigenvalues to zero and renormalize the trace to 1."""
+    """Closest density operator to a Hermitian estimate in Frobenius norm.
+
+    Keeps the eigenvectors and projects the eigenvalues onto the
+    probability simplex: lambda_i = max(mu_i - theta, 0) with theta fixed
+    by unit trace (Smolin, Gambetta & Smith, PRL 108, 070502 (2012)).
+    """
     evals, evecs = np.linalg.eigh(np.asarray(estimate, dtype=complex))
-    clipped = np.clip(evals, 0.0, None)
-    total = clipped.sum()
-    if total <= 0.0:
-        raise ValueError("estimate has no positive eigenvalue mass to project onto")
-    clipped /= total
-    return (evecs * clipped) @ evecs.conj().T
+    excess = np.cumsum(evals[::-1]) - 1.0
+    kept = np.flatnonzero(evals[::-1] * np.arange(1, len(evals) + 1) > excess)[-1]
+    projected = np.clip(evals - excess[kept] / (kept + 1), 0.0, None)
+    return (evecs * projected) @ evecs.conj().T
 
 
 def reconstruct_from_probabilities(
     probabilities: np.ndarray,
-    povm: list[np.ndarray],
+    povm: np.ndarray,
     project: bool = False,
     residual_tol: float = RESIDUAL_TOL,
 ) -> tuple[np.ndarray, ReconstructionDiagnostics]:
     """Linear inversion with diagnostics.
 
-    With ``project`` the estimate is moved to the closest point of the PSD
-    unit-trace cone by eigenvalue clipping; the diagnostics always report
-    the pre-projection spectrum and the Gram-system residual.
+    With ``project`` the estimate is replaced by the closest density
+    operator (see project_to_state); the diagnostics always report the
+    pre-projection spectrum and the Gram-system residual.
     """
     estimate, residual = Tomographer.build(povm)._invert(probabilities, residual_tol)
     diagnostics = ReconstructionDiagnostics(
@@ -183,7 +173,7 @@ def reconstruct_from_probabilities(
 
 def reconstruct_from_counts(
     counts: np.ndarray,
-    povm: list[np.ndarray],
+    povm: np.ndarray,
     project: bool = False,
     residual_tol: float = RESIDUAL_TOL,
 ) -> tuple[np.ndarray, ReconstructionDiagnostics]:

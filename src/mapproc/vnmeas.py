@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import ATOL, dag, identity_multiple, is_projector
+from .qcore import ATOL, dag, identity_multiple
 from .processor import PROB_FLOOR, Processor, ProgramState, kraus_operators
 from .sampling import as_generator, random_rank_one_measurement
 
@@ -33,48 +33,59 @@ class IsometryViolationError(ValueError):
         self.slots = slots
 
 
-def _rank_one_pvm_defect(projs: tuple[np.ndarray, ...], tol: float) -> str | None:
-    """Why the operators are not d orthogonal rank-1 projectors summing to I, or None."""
-    d = projs[0].shape[0]
+def _rank_one_pvm_defect(projs: np.ndarray, tol: float) -> str | None:
+    """Why the (n, d, d) stack is not d orthogonal rank-1 projectors summing to I, or None."""
+    d = projs.shape[1]
     if len(projs) != d:
         return f"need {d} projectors on dimension {d}, got {len(projs)}"
-    for j, e in enumerate(projs):
-        if e.shape != (d, d):
-            return "projectors must share one dimension"
-        if not is_projector(e, tol) or abs(np.trace(e).real - 1.0) > tol:
-            return f"element {j} is not a rank-1 projector"
-    if np.max(np.abs(sum(projs) - np.eye(d))) > tol:
+    if projs.shape != (d, d, d):
+        return "projectors must share one dimension"
+    skew = np.abs(projs - projs.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    idempotency = np.abs(projs @ projs - projs).max(axis=(1, 2))
+    trace = np.abs(np.trace(projs, axis1=1, axis2=2).real - 1.0)
+    bad = np.flatnonzero((skew > tol) | (idempotency > tol) | (trace > tol))
+    if bad.size:
+        return f"element {bad[0]} is not a rank-1 projector"
+    if np.max(np.abs(projs.sum(axis=0) - np.eye(d))) > tol:
         return "projectors must sum to the identity"
-    for j in range(d):
-        for k in range(j + 1, d):
-            if np.max(np.abs(projs[j] @ projs[k])) > tol:
-                return f"projectors {j} and {k} are not orthogonal"
+    products = np.abs(projs[:, None] @ projs[None, :]).max(axis=(2, 3))
+    bad = np.argwhere(np.triu(products > tol, 1))
+    if len(bad):
+        return f"projectors {bad[0][0]} and {bad[0][1]} are not orthogonal"
     return None
 
 
 @dataclass(frozen=True)
 class VonNeumannMeasurement:
-    """Ordered complete family of d mutually orthogonal rank-1 projectors."""
+    """Ordered complete family of d mutually orthogonal rank-1 projectors.
 
-    projectors: tuple[np.ndarray, ...]
+    ``projectors`` is held as one (d, d, d) stack; any sequence of (d, d)
+    operators is accepted.
+    """
+
+    projectors: np.ndarray
 
     def __post_init__(self):
-        projs = tuple(np.asarray(e, dtype=complex) for e in self.projectors)
-        if not projs:
+        if len(self.projectors) == 0:
             raise ValueError("measurement needs at least one projector")
+        try:
+            projs = np.asarray(self.projectors, dtype=complex)
+        except ValueError as exc:  # the projectors do not stack
+            raise ValueError("projectors must share one dimension") from exc
         defect = _rank_one_pvm_defect(projs, ATOL)
         if defect is not None:
             raise ValueError(defect)
         object.__setattr__(self, "projectors", projs)
 
     @classmethod
-    def from_basis(cls, vectors: list[np.ndarray]) -> "VonNeumannMeasurement":
-        vs = [np.asarray(v, dtype=complex) for v in vectors]
-        return cls(projectors=tuple(np.outer(v, v.conj()) for v in vs))
+    def from_basis(cls, vectors: np.ndarray) -> "VonNeumannMeasurement":
+        """Measurement whose k-th projector is |v_k><v_k| for the rows v_k of ``vectors``."""
+        vs = np.asarray(vectors, dtype=complex)
+        return cls(projectors=vs[..., :, None] * vs[..., None, :].conj())
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return self.projectors.shape[1]
 
     def basis_vector(self, k: int) -> np.ndarray:
         """Unit vector of the k-th projector (phase fixed by the largest entry)."""
@@ -85,24 +96,25 @@ class VonNeumannMeasurement:
 
 
 def kraus_compatibility(
-    ops_a: list[np.ndarray], ops_b: list[np.ndarray], tol: float = ATOL
+    ops_a: np.ndarray, ops_b: np.ndarray, tol: float = ATOL
 ) -> tuple[np.ndarray, complex | None]:
     """Evaluate sum_j A_j^dagger B_j for two outcome-paired operator families.
 
+    Each family is an (n, d, d) stack or a sequence of (d, d) operators.
     Two families realizable on the same processor must make this a scalar
     multiple k*I of the identity, with k the overlap of their program
     states.  Returns (S, k), with k None when S is not scalar.
     """
     if len(ops_a) != len(ops_b):
         raise ValueError("families must pair outcomes one-to-one")
-    d = np.asarray(ops_a[0]).shape[0]
-    s = np.zeros((d, d), dtype=complex)
-    for a, b in zip(ops_a, ops_b):
-        a = np.asarray(a, dtype=complex)
-        b = np.asarray(b, dtype=complex)
-        if a.shape != (d, d) or b.shape != (d, d):
-            raise ValueError("paired operators must share one dimension")
-        s += dag(a) @ b
+    try:
+        a = np.asarray(ops_a, dtype=complex)
+        b = np.asarray(ops_b, dtype=complex)
+    except ValueError as exc:  # a family does not stack
+        raise ValueError("paired operators must share one dimension") from exc
+    if a.ndim != 3 or a.shape != b.shape or a.shape[1] != a.shape[2]:
+        raise ValueError("paired operators must share one dimension")
+    s = np.einsum("kji,kjl->il", a.conj(), b)
     return s, identity_multiple(s, tol)
 
 
@@ -126,20 +138,22 @@ def coprogram_condition(
     """
     if m1.dim != m2.dim:
         raise ValueError("measurements must share one dimension")
+    n1, n2 = len(m1.projectors), len(m2.projectors)
     if pairing is None:
-        if len(m1.projectors) != len(m2.projectors):
+        if n1 != n2:
             raise ValueError("index pairing needs equal outcome counts")
-        pairing = [(j, j) for j in range(len(m1.projectors))]
+        pairing = [(j, j) for j in range(n1)]
     if weights is None:
         weights = [1.0] * len(pairing)
     if len(weights) != len(pairing):
         raise ValueError("weights must match the pairing length")
-    d = m1.dim
-    s = np.zeros((d, d), dtype=complex)
-    for w, (i, j) in zip(weights, pairing):
-        if not (0 <= i < len(m1.projectors) and 0 <= j < len(m2.projectors)):
-            raise ValueError(f"pairing ({i}, {j}) outside the outcome ranges")
-        s += w * (m1.projectors[i] @ m2.projectors[j])
+    pairs = np.array(pairing, dtype=int).reshape(len(pairing), 2)
+    i, j = pairs.T
+    outside = (i < 0) | (i >= n1) | (j < 0) | (j >= n2)
+    if outside.any():
+        t = int(np.argmax(outside))
+        raise ValueError(f"pairing ({i[t]}, {j[t]}) outside the outcome ranges")
+    s = np.einsum("t,tab,tbc->ac", weights, m1.projectors[i], m2.projectors[j])
     return s, identity_multiple(s, tol)
 
 
@@ -148,27 +162,26 @@ class SlotAssignment:
     """Placement of measurement outcomes into processor outcome slots.
 
     Measurement alpha carries the orthonormal program state
-    ``program_states[alpha]`` and its outcome j lands in processor slot
-    ``slot_maps[alpha][j]``; slots it does not use hold the zero operator.
+    ``program_states[alpha]`` (a row of an (n, program_dim) array) and its
+    outcome j lands in processor slot ``slot_maps[alpha][j]``; slots it
+    does not use hold the zero operator.
     """
 
     program_dim: int
-    program_states: tuple[np.ndarray, ...]
+    program_states: np.ndarray
     slot_maps: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        states = tuple(np.asarray(v, dtype=complex) for v in self.program_states)
+        states = np.asarray(self.program_states, dtype=complex)
         if len(states) != len(self.slot_maps):
             raise ValueError("one slot map per program state required")
-        for v in states:
-            if v.shape != (self.program_dim,):
-                raise ValueError("program states must live in the program space")
-            if abs(np.linalg.norm(v) - 1.0) > ATOL:
-                raise ValueError("program states must be normalized")
-        for a in range(len(states)):
-            for b in range(a + 1, len(states)):
-                if abs(states[a].conj() @ states[b]) > ATOL:
-                    raise ValueError("program states must be pairwise orthogonal")
+        if states.shape != (len(states), self.program_dim):
+            raise ValueError("program states must live in the program space")
+        if np.any(np.abs(np.linalg.norm(states, axis=1) - 1.0) > ATOL):
+            raise ValueError("program states must be normalized")
+        gram = states.conj() @ states.T
+        if np.any(np.abs(gram - np.diag(np.diag(gram))) > ATOL):
+            raise ValueError("program states must be pairwise orthogonal")
         maps = tuple(tuple(int(s) for s in m) for m in self.slot_maps)
         for m in maps:
             if len(set(m)) != len(m):
@@ -194,23 +207,27 @@ def pad_with_zero_slots(measurements: list[VonNeumannMeasurement]) -> SlotAssign
             raise ValueError("measurements must share one dimension")
     n = len(measurements)
     dp = n * d
-    eye = np.eye(dp, dtype=complex)
     return SlotAssignment(
         program_dim=dp,
-        program_states=tuple(eye[a] for a in range(n)),
+        program_states=np.eye(dp, dtype=complex)[:n],
         slot_maps=tuple(tuple(range(a * d, (a + 1) * d)) for a in range(n)),
     )
 
 
 @dataclass(frozen=True)
 class MeasurementRealization:
-    """How one program of a synthesized processor performs its measurement."""
+    """How one program of a synthesized processor performs its measurement.
+
+    ``projectors`` is the measurement's (d, d, d) stack and
+    ``realized_povm`` the (program_dim, d, d) stack of A_k^dagger A_k the
+    program induces, indexed by processor outcome.
+    """
 
     index: int
-    projectors: tuple[np.ndarray, ...]
+    projectors: np.ndarray
     program_state: np.ndarray
     slot_map: tuple[int, ...]
-    realized_povm: tuple[np.ndarray, ...]
+    realized_povm: np.ndarray
     realized: bool
     postulate_compliant: bool
     relabeling: np.ndarray | None
@@ -257,15 +274,10 @@ def _check_isometry(image: np.ndarray, padded: np.ndarray) -> None:
     raise IsometryViolationError(a, b, slots)
 
 
-def _program_ops(proc: Processor, state: np.ndarray) -> np.ndarray:
-    """Kraus operators of a pure program, stacked by processor outcome."""
-    return np.array([op for _, _, op in kraus_operators(proc, ProgramState.pure(state))])
-
-
 def _post_states_match(
     ops: np.ndarray,
     slot_map: tuple[int, ...],
-    projectors: tuple[np.ndarray, ...],
+    projectors: np.ndarray,
     rho: np.ndarray,
     floor: float,
 ) -> bool:
@@ -288,28 +300,29 @@ def _post_states_match(
 
 def _synthesize(
     padded: np.ndarray,
-    states: tuple[np.ndarray, ...],
+    states: np.ndarray,
     measurements: list[VonNeumannMeasurement],
     slot_maps: tuple[tuple[int, ...], ...],
     relabelings: tuple[np.ndarray | None, ...],
 ) -> SynthesisReport:
     """Processor acting as psi (x) states[a] -> sum_k (padded[a, k] psi) (x) |k>.
 
-    ``padded`` has shape (n, dp, d, d).  Column (a, i) of the image
-    isometry V is the image of e_i (x) states[a], and the same column of
-    the domain isometry W is e_i (x) states[a] itself, so the gate is
-    V W^dagger plus V_perp W_perp^dagger on the orthogonal complements.
+    ``padded`` has shape (n, dp, d, d) and ``states`` (n, dp).  Column
+    (a, i) of the image isometry V is the image of e_i (x) states[a], and
+    the same column of the domain isometry W is e_i (x) states[a] itself,
+    so the gate is V W^dagger plus V_perp W_perp^dagger on the orthogonal
+    complements.
     """
     n, dp, d, _ = padded.shape
     image = padded.transpose(2, 1, 0, 3).reshape(d * dp, n * d)
     _check_isometry(image, padded)
-    domain = np.einsum("ij,am->jmai", np.eye(d), np.asarray(states)).reshape(d * dp, n * d)
+    domain = np.einsum("ij,am->jmai", np.eye(d), states).reshape(d * dp, n * d)
     gate = image @ dag(domain) + _complement(image) @ dag(_complement(domain))
     proc = Processor(data_dim=d, program_dim=dp, gate=gate)
     mixed = np.eye(d, dtype=complex) / d
     records = []
     for a, m in enumerate(measurements):
-        ops = _program_ops(proc, states[a])
+        ops = kraus_operators(proc, ProgramState.pure(states[a]))[0]
         realized = ops.conj().transpose(0, 2, 1) @ ops
         wanted = padded[a].conj().transpose(0, 2, 1) @ padded[a]
         records.append(
@@ -318,7 +331,7 @@ def _synthesize(
                 projectors=m.projectors,
                 program_state=states[a],
                 slot_map=slot_maps[a],
-                realized_povm=tuple(realized),
+                realized_povm=realized,
                 realized=bool(np.max(np.abs(realized - wanted)) <= 10 * ATOL),
                 postulate_compliant=_post_states_match(
                     ops, slot_maps[a], m.projectors, mixed, PROB_FLOOR
@@ -383,7 +396,7 @@ def relaxed_pvm_processor(pvms: list[VonNeumannMeasurement]) -> SynthesisReport:
         phis = np.array([m.basis_vector(k) for k in outcomes])
         padded[a, outcomes, (outcomes + a) % d] = phis.conj()
     return _synthesize(
-        padded, tuple(np.eye(d, dtype=complex)[:n]), pvms,
+        padded, np.eye(d, dtype=complex)[:n], pvms,
         (tuple(range(d)),) * n, tuple(padded.sum(axis=1)),
     )
 
@@ -399,17 +412,18 @@ def verify_projection_postulate(
     the conditional post-state must equal the outcome's projector within
     1e-8.  The measurement must be one the report realizes.
     """
-    record = None
-    for rec in report.measurements:
-        if all(
-            np.max(np.abs(p - q)) <= POSTULATE_ATOL
-            for p, q in zip(rec.projectors, measurement.projectors)
-        ):
-            record = rec
-            break
+    record = next(
+        (
+            rec
+            for rec in report.measurements
+            if rec.projectors.shape == measurement.projectors.shape
+            and np.max(np.abs(rec.projectors - measurement.projectors)) <= POSTULATE_ATOL
+        ),
+        None,
+    )
     if record is None:
         raise ValueError("measurement is not realized by this report")
-    ops = _program_ops(report.processor, record.program_state)
+    ops = kraus_operators(report.processor, ProgramState.pure(record.program_state))[0]
     return all(
         _post_states_match(
             ops, record.slot_map, measurement.projectors, np.asarray(rho, dtype=complex), 1e-10
@@ -446,42 +460,27 @@ def feasibility_table_check(
             raise ValueError("columns must share one dimension")
     if len(columns) > d:
         raise ValueError(f"at most d={d} columns can share a d-size program")
+    n = len(columns)
+    flat = np.array([m.projectors for m in columns]).reshape(n * d, d * d)
+    # overlaps[a, k, b, l] = Tr(P_ak P_bl); the projectors are Hermitian
+    overlaps = (flat @ flat.conj().T).real.reshape(n, d, n, d)
+    rows = np.einsum("akbk->abk", overlaps) > tol
+    matches = overlaps > 1.0 - tol
     violations = []
-    for a in range(len(columns)):
-        for b in range(a + 1, len(columns)):
-            for k in range(d):
-                overlap = np.trace(columns[a].projectors[k] @ columns[b].projectors[k]).real
-                if overlap > tol:
-                    violations.append(
-                        FeasibilityViolation(
-                            kind="row_orthogonality", first=a, second=b, row=k
-                        )
-                    )
-            if _is_outcome_permutation(columns[a], columns[b], tol):
-                violations.append(
-                    FeasibilityViolation(kind="column_permutation", first=a, second=b)
-                )
+    for a, b in zip(*np.triu_indices(n, 1)):
+        a, b = int(a), int(b)
+        violations += [
+            FeasibilityViolation(kind="row_orthogonality", first=a, second=b, row=int(k))
+            for k in np.flatnonzero(rows[a, b])
+        ]
+        # column b permutes column a's outcomes when every outcome of each
+        # matches exactly one outcome of the other
+        hits = matches[a, :, b]
+        if np.all(hits.sum(axis=0) == 1) and np.all(hits.sum(axis=1) == 1):
+            violations.append(
+                FeasibilityViolation(kind="column_permutation", first=a, second=b)
+            )
     return violations
-
-
-def _is_outcome_permutation(
-    m1: VonNeumannMeasurement, m2: VonNeumannMeasurement, tol: float
-) -> bool:
-    """True when m2's projectors are m1's in some other order."""
-    d = m1.dim
-    matched: set[int] = set()
-    for k in range(d):
-        hit = None
-        for j in range(d):
-            if j in matched:
-                continue
-            if np.trace(m1.projectors[k] @ m2.projectors[j]).real > 1.0 - tol:
-                hit = j
-                break
-        if hit is None:
-            return False
-        matched.add(hit)
-    return True
 
 
 @dataclass(frozen=True)
@@ -507,9 +506,7 @@ def search_coprogrammable_pair(
     rng = as_generator(seed)
     hits = []
     for _ in range(trials):
-        first = VonNeumannMeasurement(
-            projectors=tuple(random_rank_one_measurement(dim, rng))
-        )
+        first = VonNeumannMeasurement(projectors=random_rank_one_measurement(dim, rng))
         candidate = []
         for k in range(dim):
             e = first.basis_vector(k)
@@ -517,8 +514,8 @@ def search_coprogrammable_pair(
             coeff = rng.normal(size=dim - 1) + 1j * rng.normal(size=dim - 1)
             v = comp @ (coeff / np.linalg.norm(coeff))
             candidate.append(v)
-        overlaps = np.array([[c1.conj() @ c2 for c2 in candidate] for c1 in candidate])
-        if np.max(np.abs(overlaps - np.eye(dim))) > 1e-8:
+        candidate = np.array(candidate)
+        if np.max(np.abs(candidate.conj() @ candidate.T - np.eye(dim))) > 1e-8:
             continue
         second = VonNeumannMeasurement.from_basis(candidate)
         if not feasibility_table_check([first, second]):
@@ -561,8 +558,7 @@ def search_extra_relaxed_program(
         v /= np.linalg.norm(v)
         if np.max(np.abs(v)) > 1.0 - 1e-6:
             continue
-        triples = kraus_operators(proc, ProgramState.pure(v))
-        povm = [dag(op) @ op for _, _, op in triples]
-        if _rank_one_pvm_defect(povm, 1e-8) is None:
+        ops = kraus_operators(proc, ProgramState.pure(v))[0]
+        if _rank_one_pvm_defect(ops.conj().transpose(0, 2, 1) @ ops, 1e-8) is None:
             hits.append(v)
     return ExtraProgramSearchResult(trials=trials, hits=tuple(hits))

@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jsonfuzz import json_values, mutants, strict_json
 from mapproc import serialize
-from mapproc.cli import main
+from mapproc.cli import _build_parser, main
 from mapproc.qcore import pauli, trace_distance
 from mapproc.qid import qid_povm, sic_program
 
@@ -133,6 +140,16 @@ class TestSimulate:
         counts = json.loads(out.read_text())["outcome_counts"]
         assert sum(counts) == 10**6
         assert all(245000 <= c <= 255000 for c in counts)
+
+    def test_fractional_dimension_exits_2(self, tmp_path, capsys):
+        # rows 2.9 used to be read as int(2.9) = 2 and the state accepted
+        doc = serialize.encode_operator(np.eye(2, dtype=complex) / 2)
+        state = write_json(tmp_path, "state.json", {**doc, "rows": 2.9})
+        code, out = run(tmp_path, "simulate", state, sic_povm_file(tmp_path), "--n", "10")
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "rows" in err and err.count("\n") == 1
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -319,3 +336,97 @@ def test_tol_belongs_to_reconstruct_only(tmp_path):
     code, out = run(tmp_path, "qid-povm", "--sic")
     assert code == 0
     assert json.loads(out.read_text())["manifest"]["tolerance"] is None
+
+
+_SX = {"dim": 2, "basis": [
+    serialize.encode_state(np.array([1, 1]) / np.sqrt(2)),
+    serialize.encode_state(np.array([1, -1]) / np.sqrt(2)),
+]}
+_SZ = {"dim": 2, "projectors": [serialize.encode_operator(np.diag(d)) for d in np.eye(2)]}
+DOCUMENTS = {
+    "program": {"alpha": [serialize.encode_complex(z) for z in sic_program().amplitudes]},
+    "state": serialize.encode_operator(np.array([[0.7, 0.2j], [-0.2j, 0.3]])),
+    "povm": serialize.encode_povm(qid_povm(sic_program()).elements),
+    "data": {"outcome_counts": [400, 300, 200, 100]},
+    "probabilities": {"probabilities": [0.4, 0.3, 0.2, 0.1]},
+    "measurements": {"measurements": [_SX, _SZ]},
+}
+numbers = st.one_of(st.integers(min_value=-3, max_value=6), st.floats()).map(repr)
+json_text = st.one_of(json_values.map(json.dumps), st.text(max_size=6))
+
+
+@st.composite
+def invocations(draw, command):
+    """argv, with a (name,) tuple in place of each input file, and the documents."""
+    files = []
+
+    def doc(name):
+        files.append((name, draw(mutants(DOCUMENTS[name]))))
+        return (name,)
+
+    def optional(*flag):
+        return list(flag) if draw(st.booleans()) else []
+
+    if command in ("qid-povm", "bloch-export"):
+        argv = ["--sic"] if draw(st.booleans()) else [doc("program")]
+    elif command == "qid-program":
+        modes = [["--sic"], ["--unitary", *(draw(numbers) for _ in range(3))],
+                 ["--pauli-axis", str(draw(st.integers(min_value=-1, max_value=4)))]]
+        argv = [arg for mode in draw(st.lists(st.sampled_from(modes), max_size=2)) for arg in mode]
+    elif command == "simulate":
+        argv = [doc("state"), doc("povm"), "--n", str(draw(st.integers(-2, 10**5))),
+                *optional("--seed", str(draw(st.integers(-1, 2**40))))]
+    elif command == "reconstruct":
+        argv = [doc(draw(st.sampled_from(["data", "probabilities"]))), doc("povm"),
+                *optional("--project"), *optional("--tol", draw(numbers))]
+    elif command == "vn-check":
+        argv = [doc("measurements"),
+                *optional("--pairing", draw(st.just("[[0,0],[0,1],[1,1],[1,0]]") | json_text)),
+                *optional("--weights", draw(st.just("[0.5,0.5,0.5,0.5]") | json_text))]
+    elif command == "vn-synth":
+        argv = [doc("measurements"),
+                *optional("--slots", draw(st.just("[[0,1],[2,3]]") | json_text),
+                          "--program-dim", str(draw(st.integers(-1, 6))))]
+    else:
+        argv = [doc("measurements")]
+    return [command, *argv], files
+
+
+COMMANDS = ("qid-povm", "qid-program", "simulate", "reconstruct", "vn-check", "vn-synth",
+            "vn-relaxed", "bloch-export")
+
+
+def test_every_subcommand_is_fuzzed():
+    subparsers = next(a for a in _build_parser()._actions if a.dest == "command")
+    assert set(subparsers.choices) == set(COMMANDS)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fuzzed_inputs_exit_cleanly(command, data):
+    argv, files = data.draw(invocations(command))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, doc in files:
+            paths[name] = str(Path(tmp) / f"{name}.json")
+            Path(paths[name]).write_text(json.dumps(doc), encoding="utf-8")
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main([paths[arg[0]] if isinstance(arg, tuple) else arg for arg in argv]
+                            + ["--output", str(out)])
+            except SystemExit as exc:  # argparse refusing the flags
+                assert exc.code == 2
+                return
+        if code != 0:
+            assert code in (2, 3)
+            assert not out.exists()
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        elif command == "bloch-export":
+            lines = out.read_text(encoding="utf-8").splitlines()
+            strict_json(lines[0].removeprefix("# manifest: "))
+            assert all(np.isfinite(float(x)) for line in lines[2:] for x in line.split(",")[1:])
+        else:
+            strict_json(out.read_text(encoding="utf-8"))

@@ -78,13 +78,14 @@ class TestValidation:
 class TestKrausOperators:
     def test_anchor_program_gives_identity_branches(self, qid_proc):
         program = ProgramState.pure(bell_anchor())
-        for w, _, a in kraus_operators(qid_proc, program):
-            assert w == 1.0
+        ops = kraus_operators(qid_proc, program)
+        assert ops.shape == (1, 4, 2, 2)
+        for a in ops[0]:
             assert np.allclose(a, 0.5 * np.eye(2), atol=1e-12)
 
     def test_sic_program_branches_are_pauli_conjugates(self, qid_proc):
         a_op = 0.5 * (np.eye(2) / np.sqrt(2) + (pauli(1) + pauli(2) + pauli(3)) / np.sqrt(6))
-        for w, k, a in kraus_operators(qid_proc, sic_program().program_state()):
+        for k, a in enumerate(kraus_operators(qid_proc, sic_program().program_state())[0]):
             assert np.allclose(a, pauli(k) @ a_op @ pauli(k), atol=1e-12)
 
     def test_completeness_for_random_gate_and_program(self):
@@ -92,7 +93,7 @@ class TestKrausOperators:
         for _ in range(10):
             proc = Processor(data_dim=2, program_dim=2, gate=haar_unitary(4, rng))
             program = ProgramState.pure(random_pure_state(2, rng))
-            total = sum(w * dag(a) @ a for w, _, a in kraus_operators(proc, program))
+            total = sum(dag(a) @ a for a in kraus_operators(proc, program)[0])
             assert np.allclose(total, np.eye(2), atol=1e-10)
 
     def test_dimension_mismatch(self, qid_proc):
@@ -214,7 +215,7 @@ class TestPostMeasurementState:
             for a in range(2)
         )
         channel = sum(
-            w * (a @ rho @ dag(a)) for w, _, a in kraus_operators(qid_proc, program)
+            a @ rho @ dag(a) for a in kraus_operators(qid_proc, program)[0]
         )
         assert np.allclose(total, channel, atol=1e-10)
 

@@ -1,0 +1,155 @@
+"""Invariants of the operator-family calculus over random dimensions and seeds.
+
+Every operator family is an (n, d, d) stack; the checks below compare each
+library result against a direct loop over its elements.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mapproc.processor import (
+    OutcomePartition,
+    Processor,
+    ProgramState,
+    induced_instrument,
+    kraus_operators,
+    validate_povm,
+)
+from mapproc.qcore import dag
+from mapproc.sampling import (
+    haar_unitary,
+    random_density_operator,
+    random_pure_state,
+)
+from mapproc.tomography import Tomographer, is_informationally_complete
+from mapproc.vnmeas import VonNeumannMeasurement, feasibility_table_check, kraus_compatibility
+
+dims = st.integers(min_value=2, max_value=5)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+SETTINGS = settings(max_examples=25, deadline=None)
+
+
+def random_processor(d, dp, rng):
+    gate = haar_unitary(d * dp, rng)
+    return Processor(data_dim=d, program_dim=dp, gate=gate, program_basis=haar_unitary(dp, rng))
+
+
+def random_mixed_program(dp, rng):
+    """Up to three weighted components, sometimes plus one of weight -1e-12.
+
+    ProgramState admits rounding dust down to -ATOL; its Kraus operators
+    must carry weight 0, not the square root of a negative number.
+    """
+    weights = list(rng.dirichlet(np.ones(int(rng.integers(1, 4)))))
+    if rng.random() < 0.3:
+        weights.append(-1e-12)
+    return ProgramState(
+        components=tuple((float(w), random_pure_state(dp, rng)) for w in weights)
+    )
+
+
+def random_partition(n, rng):
+    labels = rng.integers(0, int(rng.integers(1, n + 1)), size=n)
+    return OutcomePartition(
+        blocks=tuple(tuple(np.flatnonzero(labels == b)) for b in np.unique(labels))
+    )
+
+
+def random_ic_povm(d, rng):
+    """n >= d^2 random PSD operators rescaled by S^(-1/2) to sum to I."""
+    n = d * d + int(rng.integers(0, 3))
+    g = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    a = g @ g.conj().transpose(0, 2, 1)
+    evals, evecs = np.linalg.eigh(a.sum(axis=0))
+    root = (evecs / np.sqrt(evals)) @ evecs.conj().T
+    return root @ a @ root
+
+
+@SETTINGS
+@given(dims, st.integers(min_value=1, max_value=4), seeds)
+def test_mixed_program_kraus_operators_are_trace_preserving(d, dp, seed):
+    rng = np.random.default_rng(seed)
+    program = random_mixed_program(dp, rng)
+    ops = kraus_operators(random_processor(d, dp, rng), program)
+    assert ops.shape == (len(program.components), dp, d, d)
+    total = sum(dag(a) @ a for a in ops.reshape(-1, d, d))
+    assert np.max(np.abs(total - np.eye(d))) < 1e-10
+
+
+@SETTINGS
+@given(dims, st.integers(min_value=1, max_value=4), seeds)
+def test_induced_povms_are_psd_and_complete(d, dp, seed):
+    rng = np.random.default_rng(seed)
+    proc = random_processor(d, dp, rng)
+    program = random_mixed_program(dp, rng)
+    partition = random_partition(dp, rng)
+    inst = induced_instrument(proc, program, partition)
+    assert inst.povm.shape == (len(partition), d, d)
+    validate_povm(inst.povm)
+    assert np.linalg.eigvalsh(inst.povm).min() > -1e-10
+    assert np.max(np.abs(inst.povm.sum(axis=0) - np.eye(d))) < 1e-10
+    for block, branch, element in zip(partition.blocks, inst.branches, inst.povm):
+        assert branch.shape == (len(program.components) * len(block), d, d)
+        assert np.max(np.abs(sum(dag(a) @ a for a in branch) - element)) < 1e-10
+
+
+@SETTINGS
+@given(dims, seeds)
+def test_tomographer_round_trip_on_random_ic_povms(d, seed):
+    rng = np.random.default_rng(seed)
+    povm = random_ic_povm(d, rng)
+    assert is_informationally_complete(povm)
+    tom = Tomographer.build(povm)
+    assert tom.povm.shape == tom.dual_frame.shape == povm.shape
+    rho = random_density_operator(d, rng)
+    p = np.array([np.trace(rho @ f).real for f in povm])
+    assert np.max(np.abs(tom.reconstruct(p) - rho)) < 1e-8
+
+
+@SETTINGS
+@given(dims, st.integers(min_value=1, max_value=4), seeds)
+def test_kraus_compatibility_is_the_pairwise_sum(d, dp, seed):
+    rng = np.random.default_rng(seed)
+    proc = random_processor(d, dp, rng)
+    psi, phi = random_pure_state(dp, rng), random_pure_state(dp, rng)
+    ops_a = kraus_operators(proc, ProgramState.pure(psi))[0]
+    ops_b = kraus_operators(proc, ProgramState.pure(phi))[0]
+    s, k = kraus_compatibility(ops_a, ops_b)
+    assert np.max(np.abs(s - sum(dag(a) @ b for a, b in zip(ops_a, ops_b)))) < 1e-12
+    # a unitary gate makes the sum the program overlap times the identity
+    assert k is not None and abs(k - psi.conj() @ phi) < 1e-10
+    g = rng.normal(size=(dp, d, d)) + 1j * rng.normal(size=(dp, d, d))
+    s, _ = kraus_compatibility(list(ops_a), list(g))
+    assert np.max(np.abs(s - sum(dag(a) @ b for a, b in zip(ops_a, g)))) < 1e-12
+
+
+@SETTINGS
+@given(dims, seeds)
+def test_feasibility_table_matches_a_direct_overlap_count(d, seed):
+    rng = np.random.default_rng(seed)
+    first = haar_unitary(d, rng)
+    bases = [first]
+    for _ in range(int(rng.integers(1, d))):
+        if rng.random() < 0.5:  # outcome permutation of the first column, new phases
+            phases = np.exp(2j * np.pi * rng.random(d))
+            bases.append(first[:, rng.permutation(d)] * phases)
+        else:
+            bases.append(haar_unitary(d, rng))
+    columns = [VonNeumannMeasurement.from_basis(u.T) for u in bases]
+    assert columns[0].projectors.shape == (d, d, d)
+    n = len(bases)
+    rows = sum(
+        abs(np.vdot(bases[a][:, k], bases[b][:, k])) ** 2 > 1e-10
+        for a in range(n) for b in range(a + 1, n) for k in range(d)
+    )
+    perms = sum(
+        all(
+            any(abs(np.vdot(bases[a][:, k], bases[b][:, j])) > 1 - 1e-9 for j in range(d))
+            for k in range(d)
+        )
+        for a in range(n) for b in range(a + 1, n)
+    )
+    kinds = [v.kind for v in feasibility_table_check(columns)]
+    assert kinds.count("row_orthogonality") == rows
+    assert kinds.count("column_permutation") == perms

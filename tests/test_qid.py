@@ -140,8 +140,7 @@ class TestUnitaryProgram:
         program = unitary_program(np.zeros(3))
         assert np.allclose(program.amplitudes, [1, 0, 0, 0])
         rho = random_density_operator(2, seed=3)
-        triples = kraus_operators(qid_proc, program.program_state())
-        _, _, a0 = triples[0]
+        a0 = kraus_operators(qid_proc, program.program_state())[0, 0]
         assert np.allclose(a0 @ rho @ dag(a0) / 0.25, rho, atol=1e-12)
 
     def test_half_pi_x_rotation(self):
@@ -161,7 +160,7 @@ class TestUnitaryProgram:
             rho = random_density_operator(2, rng)
             assert np.allclose(outcome_probabilities(rho, povm), 0.25, atol=1e-12)
             u = expm(1j * sum(mu[j] * pauli(j + 1) for j in range(3)))
-            _, _, a0 = kraus_operators(qid_proc, program.program_state())[0]
+            a0 = kraus_operators(qid_proc, program.program_state())[0, 0]
             got = a0 @ rho @ dag(a0) / 0.25
             assert np.allclose(got, u @ rho @ dag(u), atol=1e-10)
 
@@ -209,8 +208,8 @@ class TestPauliMeasurementProgram:
         # (1/2)(P+P0 + P+P1 + P-P1 + P-P0) = (1/2) I across the x and z programs
         prog_x, _ = pauli_measurement_program(1)
         prog_z, _ = pauli_measurement_program(3)
-        ops_x = [a for _, _, a in kraus_operators(qid_proc, prog_x.program_state())]
-        ops_z = [a for _, _, a in kraus_operators(qid_proc, prog_z.program_state())]
+        ops_x = kraus_operators(qid_proc, prog_x.program_state())[0]
+        ops_z = kraus_operators(qid_proc, prog_z.program_state())[0]
         s, k = kraus_compatibility(ops_x, ops_z)
         assert np.allclose(s, 0.5 * np.eye(2), atol=1e-12)
         overlap = prog_x.state_vector().conj() @ prog_z.state_vector()

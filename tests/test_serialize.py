@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jsonfuzz import mutants
 from mapproc import serialize
-from mapproc.processor import OutcomePartition, ProgramState
+from mapproc.processor import OutcomePartition, Processor, ProgramState
 from mapproc.qid import qid_unitary
 from mapproc.vnmeas import VonNeumannMeasurement
 
@@ -71,8 +74,56 @@ def test_measurement_both_forms():
         (serialize.decode_complex, [0, float("inf")]),
         (serialize.decode_state, {"dim": 1, "amp": [[float("nan"), 0]]}),
         (serialize.decode_operator, {"rows": 1, "cols": 1, "data": [[0, float("-inf")]]}),
+        (serialize.decode_operator, {"rows": True, "cols": True, "data": [[1, 0]]}),
+        (serialize.decode_state, {"dim": 1.9, "amp": [[1, 0]]}),
+        (serialize.decode_measurement, {"dim": True, "basis": [{"dim": 1, "amp": [[1, 0]]}]}),
+        (
+            serialize.decode_processor,
+            {"data_dim": 1.5, "program_dim": 1, "gate": {"rows": 1, "cols": 1, "data": [[1, 0]]}},
+        ),
     ],
 )
 def test_malformed_documents_raise_value_error(decoder, payload):
     with pytest.raises(ValueError):
         decoder(payload)
+
+
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+_PLUS = serialize.encode_state(np.array([1, 1]) / np.sqrt(2))
+_MINUS = serialize.encode_state(np.array([1, -1]) / np.sqrt(2))
+VALID_DOCUMENTS = {
+    "decode_complex": [0.5, -1],
+    "decode_operator": serialize.encode_operator(_HADAMARD),
+    "decode_state": _PLUS,
+    "decode_program_state": {"components": [
+        {"weight": 0.25, "state": _PLUS}, {"weight": 0.75, "state": _MINUS},
+    ]},
+    "decode_processor": serialize.encode_processor(
+        Processor(data_dim=1, program_dim=2, gate=_HADAMARD)
+    ),
+    "decode_partition": {"blocks": [[0, 2], [1]]},
+    "decode_povm": serialize.encode_povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]),
+    "decode_measurement": {"dim": 2, "basis": [_PLUS, _MINUS]},
+    "decode_measurement_list": {"measurements": [
+        {"dim": 2, "basis": [_PLUS, _MINUS]},
+        serialize.encode_measurement(VonNeumannMeasurement.from_basis(np.eye(2))),
+    ]},
+}
+
+
+def test_every_decoder_has_a_valid_document():
+    decoders = {name for name in dir(serialize) if name.startswith("decode_")}
+    assert decoders == set(VALID_DOCUMENTS)
+    for name, doc in VALID_DOCUMENTS.items():
+        getattr(serialize, name)(doc)
+
+
+@pytest.mark.parametrize("name", sorted(VALID_DOCUMENTS))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_decoders_raise_only_value_error(name, data):
+    doc = data.draw(mutants(VALID_DOCUMENTS[name]))
+    try:
+        getattr(serialize, name)(doc)
+    except ValueError:
+        pass

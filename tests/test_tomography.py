@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapproc.processor import outcome_probabilities, sample_outcomes
-from mapproc.qcore import pauli, trace_distance
-from mapproc.sampling import random_density_operator
+from mapproc.qcore import is_density_operator, pauli, trace_distance
+from mapproc.sampling import haar_unitary, random_density_operator
 from mapproc.tomography import (
     InconsistentProbabilitiesError,
     Tomographer,
@@ -188,3 +190,28 @@ class TestReconstructFromCounts:
 def test_project_to_state_idempotent_on_states():
     rho = random_density_operator(2, seed=31)
     assert np.allclose(project_to_state(rho), rho, atol=1e-12)
+
+
+def test_project_to_state_is_the_nearest_state_for_a_qutrit():
+    # clipping and rescaling would give (0, 0.417, 0.583); the simplex
+    # projection subtracts 0.1 from the kept eigenvalues instead
+    u = haar_unitary(3, seed=5)
+    estimate = u @ np.diag([-0.2, 0.5, 0.7]) @ u.conj().T
+    projected = project_to_state(estimate)
+    assert np.allclose(np.linalg.eigvalsh(projected), [0.0, 0.4, 0.6], atol=1e-12)
+    assert np.allclose(projected, u @ np.diag([0.0, 0.4, 0.6]) @ u.conj().T, atol=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=2**32 - 1))
+def test_project_to_state_satisfies_the_optimality_condition(d, seed):
+    # rho minimizes ||rho - E||_F over states iff Tr(G sigma) >= Tr(G rho)
+    # for every state sigma, G = rho - E, i.e. lambda_min(G) = Tr(G rho)
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    estimate = (g + g.conj().T) * rng.uniform(0.05, 1.0)
+    estimate += (1.0 - np.trace(estimate).real) / d * np.eye(d)
+    rho = project_to_state(estimate)
+    assert is_density_operator(rho, tol=1e-10)
+    gradient = rho - estimate
+    assert abs(np.linalg.eigvalsh(gradient).min() - np.trace(gradient @ rho).real) < 1e-10

@@ -180,11 +180,11 @@ class TestBuildOrthogonalProcessor:
         report = build_orthogonal_processor(pad_with_zero_slots(ms), ms)
         for rec, m in zip(report.measurements, ms):
             program = ProgramState.pure(rec.program_state)
-            triples = kraus_operators(report.processor, program)
+            ops = kraus_operators(report.processor, program)[0]
             for _ in range(5):
                 rho = random_density_operator(2, rng)
                 for j, slot in enumerate(rec.slot_map):
-                    op = [a for _, k, a in triples if k == slot][0]
+                    op = ops[slot]
                     p = np.trace(dag(op) @ op @ rho).real
                     assert abs(p - np.trace(m.projectors[j] @ rho).real) < 1e-10
 
@@ -250,14 +250,13 @@ class TestRelaxedProcessor:
         m2 = VonNeumannMeasurement.from_basis([phi, phi_perp])
         report = relaxed_pvm_processor([SZ, m2])
         assert report.processor.program_dim == 2
-        triples = kraus_operators(report.processor, ProgramState.pure(np.eye(2)[1]))
-        ops = [a for _, _, a in triples]
+        ops = kraus_operators(report.processor, ProgramState.pure(np.eye(2)[1]))[0]
         # shifted operators send phi to |1> and phi_perp to |0>
         assert np.allclose(dag(ops[0]) @ ops[0], m2.projectors[0], atol=1e-12)
         assert np.allclose(ops[0] @ dag(ops[0]), E1, atol=1e-12)
         assert np.allclose(ops[1] @ dag(ops[1]), E0, atol=1e-12)
         # cross condition with the first program's operators vanishes
-        first = [a for _, _, a in kraus_operators(report.processor, ProgramState.pure(np.eye(2)[0]))]
+        first = kraus_operators(report.processor, ProgramState.pure(np.eye(2)[0]))[0]
         s, k = kraus_compatibility(first, ops)
         assert np.max(np.abs(s)) < 1e-12
         assert abs(k) < 1e-12
@@ -277,7 +276,7 @@ class TestRelaxedProcessor:
         assert np.max(np.abs(dag(g) @ g - np.eye(9))) < 1e-12
         for rec, m in zip(report.measurements, ms):
             program = ProgramState.pure(rec.program_state)
-            povm = [dag(a) @ a for _, _, a in kraus_operators(report.processor, program)]
+            povm = [dag(a) @ a for a in kraus_operators(report.processor, program)[0]]
             for _ in range(10):
                 rho = random_density_operator(3, rng)
                 got = outcome_probabilities(rho, povm)
