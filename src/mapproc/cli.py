@@ -48,13 +48,9 @@ def _write_text(args, text: str) -> None:
             fh.write(text)
 
 
-def _emit_json(args, payload: dict) -> None:
-    _write_text(args, json.dumps(payload, indent=2, allow_nan=False) + "\n")
-
-
-def _manifest(args, command: str, inputs: list[str]) -> dict:
+def _manifest(args, inputs: list[str]) -> dict:
     return {
-        "command": command,
+        "command": args.command,
         "inputs": inputs,
         "seed": args.seed,
         "tolerance": getattr(args, "tol", None),
@@ -62,32 +58,9 @@ def _manifest(args, command: str, inputs: list[str]) -> dict:
     }
 
 
-def _decode_qid_program(obj) -> qid.QidProgram:
-    if not isinstance(obj, dict) or "alpha" not in obj:
-        raise ValueError("QID program must carry an alpha list")
-    alpha = obj["alpha"]
-    if not isinstance(alpha, list) or len(alpha) != 4:
-        raise ValueError("alpha must list 4 complex amplitudes")
-    return qid.QidProgram(
-        amplitudes=np.array([serialize.decode_complex(z) for z in alpha])
-    )
-
-
-def _encode_qid_program(program: qid.QidProgram) -> dict:
-    return {"alpha": [serialize.encode_complex(z) for z in program.amplitudes]}
-
-
-def _povm_report_payload(report: qid.QidPovmReport) -> dict:
-    return {
-        "program_operator": serialize.encode_operator(report.program_operator),
-        "elements": [serialize.encode_operator(f) for f in report.elements],
-        "anchor_bloch": [float(x) for x in report.anchor_bloch],
-        "informationally_complete": report.informationally_complete,
-        "bloch_points": [
-            {"label": label, "x": x, "y": y, "z": z}
-            for label, x, y, z in report.bloch_points()
-        ],
-    }
+def _emit_json(args, payload: dict, inputs: list[str]) -> None:
+    payload["manifest"] = _manifest(args, inputs)
+    _write_text(args, json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def _resolve_program(args) -> tuple[qid.QidProgram, list[str]]:
@@ -97,14 +70,12 @@ def _resolve_program(args) -> tuple[qid.QidProgram, list[str]]:
         return qid.sic_program(), []
     if args.program is None:
         raise ValueError("a program file or --sic is required")
-    return _decode_qid_program(_load_json(args.program)), [args.program]
+    return serialize.decode_qid_program(_load_json(args.program)), [args.program]
 
 
 def _cmd_qid_povm(args) -> int:
     program, inputs = _resolve_program(args)
-    payload = _povm_report_payload(qid.qid_povm(program))
-    payload["manifest"] = _manifest(args, "qid-povm", inputs)
-    _emit_json(args, payload)
+    _emit_json(args, serialize.encode_qid_povm_report(qid.qid_povm(program)), inputs)
     return 0
 
 
@@ -112,79 +83,37 @@ def _cmd_qid_program(args) -> int:
     chosen = [bool(args.sic), args.unitary is not None, args.pauli_axis is not None]
     if sum(chosen) != 1:
         raise ValueError("choose exactly one of --sic, --unitary, --pauli-axis")
-    payload: dict
+    partition = None
     if args.sic:
-        payload = _encode_qid_program(qid.sic_program())
+        program = qid.sic_program()
     elif args.unitary is not None:
-        payload = _encode_qid_program(qid.unitary_program(np.array(args.unitary)))
+        program = qid.unitary_program(np.array(args.unitary))
     else:
         program, partition = qid.pauli_measurement_program(args.pauli_axis)
-        payload = _encode_qid_program(program)
-        payload["partition"] = serialize.encode_partition(partition)
-    payload["manifest"] = _manifest(args, "qid-program", [])
-    _emit_json(args, payload)
+    _emit_json(args, serialize.encode_qid_program(program, partition), [])
     return 0
-
-
-def _load_state(path: str) -> np.ndarray:
-    obj = _load_json(path)
-    if isinstance(obj, dict) and "state" in obj:
-        obj = obj["state"]
-    rho = serialize.decode_operator(obj)
-    if not is_density_operator(rho, tol=1e-8):
-        raise ValueError(f"{path}: not a density operator")
-    return rho
 
 
 def _cmd_simulate(args) -> int:
-    rho = _load_state(args.state)
+    rho = serialize.decode_density_operator(_load_json(args.state))
+    if not is_density_operator(rho, tol=1e-8):
+        raise ValueError(f"{args.state}: not a density operator")
     povm = serialize.decode_povm(_load_json(args.povm))
     counts = sample_outcomes(rho, povm, args.n, args.seed)
-    payload = {
-        "outcome_counts": [int(c) for c in counts],
-        "n": args.n,
-        "seed": args.seed,
-        "manifest": _manifest(args, "simulate", [args.state, args.povm]),
-    }
-    _emit_json(args, payload)
+    _emit_json(args, serialize.encode_counts(counts, args.seed), [args.state, args.povm])
     return 0
 
 
-def _finite_numbers(obj: dict, key: str) -> np.ndarray:
-    values = obj[key]
-    if not isinstance(values, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-    ):
-        raise ValueError(f"{key} must be a list of numbers")
-    out = np.array(values, dtype=float)
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"{key} must be finite")
-    return out
-
-
 def _cmd_reconstruct(args) -> int:
-    obj = _load_json(args.data)
+    data, counts = serialize.decode_tomography_data(_load_json(args.data))
     povm = serialize.decode_povm(_load_json(args.povm))
     residual_tol = args.tol if args.tol is not None else tomography.RESIDUAL_TOL
-    if isinstance(obj, dict) and "outcome_counts" in obj:
-        data = _finite_numbers(obj, "outcome_counts")
-        estimate = tomography.reconstruct_from_counts
-    elif isinstance(obj, dict) and "probabilities" in obj:
-        data = _finite_numbers(obj, "probabilities")
-        estimate = tomography.reconstruct_from_probabilities
-    else:
-        raise ValueError(f"{args.data}: expected outcome_counts or probabilities")
+    estimate = (
+        tomography.reconstruct_from_counts if counts
+        else tomography.reconstruct_from_probabilities
+    )
     state, diag = estimate(data, povm, project=args.project, residual_tol=residual_tol)
-    payload = {
-        "state": serialize.encode_operator(state),
-        "diagnostics": {
-            "residual": diag.residual,
-            "eigenvalues": list(diag.eigenvalues),
-            "projected": diag.projected,
-        },
-        "manifest": _manifest(args, "reconstruct", [args.data, args.povm]),
-    }
-    _emit_json(args, payload)
+    _emit_json(args, serialize.encode_reconstruction(state, diag), [args.data, args.povm])
     return 0
 
 
@@ -192,63 +121,31 @@ def _cmd_vn_check(args) -> int:
     ms = serialize.decode_measurement_list(_load_json(args.measurements))
     if len(ms) != 2:
         raise ValueError(f"vn-check needs exactly 2 measurements, got {len(ms)}")
-    pairing = None
+    pairing = weights = None
     if args.pairing is not None:
-        raw = json.loads(args.pairing)
-        pairing = [(int(i), int(j)) for i, j in raw]
-    weights = None
+        pairing = serialize.decode_index_lists(json.loads(args.pairing))
     if args.weights is not None:
-        weights = [float(w) for w in json.loads(args.weights)]
+        weights = serialize.decode_numbers(json.loads(args.weights))
     s, k = vnmeas.coprogram_condition(ms[0], ms[1], pairing=pairing, weights=weights)
-    payload = {
-        "condition_operator": serialize.encode_operator(s),
-        "scalar": None if k is None else serialize.encode_complex(k),
-        "orthogonal_programs_required": k is None,
-        "manifest": _manifest(args, "vn-check", [args.measurements]),
-    }
-    _emit_json(args, payload)
+    _emit_json(args, serialize.encode_coprogram_condition(s, k), [args.measurements])
     return 0
-
-
-def _synthesis_payload(report: vnmeas.SynthesisReport) -> dict:
-    return {
-        "processor": serialize.encode_processor(report.processor),
-        "unitary": report.unitary,
-        "completion_used": report.completion_used,
-        "measurements": [
-            {
-                "index": rec.index,
-                "slot_map": list(rec.slot_map),
-                "program_state": serialize.encode_state(rec.program_state),
-                "realized": rec.realized,
-                "postulate_compliant": rec.postulate_compliant,
-                "realized_povm": [serialize.encode_operator(f) for f in rec.realized_povm],
-                "relabeling": None
-                if rec.relabeling is None
-                else serialize.encode_operator(rec.relabeling),
-            }
-            for rec in report.measurements
-        ],
-    }
 
 
 def _cmd_vn_synth(args) -> int:
     ms = serialize.decode_measurement_list(_load_json(args.measurements))
-    if args.slots is not None:
-        slot_maps = tuple(tuple(int(s) for s in m) for m in json.loads(args.slots))
-        if args.program_dim is None:
-            raise ValueError("--slots requires --program-dim")
+    if args.slots is None:
+        assign = vnmeas.pad_with_zero_slots(ms)
+    else:
+        slot_maps = serialize.decode_index_lists(json.loads(args.slots))
+        # one program state per measurement and a slot for every index used
+        dp = max(len(ms), 1 + max((s for m in slot_maps for s in m), default=-1))
         assign = vnmeas.SlotAssignment(
-            program_dim=args.program_dim,
-            program_states=np.eye(args.program_dim, dtype=complex)[: len(ms)],
+            program_dim=dp,
+            program_states=np.eye(len(ms), dp, dtype=complex),
             slot_maps=slot_maps,
         )
-    else:
-        assign = vnmeas.pad_with_zero_slots(ms)
     report = vnmeas.build_orthogonal_processor(assign, ms)
-    payload = _synthesis_payload(report)
-    payload["manifest"] = _manifest(args, "vn-synth", [args.measurements])
-    _emit_json(args, payload)
+    _emit_json(args, serialize.encode_synthesis_report(report), [args.measurements])
     return 0
 
 
@@ -259,16 +156,14 @@ def _cmd_vn_relaxed(args) -> int:
             f"the shift construction fits at most d={ms[0].dim} measurements, got {len(ms)}"
         )
     report = vnmeas.relaxed_pvm_processor(ms)
-    payload = _synthesis_payload(report)
-    payload["manifest"] = _manifest(args, "vn-relaxed", [args.measurements])
-    _emit_json(args, payload)
+    _emit_json(args, serialize.encode_synthesis_report(report), [args.measurements])
     return 0
 
 
 def _cmd_bloch_export(args) -> int:
     program, inputs = _resolve_program(args)
     report = qid.qid_povm(program)
-    manifest = _manifest(args, "bloch-export", inputs)
+    manifest = _manifest(args, inputs)
     lines = [f"# manifest: {json.dumps(manifest)}", "label,x,y,z"]
     for label, x, y, z in report.bloch_points():
         lines.append(f"{label},{x!r},{y!r},{z!r}")
@@ -320,7 +215,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vn-synth", parents=[common], help="padded processor synthesis")
     p.add_argument("measurements", help="measurements JSON")
     p.add_argument("--slots", help="explicit slot maps as JSON (default: disjoint padding)")
-    p.add_argument("--program-dim", type=int, help="program dimension for --slots")
     p.set_defaults(handler=_cmd_vn_synth)
 
     p = sub.add_parser("vn-relaxed", parents=[common], help="shift-construction synthesis")

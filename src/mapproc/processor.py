@@ -68,7 +68,7 @@ class Processor:
         if basis.shape != (self.program_dim, self.program_dim):
             raise ValueError("program_basis must hold program_dim vectors of length program_dim")
         overlaps = basis.conj() @ basis.T
-        if np.max(np.abs(overlaps - np.eye(self.program_dim))) > ATOL:
+        if not np.max(np.abs(overlaps - np.eye(self.program_dim))) <= ATOL:
             raise ValueError("program_basis must be orthonormal")
         object.__setattr__(self, "gate", _freeze(gate))
         object.__setattr__(self, "program_basis", _freeze(basis))
@@ -98,13 +98,13 @@ class ProgramState:
             v = np.asarray(v, dtype=complex)
             if v.ndim != 1 or len(v) != dim:
                 raise ValueError("program components must share one dimension")
-            if w < -ATOL or w > 1 + ATOL:
+            if not -ATOL <= w <= 1 + ATOL:
                 raise ValueError(f"component weight {w} outside [0, 1]")
-            if abs(np.linalg.norm(v) - 1.0) > ATOL:
+            if not abs(np.linalg.norm(v) - 1.0) <= ATOL:
                 raise ValueError("program component states must be normalized")
             total += w
             frozen.append((float(w), _freeze(v)))
-        if abs(total - 1.0) > ATOL:
+        if not abs(total - 1.0) <= ATOL:
             raise ValueError(f"component weights sum to {total}, expected 1")
         object.__setattr__(self, "components", tuple(frozen))
 
@@ -241,14 +241,14 @@ def validate_povm(povm: np.ndarray, tol: float = ATOL) -> np.ndarray:
         if i is None:
             raise InvalidPovmError("elements must be numeric (d, d) operators")
         raise InvalidPovmError(f"element {i} has shape {np.shape(povm[i])}, expected ({d}, {d})")
-    skew = np.abs(f - f.conj().transpose(0, 2, 1)).max(axis=(1, 2)) > tol
+    skew = ~(np.abs(f - f.conj().transpose(0, 2, 1)).max(axis=(1, 2)) <= tol)
     bad = skew | (np.linalg.eigvalsh(f).min(axis=1) < -tol)
     if bad.any():
         i = int(np.argmax(bad))
         raise InvalidPovmError(
             f"element {i} is not {'Hermitian' if skew[i] else 'positive semidefinite'}"
         )
-    if np.max(np.abs(f.sum(axis=0) - np.eye(d))) > tol:
+    if not np.max(np.abs(f.sum(axis=0) - np.eye(d))) <= tol:
         raise InvalidPovmError("elements do not sum to the identity")
     return f
 

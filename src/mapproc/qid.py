@@ -51,7 +51,7 @@ class QidProgram:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (4,):
             raise ValueError(f"QID program needs 4 amplitudes, got shape {amps.shape}")
-        if abs(np.linalg.norm(amps) - 1.0) > ATOL:
+        if not abs(np.linalg.norm(amps) - 1.0) <= ATOL:
             raise ValueError("QID program amplitudes must be normalized")
         amps = amps.copy()
         amps.setflags(write=False)
@@ -125,7 +125,10 @@ def unitary_program(mu: np.ndarray) -> QidProgram:
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (3,):
         raise ValueError(f"rotation vector needs 3 components, got shape {mu.shape}")
-    norm = float(np.linalg.norm(mu))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(mu))
+    if not np.isfinite(norm):
+        raise ValueError(f"rotation vector {mu.tolist()} has no finite norm")
     amps = np.zeros(4, dtype=complex)
     amps[0] = np.cos(norm)
     if norm > 0.0:

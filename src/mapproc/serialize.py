@@ -2,8 +2,10 @@
 
 A complex number is a two-element [re, im] array.  Matrices are row-major:
 {"rows": n, "cols": m, "data": [[re, im], ...]}.  A pure state is
-{"dim": n, "amp": [[re, im], ...]}.  Decoders raise ValueError on any
-malformed document so callers can map that to a clean exit.
+{"dim": n, "amp": [[re, im], ...]}.  Every JSON number is read by one
+number reader and every JSON integer by one integer reader.  Decoders
+raise ValueError on any malformed document so callers can map that to a
+clean exit.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ import math
 
 import numpy as np
 
-from .processor import OutcomePartition, Processor, ProgramState
-from .vnmeas import VonNeumannMeasurement
+from .processor import OutcomePartition, Processor
+from .qid import QidPovmReport, QidProgram
+from .tomography import ReconstructionDiagnostics
+from .vnmeas import SynthesisReport, VonNeumannMeasurement
 
 
 def encode_complex(z: complex) -> list[float]:
@@ -33,11 +37,18 @@ def _real(x) -> float:
     return value
 
 
+def _integer(x, what: str) -> int:
+    """A JSON integer; booleans and floats are refused."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def _dimension(obj: dict, key: str) -> int:
-    """obj[key] as a positive JSON integer; booleans and floats are refused."""
-    value = obj.get(key)
-    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
-        raise ValueError(f"{key} must be a positive integer, got {value!r}")
+    """obj[key] as a positive JSON integer."""
+    value = _integer(obj.get(key), key)
+    if value <= 0:
+        raise ValueError(f"{key} must be positive, got {value}")
     return value
 
 
@@ -45,6 +56,20 @@ def decode_complex(obj) -> complex:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise ValueError(f"complex value must be a [re, im] pair, got {obj!r}")
     return complex(_real(obj[0]), _real(obj[1]))
+
+
+def decode_numbers(obj) -> np.ndarray:
+    """A JSON list of finite numbers, such as the weights of a pairing."""
+    if not isinstance(obj, list):
+        raise ValueError("expected a list of numbers")
+    return np.array([_real(x) for x in obj], dtype=float)
+
+
+def decode_index_lists(obj) -> tuple[tuple[int, ...], ...]:
+    """A JSON list of integer lists, such as outcome pairs or slot maps."""
+    if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
+        raise ValueError("expected a list of integer lists")
+    return tuple(tuple(_integer(k, "index") for k in row) for row in obj)
 
 
 def encode_operator(m: np.ndarray) -> dict:
@@ -67,6 +92,16 @@ def decode_operator(obj) -> np.ndarray:
     return np.array([decode_complex(z) for z in data], dtype=complex).reshape(rows, cols)
 
 
+def decode_density_operator(obj) -> np.ndarray:
+    """A bare operator document, or the {"state": operator} output of reconstruct.
+
+    Whether the operator is a density operator is left to the caller.
+    """
+    if isinstance(obj, dict) and "state" in obj:
+        obj = obj["state"]
+    return decode_operator(obj)
+
+
 def encode_state(v: np.ndarray) -> dict:
     v = np.asarray(v, dtype=complex)
     if v.ndim != 1:
@@ -81,25 +116,6 @@ def decode_state(obj) -> np.ndarray:
     if not isinstance(amp, list) or len(amp) != dim:
         raise ValueError(f"state needs {dim} amplitudes")
     return np.array([decode_complex(z) for z in amp], dtype=complex)
-
-
-def encode_program_state(ps: ProgramState) -> dict:
-    return {
-        "components": [
-            {"weight": float(w), "state": encode_state(v)} for w, v in ps.components
-        ]
-    }
-
-
-def decode_program_state(obj) -> ProgramState:
-    if not isinstance(obj, dict) or not isinstance(obj.get("components"), list):
-        raise ValueError("program state must carry a components list")
-    comps = []
-    for c in obj["components"]:
-        if not isinstance(c, dict) or "weight" not in c or "state" not in c:
-            raise ValueError("each component needs weight and state")
-        comps.append((_real(c["weight"]), decode_state(c["state"])))
-    return ProgramState(components=tuple(comps))
 
 
 def encode_processor(p: Processor) -> dict:
@@ -128,16 +144,21 @@ def encode_partition(part: OutcomePartition) -> dict:
     return {"blocks": [list(b) for b in part.blocks]}
 
 
-def decode_partition(obj) -> OutcomePartition:
-    if not isinstance(obj, dict) or not isinstance(obj.get("blocks"), list):
-        raise ValueError("partition must carry a blocks list")
-    blocks = obj["blocks"]
-    if not all(
-        isinstance(b, list) and all(isinstance(k, int) and not isinstance(k, bool) for k in b)
-        for b in blocks
-    ):
-        raise ValueError("partition blocks must be lists of integer outcome indices")
-    return OutcomePartition(blocks=tuple(tuple(b) for b in blocks))
+def encode_qid_program(program: QidProgram, partition: OutcomePartition | None = None) -> dict:
+    """{"alpha": [4 complex]}, plus the outcome partition when one is given."""
+    payload: dict = {"alpha": [encode_complex(z) for z in program.amplitudes]}
+    if partition is not None:
+        payload["partition"] = encode_partition(partition)
+    return payload
+
+
+def decode_qid_program(obj) -> QidProgram:
+    if not isinstance(obj, dict) or "alpha" not in obj:
+        raise ValueError("QID program must carry an alpha list")
+    alpha = obj["alpha"]
+    if not isinstance(alpha, list) or len(alpha) != 4:
+        raise ValueError("alpha must list 4 complex amplitudes")
+    return QidProgram(amplitudes=np.array([decode_complex(z) for z in alpha]))
 
 
 def encode_povm(elements: np.ndarray) -> dict:
@@ -152,8 +173,42 @@ def decode_povm(obj) -> list[np.ndarray]:
     return [decode_operator(f) for f in obj["elements"]]
 
 
-def encode_measurement(m: VonNeumannMeasurement) -> dict:
-    return {"dim": m.dim, "projectors": [encode_operator(e) for e in m.projectors]}
+def encode_qid_povm_report(report: QidPovmReport) -> dict:
+    """The report as a document whose ``elements`` field is also a POVM document."""
+    return {
+        "program_operator": encode_operator(report.program_operator),
+        **encode_povm(report.elements),
+        "anchor_bloch": [float(x) for x in report.anchor_bloch],
+        "informationally_complete": report.informationally_complete,
+        "bloch_points": [
+            {"label": label, "x": x, "y": y, "z": z}
+            for label, x, y, z in report.bloch_points()
+        ],
+    }
+
+
+def encode_counts(counts: np.ndarray, seed: int) -> dict:
+    counts = [int(c) for c in counts]
+    return {"outcome_counts": counts, "n": sum(counts), "seed": seed}
+
+
+def decode_tomography_data(obj) -> tuple[np.ndarray, bool]:
+    """(values, True) for an outcome_counts document, (values, False) for probabilities."""
+    for key in ("outcome_counts", "probabilities"):
+        if isinstance(obj, dict) and key in obj:
+            return decode_numbers(obj[key]), key == "outcome_counts"
+    raise ValueError("expected outcome_counts or probabilities")
+
+
+def encode_reconstruction(state: np.ndarray, diag: ReconstructionDiagnostics) -> dict:
+    return {
+        "state": encode_operator(state),
+        "diagnostics": {
+            "residual": diag.residual,
+            "eigenvalues": list(diag.eigenvalues),
+            "projected": diag.projected,
+        },
+    }
 
 
 def decode_measurement(obj) -> VonNeumannMeasurement:
@@ -181,3 +236,33 @@ def decode_measurement_list(obj) -> list[VonNeumannMeasurement]:
     if not isinstance(ms, list) or not ms:
         raise ValueError("measurements must be a nonempty list")
     return [decode_measurement(m) for m in ms]
+
+
+def encode_coprogram_condition(s: np.ndarray, k: complex | None) -> dict:
+    return {
+        "condition_operator": encode_operator(s),
+        "scalar": None if k is None else encode_complex(k),
+        "orthogonal_programs_required": k is None,
+    }
+
+
+def encode_synthesis_report(report: SynthesisReport) -> dict:
+    return {
+        "processor": encode_processor(report.processor),
+        "unitary": report.unitary,
+        "completion_used": report.completion_used,
+        "measurements": [
+            {
+                "index": rec.index,
+                "slot_map": list(rec.slot_map),
+                "program_state": encode_state(rec.program_state),
+                "realized": rec.realized,
+                "postulate_compliant": rec.postulate_compliant,
+                "realized_povm": [encode_operator(f) for f in rec.realized_povm],
+                "relabeling": None
+                if rec.relabeling is None
+                else encode_operator(rec.relabeling),
+            }
+            for rec in report.measurements
+        ],
+    }

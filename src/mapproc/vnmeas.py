@@ -43,10 +43,10 @@ def _rank_one_pvm_defect(projs: np.ndarray, tol: float) -> str | None:
     skew = np.abs(projs - projs.conj().transpose(0, 2, 1)).max(axis=(1, 2))
     idempotency = np.abs(projs @ projs - projs).max(axis=(1, 2))
     trace = np.abs(np.trace(projs, axis1=1, axis2=2).real - 1.0)
-    bad = np.flatnonzero((skew > tol) | (idempotency > tol) | (trace > tol))
+    bad = np.flatnonzero(~((skew <= tol) & (idempotency <= tol) & (trace <= tol)))
     if bad.size:
         return f"element {bad[0]} is not a rank-1 projector"
-    if np.max(np.abs(projs.sum(axis=0) - np.eye(d))) > tol:
+    if not np.max(np.abs(projs.sum(axis=0) - np.eye(d))) <= tol:
         return "projectors must sum to the identity"
     products = np.abs(projs[:, None] @ projs[None, :]).max(axis=(2, 3))
     bad = np.argwhere(np.triu(products > tol, 1))
@@ -177,10 +177,10 @@ class SlotAssignment:
             raise ValueError("one slot map per program state required")
         if states.shape != (len(states), self.program_dim):
             raise ValueError("program states must live in the program space")
-        if np.any(np.abs(np.linalg.norm(states, axis=1) - 1.0) > ATOL):
+        if not np.all(np.abs(np.linalg.norm(states, axis=1) - 1.0) <= ATOL):
             raise ValueError("program states must be normalized")
         gram = states.conj() @ states.T
-        if np.any(np.abs(gram - np.diag(np.diag(gram))) > ATOL):
+        if not np.all(np.abs(gram - np.diag(np.diag(gram))) <= ATOL):
             raise ValueError("program states must be pairwise orthogonal")
         maps = tuple(tuple(int(s) for s in m) for m in self.slot_maps)
         for m in maps:
@@ -510,7 +510,7 @@ def search_coprogrammable_pair(
         candidate = []
         for k in range(dim):
             e = first.basis_vector(k)
-            comp = _orthogonal_complement(e)
+            comp = _complement(e[:, None])
             coeff = rng.normal(size=dim - 1) + 1j * rng.normal(size=dim - 1)
             v = comp @ (coeff / np.linalg.norm(coeff))
             candidate.append(v)
@@ -521,14 +521,6 @@ def search_coprogrammable_pair(
         if not feasibility_table_check([first, second]):
             hits.append((first, second))
     return PairSearchResult(dim=dim, trials=trials, hits=tuple(hits))
-
-
-def _orthogonal_complement(v: np.ndarray) -> np.ndarray:
-    """Columns spanning the orthogonal complement of a unit vector."""
-    d = len(v)
-    mat = np.eye(d, dtype=complex) - np.outer(v, v.conj())
-    _, _, vh = np.linalg.svd(mat)
-    return vh[: d - 1].conj().T
 
 
 @dataclass(frozen=True)

@@ -264,7 +264,7 @@ class TestVnCommands:
         code, _ = run(
             tmp_path,
             "vn-synth", measurements_file(tmp_path),
-            "--slots", "[[0,1],[1,2]]", "--program-dim", "3",
+            "--slots", "[[0,1],[1,2]]",
         )
         assert code == 3
         assert "isometry" in capsys.readouterr().err
@@ -385,8 +385,7 @@ def invocations(draw, command):
                 *optional("--weights", draw(st.just("[0.5,0.5,0.5,0.5]") | json_text))]
     elif command == "vn-synth":
         argv = [doc("measurements"),
-                *optional("--slots", draw(st.just("[[0,1],[2,3]]") | json_text),
-                          "--program-dim", str(draw(st.integers(-1, 6))))]
+                *optional("--slots", draw(st.just("[[0,1],[2,3]]") | json_text))]
     else:
         argv = [doc("measurements")]
     return [command, *argv], files
@@ -430,3 +429,144 @@ def test_fuzzed_inputs_exit_cleanly(command, data):
             assert all(np.isfinite(float(x)) for line in lines[2:] for x in line.split(",")[1:])
         else:
             strict_json(out.read_text(encoding="utf-8"))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["vn-check", ("measurements",), "--pairing", "[[0.9,0],[1.2,1]]"],
+        ["vn-check", ("measurements",), "--pairing", "[[true,0],[1,true]]"],
+        ["vn-check", ("measurements",), "--weights", "[true, 1]"],
+        ["vn-synth", ("measurements",), "--slots", "[[0.5,1.7],[2,3]]"],
+        ["qid-program", "--unitary", "1e308", "1e308", "0"],
+        ["qid-program", "--unitary", "nan", "0", "0"],
+        ["qid-program", "--unitary", "inf", "0", "0"],
+    ],
+)
+def test_non_integer_index_or_non_finite_flag_exits_2(tmp_path, capsys, argv):
+    # warnings are errors here, so a numpy warning on the way also fails
+    ms = write_json(tmp_path, "ms.json", DOCUMENTS["measurements"])
+    code, out = run(tmp_path, *[ms if isinstance(arg, tuple) else arg for arg in argv])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def skeleton(doc):
+    """Keys in order, nesting and list lengths of a JSON document, each number
+    and string replaced by its type name; a list of equal skeletons is
+    (length, skeleton)."""
+    if isinstance(doc, dict):
+        return [(key, skeleton(value)) for key, value in doc.items()]
+    if isinstance(doc, list):
+        items = [skeleton(value) for value in doc]
+        return (len(items), items[0]) if items and items.count(items[0]) == len(items) else items
+    return type(doc).__name__
+
+
+COMPLEX = (2, "float")
+
+
+def operator(rows, cols=None):
+    return [("rows", "int"), ("cols", "int"), ("data", (rows * (cols or rows), COMPLEX))]
+
+
+def state(dim):
+    return [("dim", "int"), ("amp", (dim, COMPLEX))]
+
+
+def manifest(inputs, tolerance="NoneType"):
+    return [("command", "str"), ("inputs", (inputs, "str") if inputs else []), ("seed", "int"),
+            ("tolerance", tolerance), ("tool_version", "str")]
+
+
+def povm_report(inputs):
+    return [
+        ("program_operator", operator(2)),
+        ("elements", (4, operator(2))),
+        ("anchor_bloch", (3, "float")),
+        ("informationally_complete", "bool"),
+        ("bloch_points", (4, [("label", "str"), ("x", "float"), ("y", "float"), ("z", "float")])),
+        ("manifest", manifest(inputs)),
+    ]
+
+
+def reconstruction(tolerance):
+    return [
+        ("state", operator(2)),
+        ("diagnostics", [("residual", "float"), ("eigenvalues", (2, "float")),
+                         ("projected", "bool")]),
+        ("manifest", manifest(2, tolerance)),
+    ]
+
+
+def coprogram(scalar):
+    return [("condition_operator", operator(2)), ("scalar", scalar),
+            ("orthogonal_programs_required", "bool"), ("manifest", manifest(1))]
+
+
+def synthesis(program_dim, relabeling):
+    return [
+        ("processor", [
+            ("data_dim", "int"), ("program_dim", "int"), ("gate", operator(2 * program_dim)),
+            ("program_basis", (program_dim, state(program_dim))),
+        ]),
+        ("unitary", "bool"),
+        ("completion_used", "bool"),
+        ("measurements", (2, [
+            ("index", "int"), ("slot_map", (2, "int")), ("program_state", state(program_dim)),
+            ("realized", "bool"), ("postulate_compliant", "bool"),
+            ("realized_povm", (program_dim, operator(2))), ("relabeling", relabeling),
+        ])),
+        ("manifest", manifest(1)),
+    ]
+
+
+PROGRAM = ("alpha", (4, COMPLEX))
+WIRE_FORMATS = [
+    (["qid-program", "--sic"], [PROGRAM, ("manifest", manifest(0))]),
+    (["qid-program", "--pauli-axis", "2"],
+     [PROGRAM, ("partition", [("blocks", (2, (2, "int")))]), ("manifest", manifest(0))]),
+    (["qid-povm", ("program",)], povm_report(1)),
+    (["qid-povm", "--sic"], povm_report(0)),
+    (["simulate", ("state",), ("povm",), "--n", "100"],
+     [("outcome_counts", (4, "int")), ("n", "int"), ("seed", "int"), ("manifest", manifest(2))]),
+    (["reconstruct", ("data",), ("povm",), "--project"], reconstruction("NoneType")),
+    (["reconstruct", ("probabilities",), ("povm",), "--tol", "0.1"], reconstruction("float")),
+    (["vn-check", ("measurements",), "--pairing", "[[0,0],[0,1],[1,1],[1,0]]",
+      "--weights", "[0.5,0.5,0.5,0.5]"], coprogram(COMPLEX)),
+    (["vn-check", ("measurements",)], coprogram("NoneType")),
+    (["vn-synth", ("measurements",)], synthesis(4, "NoneType")),
+    (["vn-synth", ("measurements",), "--slots", "[[0,1],[2,3]]"], synthesis(4, "NoneType")),
+    (["vn-relaxed", ("measurements",)], synthesis(2, operator(2))),
+    (["bloch-export", "--sic"], [
+        ("manifest", manifest(0)), ("header", "str"),
+        ("rows", (4, ["str", "float", "float", "float"])),
+    ]),
+]
+
+
+def test_every_subcommand_has_a_wire_format():
+    assert {argv[0] for argv, _ in WIRE_FORMATS} == set(COMMANDS)
+
+
+def label(argv):
+    return " ".join(arg if isinstance(arg, str) else arg[0] for arg in argv)
+
+
+@pytest.mark.parametrize("argv,expected", WIRE_FORMATS, ids=[label(a) for a, _ in WIRE_FORMATS])
+def test_artifact_wire_format(tmp_path, argv, expected):
+    paths = {name: write_json(tmp_path, f"{name}.json", doc) for name, doc in DOCUMENTS.items()}
+    code, out = run(tmp_path, *[paths[arg[0]] if isinstance(arg, tuple) else arg for arg in argv])
+    assert code == 0
+    text = out.read_text(encoding="utf-8")
+    if argv[0] == "bloch-export":
+        lines = text.splitlines()
+        rows = [line.split(",") for line in lines[2:]]
+        doc = {"manifest": json.loads(lines[0].removeprefix("# manifest: ")), "header": lines[1],
+               "rows": [[name, *map(float, xyz)] for name, *xyz in rows]}
+    else:
+        doc = json.loads(text)
+    assert skeleton(doc) == expected

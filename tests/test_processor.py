@@ -13,15 +13,18 @@ from mapproc.processor import (
     outcome_probabilities,
     post_measurement_state,
     sample_outcomes,
+    validate_povm,
 )
 from mapproc.qcore import bell_anchor, dag, pauli, tensor
 from mapproc.qid import (
+    QidProgram,
     pauli_measurement_program,
     program_basis_state,
     sic_program,
     unitary_program,
 )
 from mapproc.sampling import haar_unitary, random_density_operator, random_pure_state
+from mapproc.vnmeas import SlotAssignment, VonNeumannMeasurement
 
 
 def dilated_probabilities(proc, program, rho, partition):
@@ -73,6 +76,26 @@ class TestValidation:
     def test_partition_blocks_must_cover(self):
         with pytest.raises(ValueError, match="cover"):
             OutcomePartition(blocks=((0,), (2,)))
+
+    # each check compares a defect with a tolerance; NaN compares False
+    # both ways, so every check must be phrased to pass only when within it
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: QidProgram(amplitudes=[np.nan, 0, 0, 0]),
+            lambda: ProgramState(components=((np.nan, np.array([1.0, 0.0])),)),
+            lambda: Processor(
+                data_dim=1, program_dim=2, gate=np.eye(2), program_basis=[[1, 0], [0, np.nan]]
+            ),
+            lambda: SlotAssignment(program_dim=2, program_states=[[np.nan, 0]], slot_maps=((0,),)),
+            lambda: VonNeumannMeasurement(projectors=[np.diag([1, 0]), np.diag([0, np.nan])]),
+            lambda: validate_povm([np.diag([np.nan, 0.5]), np.diag([0.0, 0.5])]),
+        ],
+        ids=["qid-program", "program-weight", "program-basis", "slot-states", "projector", "povm"],
+    )
+    def test_nan_is_refused(self, build):
+        with pytest.raises(ValueError):  # InvalidPovmError is a ValueError
+            build()
 
 
 class TestKrausOperators:

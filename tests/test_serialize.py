@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from jsonfuzz import mutants
 from mapproc import serialize
-from mapproc.processor import OutcomePartition, Processor, ProgramState
-from mapproc.qid import qid_unitary
+from mapproc.processor import Processor
+from mapproc.qid import qid_unitary, sic_program
 from mapproc.vnmeas import VonNeumannMeasurement
 
 
@@ -22,17 +22,6 @@ def test_state_round_trip():
     assert np.array_equal(serialize.decode_state(serialize.encode_state(v)), v)
 
 
-def test_program_state_round_trip():
-    ps = ProgramState(
-        components=(
-            (0.25, np.array([1, 0], dtype=complex)),
-            (0.75, np.array([0, 1], dtype=complex)),
-        )
-    )
-    back = serialize.decode_program_state(serialize.encode_program_state(ps))
-    assert np.allclose(back.density(), ps.density(), atol=1e-15)
-
-
 def test_processor_round_trip():
     proc = qid_unitary()
     back = serialize.decode_processor(serialize.encode_processor(proc))
@@ -40,16 +29,13 @@ def test_processor_round_trip():
     assert np.array_equal(back.program_basis, proc.program_basis)
 
 
-def test_partition_round_trip():
-    part = OutcomePartition(blocks=((0, 3), (1, 2)))
-    assert serialize.decode_partition(serialize.encode_partition(part)).blocks == part.blocks
-
-
 def test_measurement_both_forms():
     m = VonNeumannMeasurement.from_basis(
         [np.array([1, 1]) / np.sqrt(2), np.array([1, -1]) / np.sqrt(2)]
     )
-    via_projectors = serialize.decode_measurement(serialize.encode_measurement(m))
+    via_projectors = serialize.decode_measurement(
+        {"dim": 2, "projectors": [serialize.encode_operator(p) for p in m.projectors]}
+    )
     assert np.allclose(via_projectors.projectors[0], m.projectors[0], atol=1e-15)
     via_basis = serialize.decode_measurement(
         {"dim": 2, "basis": [serialize.encode_state(m.basis_vector(k)) for k in range(2)]}
@@ -81,6 +67,17 @@ def test_measurement_both_forms():
             serialize.decode_processor,
             {"data_dim": 1.5, "program_dim": 1, "gate": {"rows": 1, "cols": 1, "data": [[1, 0]]}},
         ),
+        (serialize.decode_index_lists, [[0.9, 0], [1.2, 1]]),
+        (serialize.decode_index_lists, [[True, 0], [1, True]]),
+        (serialize.decode_index_lists, [0, 1]),
+        (serialize.decode_numbers, [True, 1]),
+        (serialize.decode_numbers, [0.5, float("nan")]),
+        (serialize.decode_numbers, {"weights": [1]}),
+        (serialize.decode_qid_program, {"alpha": [[1, 0], [0, 0], [0, 0]]}),
+        (serialize.decode_qid_program, {"alpha": [[float("nan"), 0], [0, 0], [0, 0], [0, 0]]}),
+        (serialize.decode_tomography_data, {"counts": [1, 2]}),
+        (serialize.decode_tomography_data, {"outcome_counts": [True, 2]}),
+        (serialize.decode_density_operator, {"state": {"rows": 1, "cols": 1}}),
     ],
 )
 def test_malformed_documents_raise_value_error(decoder, payload):
@@ -95,19 +92,20 @@ VALID_DOCUMENTS = {
     "decode_complex": [0.5, -1],
     "decode_operator": serialize.encode_operator(_HADAMARD),
     "decode_state": _PLUS,
-    "decode_program_state": {"components": [
-        {"weight": 0.25, "state": _PLUS}, {"weight": 0.75, "state": _MINUS},
-    ]},
     "decode_processor": serialize.encode_processor(
         Processor(data_dim=1, program_dim=2, gate=_HADAMARD)
     ),
-    "decode_partition": {"blocks": [[0, 2], [1]]},
     "decode_povm": serialize.encode_povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]),
     "decode_measurement": {"dim": 2, "basis": [_PLUS, _MINUS]},
     "decode_measurement_list": {"measurements": [
         {"dim": 2, "basis": [_PLUS, _MINUS]},
-        serialize.encode_measurement(VonNeumannMeasurement.from_basis(np.eye(2))),
+        {"dim": 2, "projectors": [serialize.encode_operator(np.diag(d)) for d in np.eye(2)]},
     ]},
+    "decode_numbers": [0.5, 0.5, 1, 0],
+    "decode_index_lists": [[0, 0], [0, 1], [1, 1], [1, 0]],
+    "decode_qid_program": serialize.encode_qid_program(sic_program()),
+    "decode_density_operator": {"state": serialize.encode_operator(np.eye(2) / 2)},
+    "decode_tomography_data": {"outcome_counts": [400, 300, 200, 100]},
 }
 
 
