@@ -137,8 +137,12 @@ def _cmd_vn_synth(args) -> int:
         assign = vnmeas.pad_with_zero_slots(ms)
     else:
         slot_maps = serialize.decode_index_lists(json.loads(args.slots))
-        # one program state per measurement and a slot for every index used
-        dp = max(len(ms), 1 + max((s for m in slot_maps for s in m), default=-1))
+        # one program state per measurement and a slot for every index used;
+        # any injective assignment can be relabelled into N*d slots
+        top, slots = max((s for m in slot_maps for s in m), default=-1), len(ms) * ms[0].dim
+        if top >= slots:
+            raise ValueError(f"slot index {top} outside 0..{slots - 1}, the N*d slots of the inputs")
+        dp = max(len(ms), 1 + top)
         assign = vnmeas.SlotAssignment(
             program_dim=dp,
             program_states=np.eye(len(ms), dp, dtype=complex),

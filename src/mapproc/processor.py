@@ -10,6 +10,7 @@ outcome indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,6 +18,10 @@ from .qcore import ATOL, dag, identity_multiple, is_unitary
 from .sampling import as_generator
 
 PROB_FLOOR = 1e-12
+
+# Validated POVMs kept by content; every entry pins its stack, so the bound
+# stays small (one tomography POVM and a few others in use at a time).
+_POVM_MEMO_SIZE = 4
 
 
 class InvalidPovmError(ValueError):
@@ -222,12 +227,14 @@ def induced_povm(
 
 
 def validate_povm(povm: np.ndarray, tol: float = ATOL) -> np.ndarray:
-    """Return the elements as one (n, d, d) stack if they form a POVM.
+    """Return the elements as one read-only (n, d, d) stack if they form a POVM.
 
     ``povm`` is a stack or any sequence of (d, d) operators.  Raises
     InvalidPovmError, naming the first offending element, unless every
     element is Hermitian and PSD and they sum to the identity.  Negative
-    eigenvalue dust above -tol is tolerated (treated as zero).
+    eigenvalue dust above -tol is tolerated (treated as zero).  A stack
+    that passed is remembered by its exact content and tol, so repeated
+    calls on one POVM skip the checks and share the returned array.
     """
     if len(povm) == 0:
         raise InvalidPovmError("empty POVM")
@@ -241,6 +248,14 @@ def validate_povm(povm: np.ndarray, tol: float = ATOL) -> np.ndarray:
         if i is None:
             raise InvalidPovmError("elements must be numeric (d, d) operators")
         raise InvalidPovmError(f"element {i} has shape {np.shape(povm[i])}, expected ({d}, {d})")
+    return _checked_povm(f.shape, tol, f.tobytes())
+
+
+@lru_cache(maxsize=_POVM_MEMO_SIZE)
+def _checked_povm(shape: tuple[int, ...], tol: float, data: bytes) -> np.ndarray:
+    """The numerical POVM checks on a stack given by content; raising is not cached."""
+    f = np.frombuffer(data, dtype=complex).reshape(shape)  # read-only view
+    d = shape[1]
     skew = ~(np.abs(f - f.conj().transpose(0, 2, 1)).max(axis=(1, 2)) <= tol)
     bad = skew | (np.linalg.eigvalsh(f).min(axis=1) < -tol)
     if bad.any():

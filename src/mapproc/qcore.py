@@ -98,7 +98,7 @@ def identity_multiple(m: np.ndarray, tol: float = ATOL) -> complex | np.ndarray 
     """
     m = np.asarray(m, dtype=complex)
     c = np.trace(m, axis1=-2, axis2=-1) / m.shape[-1]
-    if np.max(np.abs(m - c[..., None, None] * np.eye(m.shape[-1]))) > tol:
+    if not np.max(np.abs(m - c[..., None, None] * np.eye(m.shape[-1]))) <= tol:
         return None
     return c
 

@@ -9,11 +9,12 @@ inverse, so overcomplete POVMs work too; it refuses under-determined ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .qcore import ATOL, dag, operator_rank
-from .processor import validate_povm
+from .processor import _POVM_MEMO_SIZE, validate_povm
 
 GRAM_RCOND = 1e-9
 PROB_SUM_TOL = 1e-6
@@ -66,7 +67,9 @@ class Tomographer:
     ``povm`` and ``dual_frame`` are (n, d, d) stacks; the dual operators
     D_k give rho = sum_k Tr(rho F_k) D_k.  They exist only for
     informationally complete POVMs, so construction fails otherwise.
-    Instances are immutable and safe to share.
+    ``build`` makes every array read-only, so its instances are immutable
+    and safe to share, and it returns the same instance for a POVM of the
+    same content while that POVM stays among the few most recent.
     """
 
     povm: np.ndarray
@@ -76,13 +79,7 @@ class Tomographer:
     @classmethod
     def build(cls, povm: np.ndarray) -> "Tomographer":
         f = validate_povm(povm)
-        d = f.shape[1]
-        rank = operator_rank(f)
-        if rank < d * d:
-            raise UnderdeterminedPovmError(rank, d * d)
-        gram = gram_matrix(f)
-        dual = np.tensordot(np.linalg.pinv(gram, rcond=GRAM_RCOND), f, axes=1)
-        return cls(povm=f, gram=gram, dual_frame=dual)
+        return _build_tomographer(cls, f.shape, f.tobytes())
 
     def _invert(
         self, probabilities: np.ndarray, residual_tol: float
@@ -116,6 +113,21 @@ class Tomographer:
         rounding).
         """
         return self._invert(probabilities, residual_tol)[0]
+
+
+@lru_cache(maxsize=_POVM_MEMO_SIZE)
+def _build_tomographer(cls, shape: tuple[int, ...], data: bytes) -> Tomographer:
+    """Rank test, Gram matrix and dual frame of a validated stack given by content."""
+    f = np.frombuffer(data, dtype=complex).reshape(shape)  # read-only view
+    d = shape[1]
+    rank = operator_rank(f)
+    if rank < d * d:
+        raise UnderdeterminedPovmError(rank, d * d)
+    gram = gram_matrix(f)
+    dual = np.tensordot(np.linalg.pinv(gram, rcond=GRAM_RCOND), f, axes=1)
+    gram.setflags(write=False)
+    dual.setflags(write=False)
+    return cls(povm=f, gram=gram, dual_frame=dual)
 
 
 def reconstruct(

@@ -442,6 +442,9 @@ def test_fuzzed_inputs_exit_cleanly(command, data):
         ["qid-program", "--unitary", "1e308", "1e308", "0"],
         ["qid-program", "--unitary", "nan", "0", "0"],
         ["qid-program", "--unitary", "inf", "0", "0"],
+        # 2 qubit measurements fit in 4 slots; a larger index would ask for a larger gate
+        ["vn-synth", ("measurements",), "--slots", "[[0,1],[2,4]]"],
+        ["vn-synth", ("measurements",), "--slots", "[[0,1],[2,40]]"],
     ],
 )
 def test_non_integer_index_or_non_finite_flag_exits_2(tmp_path, capsys, argv):

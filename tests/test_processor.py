@@ -183,10 +183,29 @@ class TestOutcomeProbabilities:
         assert np.allclose(p, 0.25 * (1 + z), atol=1e-12)
 
     def test_invalid_povm_rejected(self):
-        with pytest.raises(InvalidPovmError):
-            outcome_probabilities(np.eye(2) / 2, [np.eye(2), np.eye(2)])
-        with pytest.raises(InvalidPovmError):
-            outcome_probabilities(np.eye(2) / 2, [np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
+        # twice each: a refusal is never remembered as a pass
+        for _ in range(2):
+            with pytest.raises(InvalidPovmError):
+                outcome_probabilities(np.eye(2) / 2, [np.eye(2), np.eye(2)])
+            with pytest.raises(InvalidPovmError):
+                outcome_probabilities(np.eye(2) / 2, [np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
+
+    def test_in_place_edit_is_checked_again(self, sic_elements):
+        povm = np.array(sic_elements)
+        rho = np.diag([1.0, 0.0])
+        first = outcome_probabilities(rho, povm)
+        assert np.array_equal(outcome_probabilities(rho, povm), first)
+        povm[0, 0, 0] += 1e-9
+        with pytest.raises(InvalidPovmError, match="sum to the identity"):
+            outcome_probabilities(rho, povm)
+        povm[:] = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2)), np.zeros((2, 2))]
+        assert np.array_equal(outcome_probabilities(rho, povm), [1.0, 0.0, 0.0, 0.0])
+
+    def test_validated_stack_is_read_only(self, sic_elements):
+        f = validate_povm(sic_elements)
+        assert f is validate_povm(np.array(sic_elements))
+        with pytest.raises(ValueError, match="read-only"):
+            f[0, 0, 0] = 0.0
 
     def test_agrees_with_dilated_computation(self, qid_proc):
         rng = np.random.default_rng(17)

@@ -147,8 +147,17 @@ class TestTomographer:
         assert trace_distance(rebuilt, rho) < 1e-12
 
     def test_build_rejects_underdetermined(self):
-        with pytest.raises(UnderdeterminedPovmError):
-            Tomographer.build([P0, P1])
+        for _ in range(2):  # a refusal is never remembered as a pass
+            with pytest.raises(UnderdeterminedPovmError):
+                Tomographer.build([P0, P1])
+
+    def test_build_is_shared_and_read_only(self, sic_elements):
+        stack = np.array(sic_elements)
+        tom = Tomographer.build(stack)
+        assert Tomographer.build(list(stack)) is tom
+        for array in (tom.povm, tom.gram, tom.dual_frame):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
 
 class TestReconstructFromCounts:
@@ -159,6 +168,9 @@ class TestReconstructFromCounts:
         state, diag = reconstruct_from_counts(counts, sic_elements)
         assert np.allclose(state, reconstruct(p, sic_elements), atol=1e-12)
         assert not diag.projected
+        # a repeated call reuses the built Tomographer and gives the same bits
+        again, diag_again = reconstruct_from_counts(counts, sic_elements)
+        assert np.array_equal(again, state) and diag_again == diag
 
     def test_finite_statistics_concentrate(self, sic_elements):
         distances = []

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mapproc.processor import Processor, ProgramState, kraus_operators, outcome_probabilities
-from mapproc.qcore import dag, is_unitary, pauli
+from mapproc.qcore import dag, identity_multiple, is_unitary, pauli
 from mapproc.sampling import haar_unitary, random_density_operator, random_rank_one_measurement
 from mapproc.vnmeas import (
     IsometryViolationError,
@@ -113,6 +113,11 @@ class TestKrausCompatibility:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="one-to-one"):
             kraus_compatibility([E0], [E0, E1])
+
+    def test_nan_is_not_a_multiple_of_the_identity(self):
+        assert identity_multiple(np.diag([np.nan, 1.0])) is None
+        _, k = kraus_compatibility([np.diag([np.nan, 1.0])], [np.eye(2)])
+        assert k is None
 
 
 class TestPadding:
