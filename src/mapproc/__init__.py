@@ -30,7 +30,6 @@ from .qcore import (
     is_density_operator,
     is_projector,
     is_unitary,
-    operator_rank,
     partial_trace,
     pauli,
     tensor,

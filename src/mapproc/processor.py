@@ -238,6 +238,8 @@ def validate_povm(povm: np.ndarray, tol: float = ATOL) -> np.ndarray:
     """
     if len(povm) == 0:
         raise InvalidPovmError("empty POVM")
+    if np.ndim(povm[0]) == 0:
+        raise InvalidPovmError("element 0 is a scalar, expected a (d, d) operator")
     d = np.shape(povm[0])[0]
     try:
         f = np.asarray(povm, dtype=complex)

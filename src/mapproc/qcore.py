@@ -12,11 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 # Structural checks (unitarity, projector, hermiticity) use an absolute
-# max-norm tolerance; numerical rank uses a cutoff relative to the largest
-# singular value.  Every construction in this package is exact at the
-# dimensions it is used for, so these only absorb float rounding.
+# max-norm tolerance.  Every construction in this package is exact at the
+# dimensions it is used for, so it only absorbs float rounding.  The one
+# rank decision, informational completeness, uses a cutoff relative to the
+# largest singular value: tomography.RANK_CUTOFF.
 ATOL = 1e-10
-RANK_CUTOFF = 1e-9
 
 # sigma_0 = I, sigma_x, sigma_y, sigma_z as one (4, 2, 2) stack
 _PAULI = np.array(
@@ -138,25 +138,6 @@ def bloch_expand(h: np.ndarray, tol: float = ATOL) -> BlochExpansion:
     scalar = 0.5 * np.trace(h).real
     vector = 0.5 * np.einsum("ij,kji->k", h, _PAULI[1:]).real
     return BlochExpansion(scalar=scalar, vector=vector)
-
-
-def operator_rank(ops: np.ndarray, cutoff: float = RANK_CUTOFF) -> int:
-    """Rank of a stack of equal-shape operators under vectorization.
-
-    ``ops`` is an (n, ...) array or any sequence of equal-shape operators.
-    Singular values below ``cutoff`` times the largest one are treated as
-    zero.
-    """
-    if len(ops) == 0:
-        raise ValueError("operator_rank of an empty set")
-    try:
-        mat = np.asarray(ops, dtype=complex)
-    except ValueError as exc:  # the operators do not stack
-        raise ValueError("operator_rank expects operators of equal shape") from exc
-    s = np.linalg.svd(mat.reshape(len(mat), -1), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > cutoff * s[0]))
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import _PAULI, ATOL, bell_anchor, bloch_expand, dag, operator_rank, pauli, tensor
+from .qcore import _PAULI, ATOL, bell_anchor, bloch_expand, dag, pauli, tensor
 from .processor import OutcomePartition, Processor, ProgramState
+from .tomography import is_informationally_complete
 
 DATA_DIM = 2
 PROGRAM_DIM = 4
@@ -43,7 +44,7 @@ def qid_unitary() -> Processor:
 
 @dataclass(frozen=True)
 class QidProgram:
-    """Program amplitudes over the Bell-like family, normalized to 1."""
+    """Program amplitudes over the Bell-like family; a norm within ATOL of 1 is divided out."""
 
     amplitudes: np.ndarray
 
@@ -51,9 +52,10 @@ class QidProgram:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (4,):
             raise ValueError(f"QID program needs 4 amplitudes, got shape {amps.shape}")
-        if not abs(np.linalg.norm(amps) - 1.0) <= ATOL:
+        norm = np.linalg.norm(amps)
+        if not abs(norm - 1.0) <= ATOL:
             raise ValueError("QID program amplitudes must be normalized")
-        amps = amps.copy()
+        amps = amps / norm
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -72,7 +74,8 @@ class QidPovmReport:
     ``program_operator`` is A = (1/2) sum alpha_j sigma_j; ``elements`` is
     the (4, 2, 2) stack of sigma_k (A^dagger A) sigma_k.  ``anchor_bloch``
     is the Bloch vector of 4*elements[0] - I; the POVM spans the qubit
-    operator space exactly when none of its components vanishes.
+    operator space exactly when none of its components vanishes.  The
+    arrays are read-only; ``informationally_complete`` is the rank test.
     """
 
     program_operator: np.ndarray
@@ -98,12 +101,13 @@ def qid_povm(program: QidProgram) -> QidPovmReport:
     vec = alpha[1:]
     anchor = alpha[0] * vec.conj() + alpha[0].conjugate() * vec + 1j * np.cross(vec.conj(), vec)
     anchor = anchor.real
-    ic = bool(np.all(np.abs(anchor) > ATOL)) and operator_rank(elements) == 4
+    for array in (a_op, elements, anchor):
+        array.setflags(write=False)
     return QidPovmReport(
         program_operator=a_op,
         elements=elements,
         anchor_bloch=anchor,
-        informationally_complete=ic,
+        informationally_complete=is_informationally_complete(elements),
     )
 
 

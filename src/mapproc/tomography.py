@@ -1,9 +1,10 @@
 """State reconstruction from POVM statistics by linear inversion.
 
-The probabilities p_j = Tr(rho F_j) relate linearly to the expansion
-coefficients of rho in the POVM-element basis through the Gram matrix
-L_jk = Tr(F_j F_k).  Reconstruction solves that system with a pseudo-
-inverse, so overcomplete POVMs work too; it refuses under-determined ones.
+The probabilities p_j = Tr(rho F_j) are the stacked POVM F applied to
+rho.  One SVD F = U S V^dagger decides informational completeness and
+gives the canonical dual frame D = G^+ F = U S^-1 V^dagger, with
+G_jk = Tr(F_j F_k) the Gram matrix, so overcomplete POVMs work too;
+under-determined ones are refused.
 """
 
 from __future__ import annotations
@@ -13,10 +14,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import ATOL, dag, operator_rank
+from .qcore import ATOL, dag
 from .processor import _POVM_MEMO_SIZE, validate_povm
 
-GRAM_RCOND = 1e-9
+# Singular values of the stacked POVM below RANK_CUTOFF times the largest
+# one count as zero; this one cutoff decides informational completeness.
+RANK_CUTOFF = 1e-9
 PROB_SUM_TOL = 1e-6
 RESIDUAL_TOL = 1e-6
 
@@ -57,7 +60,7 @@ def gram_matrix(povm: np.ndarray) -> np.ndarray:
 def is_informationally_complete(povm: np.ndarray) -> bool:
     """True when the elements span the full d^2-dimensional operator space."""
     f = validate_povm(povm)
-    return operator_rank(f) == f.shape[1] ** 2
+    return isinstance(_build_tomographer(Tomographer, f.shape, f.tobytes()), Tomographer)
 
 
 @dataclass(frozen=True)
@@ -73,13 +76,15 @@ class Tomographer:
     """
 
     povm: np.ndarray
-    gram: np.ndarray
     dual_frame: np.ndarray
 
     @classmethod
     def build(cls, povm: np.ndarray) -> "Tomographer":
         f = validate_povm(povm)
-        return _build_tomographer(cls, f.shape, f.tobytes())
+        built = _build_tomographer(cls, f.shape, f.tobytes())
+        if not isinstance(built, Tomographer):
+            raise UnderdeterminedPovmError(built, f.shape[1] ** 2)
+        return built
 
     def _invert(
         self, probabilities: np.ndarray, residual_tol: float
@@ -116,18 +121,21 @@ class Tomographer:
 
 
 @lru_cache(maxsize=_POVM_MEMO_SIZE)
-def _build_tomographer(cls, shape: tuple[int, ...], data: bytes) -> Tomographer:
-    """Rank test, Gram matrix and dual frame of a validated stack given by content."""
+def _build_tomographer(cls, shape: tuple[int, ...], data: bytes) -> Tomographer | int:
+    """The Tomographer of a validated stack given by content, or its rank if below d^2.
+
+    One SVD F = U S V^dagger of the (n, d^2) stack: the rank counts the singular
+    values above RANK_CUTOFF * s_max; at full rank the dual frame is U S^-1 V^dagger.
+    """
     f = np.frombuffer(data, dtype=complex).reshape(shape)  # read-only view
-    d = shape[1]
-    rank = operator_rank(f)
+    n, d, _ = shape
+    u, s, vh = np.linalg.svd(f.reshape(n, d * d), full_matrices=False)
+    rank = int(np.sum(s > RANK_CUTOFF * s[0]))
     if rank < d * d:
-        raise UnderdeterminedPovmError(rank, d * d)
-    gram = gram_matrix(f)
-    dual = np.tensordot(np.linalg.pinv(gram, rcond=GRAM_RCOND), f, axes=1)
-    gram.setflags(write=False)
+        return rank
+    dual = ((u / s) @ vh).reshape(shape)
     dual.setflags(write=False)
-    return cls(povm=f, gram=gram, dual_frame=dual)
+    return cls(povm=f, dual_frame=dual)
 
 
 def reconstruct(
@@ -170,7 +178,7 @@ def reconstruct_from_probabilities(
 
     With ``project`` the estimate is replaced by the closest density
     operator (see project_to_state); the diagnostics always report the
-    pre-projection spectrum and the Gram-system residual.
+    pre-projection spectrum and the inversion residual.
     """
     estimate, residual = Tomographer.build(povm)._invert(probabilities, residual_tol)
     diagnostics = ReconstructionDiagnostics(

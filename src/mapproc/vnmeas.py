@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import ATOL, dag, identity_multiple
-from .processor import PROB_FLOOR, Processor, ProgramState, kraus_operators
+from .processor import PROB_FLOOR, Processor, ProgramState, _freeze, kraus_operators
 from .sampling import as_generator, random_rank_one_measurement
 
 POSTULATE_ATOL = 1e-8
@@ -59,8 +59,8 @@ def _rank_one_pvm_defect(projs: np.ndarray, tol: float) -> str | None:
 class VonNeumannMeasurement:
     """Ordered complete family of d mutually orthogonal rank-1 projectors.
 
-    ``projectors`` is held as one (d, d, d) stack; any sequence of (d, d)
-    operators is accepted.
+    ``projectors`` is held as one read-only (d, d, d) stack; any sequence
+    of (d, d) operators is accepted.
     """
 
     projectors: np.ndarray
@@ -75,7 +75,7 @@ class VonNeumannMeasurement:
         defect = _rank_one_pvm_defect(projs, ATOL)
         if defect is not None:
             raise ValueError(defect)
-        object.__setattr__(self, "projectors", projs)
+        object.__setattr__(self, "projectors", _freeze(projs))
 
     @classmethod
     def from_basis(cls, vectors: np.ndarray) -> "VonNeumannMeasurement":
@@ -164,7 +164,7 @@ class SlotAssignment:
     Measurement alpha carries the orthonormal program state
     ``program_states[alpha]`` (a row of an (n, program_dim) array) and its
     outcome j lands in processor slot ``slot_maps[alpha][j]``; slots it
-    does not use hold the zero operator.
+    does not use hold the zero operator.  ``program_states`` is read-only.
     """
 
     program_dim: int
@@ -188,7 +188,7 @@ class SlotAssignment:
                 raise ValueError("slot maps must be injective")
             if any(s < 0 or s >= self.program_dim for s in m):
                 raise ValueError("slot index outside the program space")
-        object.__setattr__(self, "program_states", states)
+        object.__setattr__(self, "program_states", _freeze(states))
         object.__setattr__(self, "slot_maps", maps)
 
 
@@ -220,7 +220,7 @@ class MeasurementRealization:
 
     ``projectors`` is the measurement's (d, d, d) stack and
     ``realized_povm`` the (program_dim, d, d) stack of A_k^dagger A_k the
-    program induces, indexed by processor outcome.
+    program induces, indexed by processor outcome; the arrays are read-only.
     """
 
     index: int
@@ -231,6 +231,11 @@ class MeasurementRealization:
     realized: bool
     postulate_compliant: bool
     relabeling: np.ndarray | None
+
+    def __post_init__(self):
+        for name in ("projectors", "program_state", "realized_povm", "relabeling"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _freeze(getattr(self, name)))
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,18 @@ class TestQidPovm:
         assert doc["informationally_complete"] is False
         assert np.allclose(doc["anchor_bloch"], [1, 0, 0], atol=1e-12)
 
+    def test_nearly_normalized_program_gives_a_povm_simulate_accepts(self, tmp_path):
+        # |alpha| = 1 + 0.9e-10 is within ATOL of 1; the program is stored
+        # normalized, so its elements sum to I and simulate reads the report
+        alpha = sic_program().amplitudes * (1 + 0.9e-10)
+        prog = write_json(tmp_path, "prog.json", {"alpha": [[a.real, a.imag] for a in alpha]})
+        code, report = run(tmp_path, "qid-povm", prog)
+        assert code == 0
+        assert json.loads(report.read_text())["informationally_complete"] is True
+        code, counts = run(tmp_path, "simulate", mixed_state_file(tmp_path), str(report), "--n", "100")
+        assert code == 0
+        assert json.loads(counts.read_text())["n"] == 100
+
     def test_non_normalized_program_exits_2(self, tmp_path, capsys):
         prog = write_json(tmp_path, "p.json", {"alpha": [[1, 0], [1, 0], [0, 0], [0, 0]]})
         code, _ = run(tmp_path, "qid-povm", prog)
@@ -398,6 +410,34 @@ COMMANDS = ("qid-povm", "qid-program", "simulate", "reconstruct", "vn-check", "v
 def test_every_subcommand_is_fuzzed():
     subparsers = next(a for a in _build_parser()._actions if a.dest == "command")
     assert set(subparsers.choices) == set(COMMANDS)
+
+
+# Every settable value by dest: (flags, positionals in order), 27 flags and
+# 9 positionals in all.  A new option fails here until it is added on purpose.
+OPTIONS = {
+    "qid-povm": ({"seed", "output", "sic"}, ("program",)),
+    "qid-program": ({"seed", "output", "sic", "unitary", "pauli_axis"}, ()),
+    "simulate": ({"seed", "output", "n"}, ("state", "povm")),
+    "reconstruct": ({"seed", "output", "project", "tol"}, ("data", "povm")),
+    "vn-check": ({"seed", "output", "pairing", "weights"}, ("measurements",)),
+    "vn-synth": ({"seed", "output", "slots"}, ("measurements",)),
+    "vn-relaxed": ({"seed", "output"}, ("measurements",)),
+    "bloch-export": ({"seed", "output", "sic"}, ("program",)),
+}
+
+
+def test_every_option_is_pinned():
+    subparsers = next(a for a in _build_parser()._actions if a.dest == "command")
+    found = {
+        name: (
+            {a.dest for a in p._actions if a.option_strings and a.dest != "help"},
+            tuple(a.dest for a in p._actions if not a.option_strings),
+        )
+        for name, p in subparsers.choices.items()
+    }
+    assert found == OPTIONS
+    assert sum(len(flags) for flags, _ in found.values()) == 27
+    assert sum(len(positionals) for _, positionals in found.values()) == 9
 
 
 @pytest.mark.parametrize("command", COMMANDS)

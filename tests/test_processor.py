@@ -189,6 +189,8 @@ class TestOutcomeProbabilities:
                 outcome_probabilities(np.eye(2) / 2, [np.eye(2), np.eye(2)])
             with pytest.raises(InvalidPovmError):
                 outcome_probabilities(np.eye(2) / 2, [np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
+            with pytest.raises(InvalidPovmError):
+                outcome_probabilities(np.eye(2) / 2, [1.0])
 
     def test_in_place_edit_is_checked_again(self, sic_elements):
         povm = np.array(sic_elements)

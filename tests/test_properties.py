@@ -16,13 +16,14 @@ from mapproc.processor import (
     kraus_operators,
     validate_povm,
 )
-from mapproc.qcore import dag
+from mapproc.qcore import ATOL, dag
+from mapproc.qid import QidProgram, qid_povm
 from mapproc.sampling import (
     haar_unitary,
     random_density_operator,
     random_pure_state,
 )
-from mapproc.tomography import Tomographer, is_informationally_complete
+from mapproc.tomography import Tomographer, UnderdeterminedPovmError, is_informationally_complete
 from mapproc.vnmeas import VonNeumannMeasurement, feasibility_table_check, kraus_compatibility
 
 dims = st.integers(min_value=2, max_value=5)
@@ -105,6 +106,54 @@ def test_tomographer_round_trip_on_random_ic_povms(d, seed):
     rho = random_density_operator(d, rng)
     p = np.array([np.trace(rho @ f).real for f in povm])
     assert np.max(np.abs(tom.reconstruct(p) - rho)) < 1e-8
+
+
+@SETTINGS
+@given(st.integers(min_value=2, max_value=3), st.integers(min_value=0, max_value=8), seeds)
+def test_round_trip_with_one_direction_scaled_down(d, k, seed):
+    # Mixing in t Tr(G_j) I/d lifts every eigenvalue to at least t Tr(G_j)/d.
+    # Shrinking the component along a unit traceless H shifts element j by
+    # at most (1 - t) Tr(G_j) ||H||_op^2 <= (1 - t) Tr(G_j) (d-1)/d, which
+    # t = (d-1)/d makes equal to that bound, so every element stays PSD;
+    # Tr H = 0 keeps the sum I.
+    rng = np.random.default_rng(seed)
+    t = (d - 1) / d
+    g = random_ic_povm(d, rng)
+    povm = (1 - t) * g + t * np.trace(g, axis1=1, axis2=2).real[:, None, None] * np.eye(d) / d
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    h = h + h.conj().T
+    h -= np.trace(h) / d * np.eye(d)
+    h /= np.linalg.norm(h)
+    povm -= (1 - 10.0**-k) * np.einsum("jab,ba->j", povm, h).real[:, None, None] * h
+    if not is_informationally_complete(povm):
+        try:
+            Tomographer.build(povm)
+        except UnderdeterminedPovmError:
+            return
+        raise AssertionError("a POVM that is not IC was built")
+    s = np.linalg.svd(povm.reshape(len(povm), -1), compute_uv=False)
+    rho = random_density_operator(d, rng)
+    p = np.einsum("ab,jba->j", rho, povm).real
+    error = np.max(np.abs(Tomographer.build(povm).reconstruct(p) - rho))
+    assert error <= 1e-13 * s[0] / s[-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds, st.integers(min_value=0, max_value=3), st.floats(min_value=0.0, max_value=13.0))
+def test_qid_completeness_is_the_rank_test_and_the_anchor_test(seed, j, u):
+    # real amplitudes up to a global phase give anchor_bloch = 2 alpha_0 alpha_vec,
+    # so shrinking alpha_j by 10^-u shrinks one anchor component or all three;
+    # the stacked POVM's singular values are proportional to (1, |anchor|), and
+    # the two tests differ only for min |anchor| between 1e-10 and 1e-9
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=4)
+    amps[j] *= 10.0**-u
+    amps = np.exp(2j * np.pi * rng.random()) * amps / np.linalg.norm(amps)
+    report = qid_povm(QidProgram(amplitudes=amps))
+    assert report.informationally_complete == is_informationally_complete(report.elements)
+    anchor = np.abs(report.anchor_bloch)
+    if not 1e-12 <= anchor.min() <= 1e-8:
+        assert report.informationally_complete == bool(np.all(anchor > ATOL))
 
 
 @SETTINGS

@@ -8,7 +8,6 @@ from mapproc.qcore import (
     bloch_expand,
     is_projector,
     is_unitary,
-    operator_rank,
     partial_trace,
     pauli,
     tensor,
@@ -142,36 +141,6 @@ class TestBlochExpand:
     def test_round_trip(self, a, b, c, d):
         h = hermitian_from(a, b, c, d)
         assert np.max(np.abs(bloch_expand(h).assemble() - h)) < 1e-12
-
-
-class TestOperatorRank:
-    def test_pauli_basis_spans(self):
-        assert operator_rank([pauli(k) for k in range(4)]) == 4
-
-    def test_tetrahedron_spans(self):
-        signs = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
-        els = [
-            0.25 * (np.eye(2) + sum(s * pauli(j + 1) for j, s in enumerate(sg)) / np.sqrt(3))
-            for sg in signs
-        ]
-        assert operator_rank(els) == 4
-
-    def test_repeated_element(self):
-        assert operator_rank([np.eye(2) / 4] * 4) == 1
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            operator_rank([])
-
-    def test_invariant_under_invertible_recombination(self):
-        rng = np.random.default_rng(3)
-        ops = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3)]
-        r = operator_rank(ops)
-        mix = rng.normal(size=(3, 3))
-        while abs(np.linalg.det(mix)) < 0.1:
-            mix = rng.normal(size=(3, 3))
-        mixed = [sum(mix[i, j] * ops[j] for j in range(3)) for i in range(3)]
-        assert operator_rank(mixed) == r
 
 
 class TestStructureChecks:

@@ -136,15 +136,19 @@ class TestTomographer:
             assert np.max(np.abs(rebuilt - rho)) < 1e-10
 
     def test_gram_consistency(self, sic_elements):
-        # L from gram_matrix is the matrix the inversion solves: L rho_vec = p
+        # L from gram_matrix solves L rho_vec = p, and the dual frame is
+        # D = L^-1 F, so both give the same operator
         tom = Tomographer.build(sic_elements)
+        gram = gram_matrix(sic_elements)
         rng = np.random.default_rng(23)
         rho = random_density_operator(2, rng)
         p = outcome_probabilities(rho, sic_elements)
-        coeff = np.linalg.solve(tom.gram, p)
-        assert np.allclose(tom.gram @ coeff, p, atol=1e-12)
+        coeff = np.linalg.solve(gram, p)
+        assert np.allclose(gram @ coeff, p, atol=1e-12)
         rebuilt = sum(c * f for c, f in zip(coeff, sic_elements))
         assert trace_distance(rebuilt, rho) < 1e-12
+        dual = np.tensordot(np.linalg.inv(gram), np.array(sic_elements), axes=1)
+        assert np.max(np.abs(tom.dual_frame - dual)) < 1e-12
 
     def test_build_rejects_underdetermined(self):
         for _ in range(2):  # a refusal is never remembered as a pass
@@ -155,7 +159,7 @@ class TestTomographer:
         stack = np.array(sic_elements)
         tom = Tomographer.build(stack)
         assert Tomographer.build(list(stack)) is tom
-        for array in (tom.povm, tom.gram, tom.dual_frame):
+        for array in (tom.povm, tom.dual_frame):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
 
@@ -197,6 +201,44 @@ class TestReconstructFromCounts:
             reconstruct_from_counts(np.array([-1, 1, 0, 0]), sic_elements)
         with pytest.raises(ValueError, match="positive total"):
             reconstruct_from_counts(np.zeros(4, dtype=int), sic_elements)
+
+
+def scaled_tetrahedron(eps):
+    """Tetrahedron POVM whose Bloch vectors have their z-parts scaled by eps.
+
+    The stacked POVM has singular values sqrt(2)/2 for I, sqrt(2/3) for x
+    and y, and eps * sqrt(2/3) for z, so z falls below the cutoff
+    (1e-9 of the largest) between eps = 1e-8 and 1e-9.
+    """
+    signs = np.array([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]) / np.sqrt(3)
+    paulis = np.array([pauli(k) for k in (1, 2, 3)])
+    return np.array([(np.eye(2) + np.tensordot(r * [1, 1, eps], paulis, axes=1)) / 4
+                     for r in signs])
+
+
+class TestScaledTetrahedron:
+    RHO = np.array([[0.9, 0.1], [0.1, 0.1]], dtype=complex)
+
+    @pytest.mark.parametrize("eps", [1e-5, 1e-6])
+    def test_exact_probabilities_round_trip(self, eps):
+        f = scaled_tetrahedron(eps)
+        p = np.einsum("ij,kji->k", self.RHO, f).real
+        assert np.max(np.abs(reconstruct(p, f) - self.RHO)) < 1e-9
+
+    def test_below_the_cutoff_is_refused(self):
+        with pytest.raises(UnderdeterminedPovmError) as err:
+            Tomographer.build(scaled_tetrahedron(1e-9))
+        assert err.value.rank == 3
+
+    @pytest.mark.parametrize("eps", [10.0**-k for k in range(3, 13)])
+    def test_complete_exactly_when_build_succeeds(self, eps):
+        f = scaled_tetrahedron(eps)
+        try:
+            Tomographer.build(f)
+            built = True
+        except UnderdeterminedPovmError:
+            built = False
+        assert is_informationally_complete(f) is built
 
 
 def test_project_to_state_idempotent_on_states():

@@ -3,6 +3,7 @@ import pytest
 
 from mapproc.processor import Processor, ProgramState, kraus_operators, outcome_probabilities
 from mapproc.qcore import dag, identity_multiple, is_unitary, pauli
+from mapproc.qid import qid_povm, sic_program
 from mapproc.sampling import haar_unitary, random_density_operator, random_rank_one_measurement
 from mapproc.vnmeas import (
     IsometryViolationError,
@@ -386,3 +387,22 @@ class TestSearches:
         assert len(a.hits) == len(b.hits)
         for x, y in zip(a.hits, b.hits):
             assert np.array_equal(x, y)
+
+
+def test_dataclass_arrays_are_read_only():
+    projectors = np.array([E0, E1])
+    measurement = VonNeumannMeasurement(projectors=projectors)
+    projectors[0, 0, 0] = 5  # the caller's array stays the caller's
+    assert measurement.projectors[0, 0, 0] == 1
+    assign = pad_with_zero_slots([SZ, SX])
+    qid = qid_povm(sic_program())
+    arrays = [measurement.projectors, assign.program_states,
+              qid.elements, qid.program_operator, qid.anchor_bloch]
+    padded = build_orthogonal_processor(assign, [SZ, SX])
+    relaxed = relaxed_pvm_processor([SZ, SX])
+    for record in padded.measurements + relaxed.measurements:
+        arrays += [record.projectors, record.program_state, record.realized_povm]
+    arrays += [record.relabeling for record in relaxed.measurements]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 5
