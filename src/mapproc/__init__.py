@@ -17,7 +17,6 @@ from .processor import (
     ProgramState,
     induced_instrument,
     induced_povm,
-    is_trivial_povm,
     kraus_operators,
     outcome_probabilities,
     post_measurement_state,
@@ -28,9 +27,7 @@ from .qcore import (
     bell_anchor,
     bloch_expand,
     is_density_operator,
-    is_projector,
     is_unitary,
-    partial_trace,
     pauli,
     tensor,
     trace_distance,

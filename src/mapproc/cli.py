@@ -26,6 +26,11 @@ from .tomography import InconsistentProbabilitiesError, UnderdeterminedPovmError
 from .vnmeas import IsometryViolationError
 
 
+# A state document passes as a density operator within STATE_TOL: it is
+# typed or rounded by hand, so it gets more slack than the library's ATOL.
+STATE_TOL = 1e-8
+
+
 class _InfeasibleRequest(Exception):
     """Input is well-formed but the requested object cannot exist."""
 
@@ -96,7 +101,7 @@ def _cmd_qid_program(args) -> int:
 
 def _cmd_simulate(args) -> int:
     rho = serialize.decode_density_operator(_load_json(args.state))
-    if not is_density_operator(rho, tol=1e-8):
+    if not is_density_operator(rho, tol=STATE_TOL):
         raise ValueError(f"{args.state}: not a density operator")
     povm = serialize.decode_povm(_load_json(args.povm))
     counts = sample_outcomes(rho, povm, args.n, args.seed)
@@ -136,18 +141,14 @@ def _cmd_vn_synth(args) -> int:
     if args.slots is None:
         assign = vnmeas.pad_with_zero_slots(ms)
     else:
-        slot_maps = serialize.decode_index_lists(json.loads(args.slots))
-        # one program state per measurement and a slot for every index used;
+        assign = vnmeas.SlotAssignment(serialize.decode_index_lists(json.loads(args.slots)))
         # any injective assignment can be relabelled into N*d slots
-        top, slots = max((s for m in slot_maps for s in m), default=-1), len(ms) * ms[0].dim
-        if top >= slots:
-            raise ValueError(f"slot index {top} outside 0..{slots - 1}, the N*d slots of the inputs")
-        dp = max(len(ms), 1 + top)
-        assign = vnmeas.SlotAssignment(
-            program_dim=dp,
-            program_states=np.eye(len(ms), dp, dtype=complex),
-            slot_maps=slot_maps,
-        )
+        slots = len(ms) * ms[0].dim
+        if assign.program_dim > slots:
+            raise ValueError(
+                f"slot index {assign.program_dim - 1} outside 0..{slots - 1}, "
+                "the N*d slots of the inputs"
+            )
     report = vnmeas.build_orthogonal_processor(assign, ms)
     _emit_json(args, serialize.encode_synthesis_report(report), [args.measurements])
     return 0

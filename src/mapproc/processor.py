@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import ATOL, dag, identity_multiple, is_unitary
+from .qcore import ATOL, dag, is_unitary
 from .sampling import as_generator
 
 PROB_FLOOR = 1e-12
@@ -64,7 +64,7 @@ class Processor:
         gate = np.asarray(self.gate, dtype=complex)
         if gate.shape != (dim, dim):
             raise ValueError(f"gate shape {gate.shape} does not match data*program = {dim}")
-        if not is_unitary(gate, ATOL):
+        if not is_unitary(gate):
             raise ValueError("processor gate must be unitary")
         basis = self.program_basis
         if basis is None:
@@ -116,18 +116,6 @@ class ProgramState:
     @classmethod
     def pure(cls, state: np.ndarray) -> "ProgramState":
         return cls(components=((1.0, np.asarray(state, dtype=complex)),))
-
-    @classmethod
-    def from_density(cls, xi: np.ndarray, tol: float = ATOL) -> "ProgramState":
-        """Spectral decomposition of a density operator into weighted pure parts."""
-        xi = np.asarray(xi, dtype=complex)
-        evals, evecs = np.linalg.eigh(xi)
-        comps = [
-            (float(w), evecs[:, j])
-            for j, w in enumerate(evals)
-            if w > tol
-        ]
-        return cls(components=tuple(comps))
 
     @property
     def dim(self) -> int:
@@ -226,46 +214,58 @@ def induced_povm(
     return induced_instrument(proc, program, partition).povm
 
 
-def validate_povm(povm: np.ndarray, tol: float = ATOL) -> np.ndarray:
+def _shape(element) -> tuple[int, ...] | None:
+    """np.shape of one element, or None for a ragged nested sequence."""
+    try:
+        return np.shape(element)
+    except ValueError:
+        return None
+
+
+def validate_povm(povm: np.ndarray) -> np.ndarray:
     """Return the elements as one read-only (n, d, d) stack if they form a POVM.
 
-    ``povm`` is a stack or any sequence of (d, d) operators.  Raises
-    InvalidPovmError, naming the first offending element, unless every
-    element is Hermitian and PSD and they sum to the identity.  Negative
-    eigenvalue dust above -tol is tolerated (treated as zero).  A stack
-    that passed is remembered by its exact content and tol, so repeated
+    ``povm`` is a stack or any sequence of (d, d) operators with d >= 1.
+    Raises InvalidPovmError, naming the first offending element, unless
+    every element is Hermitian and PSD and they sum to the identity, all
+    within ATOL; negative eigenvalue dust above -ATOL is treated as zero.
+    A stack that passed is remembered by its exact content, so repeated
     calls on one POVM skip the checks and share the returned array.
     """
     if len(povm) == 0:
         raise InvalidPovmError("empty POVM")
-    if np.ndim(povm[0]) == 0:
-        raise InvalidPovmError("element 0 is a scalar, expected a (d, d) operator")
-    d = np.shape(povm[0])[0]
+    first = _shape(povm[0])
+    if not first or first[0] == 0:
+        raise InvalidPovmError("element 0 is not a (d, d) operator with d >= 1")
+    d = first[0]
     try:
         f = np.asarray(povm, dtype=complex)
     except ValueError:  # elements of different shapes do not stack
         f = np.empty(0)
     if f.shape[1:] != (d, d):
-        i = next((i for i, e in enumerate(povm) if np.shape(e) != (d, d)), None)
+        i = next((i for i, e in enumerate(povm) if _shape(e) != (d, d)), None)
         if i is None:
             raise InvalidPovmError("elements must be numeric (d, d) operators")
-        raise InvalidPovmError(f"element {i} has shape {np.shape(povm[i])}, expected ({d}, {d})")
-    return _checked_povm(f.shape, tol, f.tobytes())
+        shape = _shape(povm[i])
+        raise InvalidPovmError(
+            f"element {i} has shape {'ragged' if shape is None else shape}, expected ({d}, {d})"
+        )
+    return _checked_povm(f.shape, f.tobytes())
 
 
 @lru_cache(maxsize=_POVM_MEMO_SIZE)
-def _checked_povm(shape: tuple[int, ...], tol: float, data: bytes) -> np.ndarray:
+def _checked_povm(shape: tuple[int, ...], data: bytes) -> np.ndarray:
     """The numerical POVM checks on a stack given by content; raising is not cached."""
     f = np.frombuffer(data, dtype=complex).reshape(shape)  # read-only view
     d = shape[1]
-    skew = ~(np.abs(f - f.conj().transpose(0, 2, 1)).max(axis=(1, 2)) <= tol)
-    bad = skew | (np.linalg.eigvalsh(f).min(axis=1) < -tol)
+    skew = ~(np.abs(f - f.conj().transpose(0, 2, 1)).max(axis=(1, 2)) <= ATOL)
+    bad = skew | (np.linalg.eigvalsh(f).min(axis=1) < -ATOL)
     if bad.any():
         i = int(np.argmax(bad))
         raise InvalidPovmError(
             f"element {i} is not {'Hermitian' if skew[i] else 'positive semidefinite'}"
         )
-    if not np.max(np.abs(f.sum(axis=0) - np.eye(d))) <= tol:
+    if not np.max(np.abs(f.sum(axis=0) - np.eye(d))) <= ATOL:
         raise InvalidPovmError("elements do not sum to the identity")
     return f
 
@@ -285,8 +285,8 @@ def post_measurement_state(
 ) -> np.ndarray:
     """Normalized data state after observing one coarse outcome.
 
-    Raises ImpossibleOutcomeError when the outcome probability is below
-    1e-12, since the conditional state is undefined there.
+    Raises ImpossibleOutcomeError when the outcome probability is at or
+    below PROB_FLOOR, since the conditional state is undefined there.
     """
     inst = induced_instrument(proc, program, partition)
     if outcome < 0 or outcome >= len(inst.povm):
@@ -312,14 +312,3 @@ def sample_outcomes(
     if n == 0:
         return np.zeros(len(povm), dtype=np.int64)
     return as_generator(seed).multinomial(n, p)
-
-
-def is_trivial_povm(povm: np.ndarray, tol: float = ATOL) -> np.ndarray | None:
-    """Return the scalars c_k when every element is c_k * identity, else None.
-
-    A trivial POVM yields data-independent statistics.
-    """
-    c = identity_multiple(validate_povm(povm, tol), tol)
-    if c is None or np.any(c.real < -tol):
-        return None
-    return np.maximum(c.real, 0.0)

@@ -11,11 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Structural checks (unitarity, projector, hermiticity) use an absolute
-# max-norm tolerance.  Every construction in this package is exact at the
-# dimensions it is used for, so it only absorbs float rounding.  The one
-# rank decision, informational completeness, uses a cutoff relative to the
-# largest singular value: tomography.RANK_CUTOFF.
+# Structural checks (unitarity, hermiticity, c*I) use an absolute max-norm
+# tolerance.  Every construction in this package is exact at the dimensions
+# it is used for, so it only absorbs float rounding.  Every tolerance in the
+# package is a named module constant; the README's "Numerical notes" table
+# lists each one with its value and what it decides.
 ATOL = 1e-10
 
 # sigma_0 = I, sigma_x, sigma_y, sigma_z as one (4, 2, 2) stack
@@ -43,25 +43,6 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
-    """Reduce a bipartite operator to one factor.
-
-    ``dims`` gives the (first, second) factor dimensions and ``keep``
-    selects the surviving factor (0 or 1).  The trace of the result equals
-    the trace of the input.
-    """
-    da, db = dims
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (da * db, da * db):
-        raise ValueError(f"operator shape {m.shape} does not match factor dims {dims}")
-    t = m.reshape(da, db, da, db)
-    if keep == 0:
-        return np.einsum("ikjk->ij", t)
-    if keep == 1:
-        return np.einsum("kikj->ij", t)
-    raise ValueError(f"keep must be 0 or 1, got {keep}")
-
-
 def bell_anchor() -> np.ndarray:
     """The maximally entangled two-qubit state (|00> + |11>)/sqrt(2)."""
     v = np.zeros(4, dtype=complex)
@@ -69,36 +50,23 @@ def bell_anchor() -> np.ndarray:
     return v
 
 
-def is_hermitian(m: np.ndarray, tol: float = ATOL) -> bool:
-    m = np.asarray(m, dtype=complex)
+def _is_hermitian(m: np.ndarray, tol: float) -> bool:
     return m.shape[0] == m.shape[1] and bool(np.max(np.abs(m - dag(m))) <= tol)
 
 
-def is_unitary(m: np.ndarray, tol: float = ATOL) -> bool:
-    """True when m^dagger m equals the identity within tol (max-norm)."""
+def is_unitary(m: np.ndarray) -> bool:
+    """True when m^dagger m equals the identity within ATOL (max-norm)."""
     m = np.asarray(m, dtype=complex)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"is_unitary expects a square matrix, got shape {m.shape}")
-    return bool(np.max(np.abs(dag(m) @ m - np.eye(m.shape[0]))) <= tol)
+    return bool(np.max(np.abs(dag(m) @ m - np.eye(m.shape[0]))) <= ATOL)
 
 
-def is_projector(m: np.ndarray, tol: float = ATOL) -> bool:
-    """True when m is Hermitian and idempotent within tol."""
+def identity_multiple(m: np.ndarray) -> complex | None:
+    """Return c = Tr(m)/d when m equals c*I within ATOL (max-norm), else None."""
     m = np.asarray(m, dtype=complex)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"is_projector expects a square matrix, got shape {m.shape}")
-    return is_hermitian(m, tol) and bool(np.max(np.abs(m @ m - m)) <= tol)
-
-
-def identity_multiple(m: np.ndarray, tol: float = ATOL) -> complex | np.ndarray | None:
-    """Return c = Tr(m)/d when m equals c*I within tol (max-norm), else None.
-
-    A stack of shape (n, d, d) gives the n scalars, or None unless every
-    operator passes.
-    """
-    m = np.asarray(m, dtype=complex)
-    c = np.trace(m, axis1=-2, axis2=-1) / m.shape[-1]
-    if not np.max(np.abs(m - c[..., None, None] * np.eye(m.shape[-1]))) <= tol:
+    c = np.trace(m) / m.shape[0]
+    if not np.max(np.abs(m - c * np.eye(m.shape[0]))) <= ATOL:
         return None
     return c
 
@@ -106,7 +74,7 @@ def identity_multiple(m: np.ndarray, tol: float = ATOL) -> complex | np.ndarray 
 def is_density_operator(m: np.ndarray, tol: float = ATOL) -> bool:
     """Hermitian, unit trace, and no eigenvalue below -tol."""
     m = np.asarray(m, dtype=complex)
-    if m.shape[0] != m.shape[1] or not is_hermitian(m, tol):
+    if m.shape[0] != m.shape[1] or not _is_hermitian(m, tol):
         return False
     if abs(np.trace(m).real - 1.0) > tol:
         return False
@@ -124,7 +92,7 @@ class BlochExpansion:
         return np.tensordot(np.append(self.scalar, self.vector), _PAULI, axes=1)
 
 
-def bloch_expand(h: np.ndarray, tol: float = ATOL) -> BlochExpansion:
+def bloch_expand(h: np.ndarray) -> BlochExpansion:
     """Expand a Hermitian 2x2 operator in the Pauli basis.
 
     scalar = Tr(h)/2 and vector_j = Tr(h sigma_j)/2, so reassembling is
@@ -133,7 +101,7 @@ def bloch_expand(h: np.ndarray, tol: float = ATOL) -> BlochExpansion:
     h = np.asarray(h, dtype=complex)
     if h.shape != (2, 2):
         raise ValueError(f"bloch_expand expects a 2x2 operator, got shape {h.shape}")
-    if not is_hermitian(h, tol):
+    if not _is_hermitian(h, ATOL):
         raise ValueError("bloch_expand expects a Hermitian operator")
     scalar = 0.5 * np.trace(h).real
     vector = 0.5 * np.einsum("ij,kji->k", h, _PAULI[1:]).real

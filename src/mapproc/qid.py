@@ -205,21 +205,21 @@ class QidCircuit:
         return np.kron(np.eye(2, dtype=complex), np.kron(_LOCALS[names[0]], _LOCALS[names[1]]))
 
 
-def _monomial_program_factor(x: np.ndarray, tol: float = 1e-10) -> np.ndarray | None:
-    """Return M when x = I_2 (x) M with M a monomial unitary, else None."""
+def _monomial_program_factor(x: np.ndarray) -> np.ndarray | None:
+    """Return M when x = I_2 (x) M with M a monomial unitary (within ATOL), else None."""
     x4 = x.reshape(2, 4, 2, 4)
     m = x4[0, :, 0, :]
     for i in range(2):
         for j in range(2):
             block = x4[i, :, j, :]
             target = m if i == j else np.zeros((4, 4))
-            if np.max(np.abs(block - target)) > tol:
+            if np.max(np.abs(block - target)) > ATOL:
                 return None
     mags = np.abs(m)
     hot = mags > 0.5
     if not (np.all(hot.sum(axis=0) == 1) and np.all(hot.sum(axis=1) == 1)):
         return None
-    if np.max(np.abs(mags[hot] - 1.0)) > tol or np.max(mags[~hot]) > tol:
+    if np.max(np.abs(mags[hot] - 1.0)) > ATOL or np.max(mags[~hot]) > ATOL:
         return None
     return m
 

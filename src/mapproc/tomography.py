@@ -99,25 +99,23 @@ class Tomographer:
             raise ValueError(
                 f"expected {len(self.povm)} probabilities, got shape {p.shape}"
             )
-        if abs(p.sum() - 1.0) > PROB_SUM_TOL:
+        if not abs(p.sum() - 1.0) <= PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {p.sum()}, expected 1")
         rho = np.tensordot(p, self.dual_frame, axes=1)
         fitted = np.einsum("kij,ji->k", self.povm, rho).real
         residual = float(np.linalg.norm(fitted - p))
-        if residual > residual_tol:
+        if not residual <= residual_tol:
             raise InconsistentProbabilitiesError(residual, residual_tol)
         return 0.5 * (rho + dag(rho)), residual
 
-    def reconstruct(
-        self, probabilities: np.ndarray, residual_tol: float = RESIDUAL_TOL
-    ) -> np.ndarray:
+    def reconstruct(self, probabilities: np.ndarray) -> np.ndarray:
         """Invert a probability vector to the unique matching operator.
 
         The result is Hermitized but not forced positive; consistent
         probabilities of a valid state return that state exactly (to
-        rounding).
+        rounding).  A residual above RESIDUAL_TOL is refused.
         """
-        return self._invert(probabilities, residual_tol)[0]
+        return self._invert(probabilities, RESIDUAL_TOL)[0]
 
 
 @lru_cache(maxsize=_POVM_MEMO_SIZE)
@@ -138,13 +136,9 @@ def _build_tomographer(cls, shape: tuple[int, ...], data: bytes) -> Tomographer 
     return cls(povm=f, dual_frame=dual)
 
 
-def reconstruct(
-    probabilities: np.ndarray,
-    povm: np.ndarray,
-    residual_tol: float = RESIDUAL_TOL,
-) -> np.ndarray:
+def reconstruct(probabilities: np.ndarray, povm: np.ndarray) -> np.ndarray:
     """One-shot linear inversion; see Tomographer.reconstruct."""
-    return Tomographer.build(povm).reconstruct(probabilities, residual_tol=residual_tol)
+    return Tomographer.build(povm).reconstruct(probabilities)
 
 
 @dataclass(frozen=True)
@@ -178,8 +172,11 @@ def reconstruct_from_probabilities(
 
     With ``project`` the estimate is replaced by the closest density
     operator (see project_to_state); the diagnostics always report the
-    pre-projection spectrum and the inversion residual.
+    pre-projection spectrum and the inversion residual.  ``residual_tol``
+    must be finite and nonnegative.
     """
+    if not 0.0 <= residual_tol < np.inf:
+        raise ValueError(f"residual tolerance {residual_tol} is not a finite nonnegative number")
     estimate, residual = Tomographer.build(povm)._invert(probabilities, residual_tol)
     diagnostics = ReconstructionDiagnostics(
         residual=residual,
@@ -202,10 +199,10 @@ def reconstruct_from_counts(
     Feeds counts/total to reconstruct_from_probabilities.
     """
     counts = np.asarray(counts)
-    if np.any(counts < 0):
+    if not np.all(counts >= 0):
         raise ValueError("counts must be nonnegative")
     total = counts.sum()
-    if total <= 0:
+    if not total > 0:
         raise ValueError("counts must have a positive total")
     return reconstruct_from_probabilities(
         counts / float(total), povm, project=project, residual_tol=residual_tol

@@ -17,7 +17,18 @@ from .qcore import ATOL, dag, identity_multiple
 from .processor import PROB_FLOOR, Processor, ProgramState, _freeze, kraus_operators
 from .sampling import as_generator, random_rank_one_measurement
 
+# A post-measurement state matches its projector within POSTULATE_ATOL;
+# outcomes at or below POSTULATE_FLOOR in probability are not checked.
 POSTULATE_ATOL = 1e-8
+POSTULATE_FLOOR = 1e-10
+# A realized POVM element is formed through the synthesized gate, so its
+# rounding is allowed ten times the structural tolerance.
+REALIZED_ATOL = 10 * ATOL
+# The randomized searches accept a drawn basis or induced measurement within
+# SEARCH_TOL, and count a program as superposed when no amplitude exceeds
+# SUPERPOSED_MAX_AMPLITUDE in modulus.
+SEARCH_TOL = 1e-8
+SUPERPOSED_MAX_AMPLITUDE = 1.0 - 1e-6
 
 
 class IsometryViolationError(ValueError):
@@ -95,15 +106,13 @@ class VonNeumannMeasurement:
         return v * (pivot.conjugate() / abs(pivot))
 
 
-def kraus_compatibility(
-    ops_a: np.ndarray, ops_b: np.ndarray, tol: float = ATOL
-) -> tuple[np.ndarray, complex | None]:
+def kraus_compatibility(ops_a: np.ndarray, ops_b: np.ndarray) -> tuple[np.ndarray, complex | None]:
     """Evaluate sum_j A_j^dagger B_j for two outcome-paired operator families.
 
     Each family is an (n, d, d) stack or a sequence of (d, d) operators.
     Two families realizable on the same processor must make this a scalar
     multiple k*I of the identity, with k the overlap of their program
-    states.  Returns (S, k), with k None when S is not scalar.
+    states.  Returns (S, k), with k None when S is not scalar within ATOL.
     """
     if len(ops_a) != len(ops_b):
         raise ValueError("families must pair outcomes one-to-one")
@@ -115,7 +124,7 @@ def kraus_compatibility(
     if a.ndim != 3 or a.shape != b.shape or a.shape[1] != a.shape[2]:
         raise ValueError("paired operators must share one dimension")
     s = np.einsum("kji,kjl->il", a.conj(), b)
-    return s, identity_multiple(s, tol)
+    return s, identity_multiple(s)
 
 
 def coprogram_condition(
@@ -123,16 +132,15 @@ def coprogram_condition(
     m2: VonNeumannMeasurement,
     pairing: list[tuple[int, int]] | None = None,
     weights: list[float] | None = None,
-    tol: float = ATOL,
 ) -> tuple[np.ndarray, complex | None]:
     """Joint-programmability operator for two measurements.
 
     S = sum_t w_t <e_i|g_j> |e_i><g_j| = sum_t w_t E_i G_j over the paired
     outcomes (i, j); the default pairing is by index with unit weights.
     Working with projector products keeps S independent of basis-vector
-    phases.  The scalar k is present exactly when S = k*I, in which case
-    programs with overlap k are admissible; otherwise the program states
-    must be orthogonal.  An explicit pairing (with repetitions and
+    phases.  The scalar k is present exactly when S = k*I within ATOL, in
+    which case programs with overlap k are admissible; otherwise the
+    program states must be orthogonal.  An explicit pairing (with repetitions and
     weights) expresses realizations that spread one measurement over
     several processor outcomes.
     """
@@ -154,42 +162,36 @@ def coprogram_condition(
         t = int(np.argmax(outside))
         raise ValueError(f"pairing ({i[t]}, {j[t]}) outside the outcome ranges")
     s = np.einsum("t,tab,tbc->ac", weights, m1.projectors[i], m2.projectors[j])
-    return s, identity_multiple(s, tol)
+    return s, identity_multiple(s)
 
 
 @dataclass(frozen=True)
 class SlotAssignment:
     """Placement of measurement outcomes into processor outcome slots.
 
-    Measurement alpha carries the orthonormal program state
-    ``program_states[alpha]`` (a row of an (n, program_dim) array) and its
-    outcome j lands in processor slot ``slot_maps[alpha][j]``; slots it
-    does not use hold the zero operator.  ``program_states`` is read-only.
+    Measurement alpha carries the program state |alpha> and its outcome j
+    lands in processor slot ``slot_maps[alpha][j]``; slots it does not use
+    hold the zero operator.  The program space is the smallest that holds
+    every program and every slot: max(N, 1 + largest slot) for N maps.
     """
 
-    program_dim: int
-    program_states: np.ndarray
     slot_maps: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        states = np.asarray(self.program_states, dtype=complex)
-        if len(states) != len(self.slot_maps):
-            raise ValueError("one slot map per program state required")
-        if states.shape != (len(states), self.program_dim):
-            raise ValueError("program states must live in the program space")
-        if not np.all(np.abs(np.linalg.norm(states, axis=1) - 1.0) <= ATOL):
-            raise ValueError("program states must be normalized")
-        gram = states.conj() @ states.T
-        if not np.all(np.abs(gram - np.diag(np.diag(gram))) <= ATOL):
-            raise ValueError("program states must be pairwise orthogonal")
         maps = tuple(tuple(int(s) for s in m) for m in self.slot_maps)
+        if not maps:
+            raise ValueError("need at least one slot map")
         for m in maps:
             if len(set(m)) != len(m):
                 raise ValueError("slot maps must be injective")
-            if any(s < 0 or s >= self.program_dim for s in m):
-                raise ValueError("slot index outside the program space")
-        object.__setattr__(self, "program_states", _freeze(states))
+            if any(s < 0 for s in m):
+                raise ValueError("slot indices must be nonnegative")
         object.__setattr__(self, "slot_maps", maps)
+
+    @property
+    def program_dim(self) -> int:
+        top = max((s for m in self.slot_maps for s in m), default=-1)
+        return max(len(self.slot_maps), 1 + top)
 
 
 def pad_with_zero_slots(measurements: list[VonNeumannMeasurement]) -> SlotAssignment:
@@ -205,12 +207,8 @@ def pad_with_zero_slots(measurements: list[VonNeumannMeasurement]) -> SlotAssign
     for m in measurements:
         if m.dim != d:
             raise ValueError("measurements must share one dimension")
-    n = len(measurements)
-    dp = n * d
     return SlotAssignment(
-        program_dim=dp,
-        program_states=np.eye(dp, dtype=complex)[:n],
-        slot_maps=tuple(tuple(range(a * d, (a + 1) * d)) for a in range(n)),
+        slot_maps=tuple(tuple(range(a * d, (a + 1) * d)) for a in range(len(measurements)))
     )
 
 
@@ -337,7 +335,7 @@ def _synthesize(
                 program_state=states[a],
                 slot_map=slot_maps[a],
                 realized_povm=realized,
-                realized=bool(np.max(np.abs(realized - wanted)) <= 10 * ATOL),
+                realized=bool(np.max(np.abs(realized - wanted)) <= REALIZED_ATOL),
                 postulate_compliant=_post_states_match(
                     ops, slot_maps[a], m.projectors, mixed, PROB_FLOOR
                 ),
@@ -360,10 +358,11 @@ def build_orthogonal_processor(
     is checked first and reported as IsometryViolationError naming the
     offending measurement pair and slots.
     """
-    if len(measurements) != len(assign.program_states):
-        raise ValueError("one measurement per program state required")
+    n, dp = len(measurements), assign.program_dim
+    if n != len(assign.slot_maps):
+        raise ValueError("one measurement per slot map required")
     d = measurements[0].dim
-    padded = np.zeros((len(measurements), assign.program_dim, d, d), dtype=complex)
+    padded = np.zeros((n, dp, d, d), dtype=complex)
     for a, (m, slots) in enumerate(zip(measurements, assign.slot_maps)):
         if m.dim != d:
             raise ValueError("measurements must share one dimension")
@@ -371,8 +370,7 @@ def build_orthogonal_processor(
             raise ValueError(f"slot map {a} needs {d} slots, got {len(slots)}")
         padded[a, list(slots)] = m.projectors
     return _synthesize(
-        padded, assign.program_states, measurements, assign.slot_maps,
-        (None,) * len(measurements),
+        padded, np.eye(n, dp, dtype=complex), measurements, assign.slot_maps, (None,) * n
     )
 
 
@@ -413,9 +411,10 @@ def verify_projection_postulate(
 ) -> bool:
     """Check post-measurement states against the measurement's projectors.
 
-    For every sample state and every outcome with probability above 1e-10,
-    the conditional post-state must equal the outcome's projector within
-    1e-8.  The measurement must be one the report realizes.
+    For every sample state and every outcome with probability above
+    POSTULATE_FLOOR, the conditional post-state must equal the outcome's
+    projector within POSTULATE_ATOL.  The measurement must be one the
+    report realizes.
     """
     record = next(
         (
@@ -431,7 +430,8 @@ def verify_projection_postulate(
     ops = kraus_operators(report.processor, ProgramState.pure(record.program_state))[0]
     return all(
         _post_states_match(
-            ops, record.slot_map, measurement.projectors, np.asarray(rho, dtype=complex), 1e-10
+            ops, record.slot_map, measurement.projectors, np.asarray(rho, dtype=complex),
+            POSTULATE_FLOOR,
         )
         for rho in samples
     )
@@ -447,9 +447,7 @@ class FeasibilityViolation:
     row: int | None = None
 
 
-def feasibility_table_check(
-    columns: list[VonNeumannMeasurement], tol: float = ATOL
-) -> list[FeasibilityViolation]:
+def feasibility_table_check(columns: list[VonNeumannMeasurement]) -> list[FeasibilityViolation]:
     """Necessary conditions for realizing the columns with a d-size program.
 
     Checks that outcome-paired vectors of different columns are orthogonal
@@ -469,8 +467,8 @@ def feasibility_table_check(
     flat = np.array([m.projectors for m in columns]).reshape(n * d, d * d)
     # overlaps[a, k, b, l] = Tr(P_ak P_bl); the projectors are Hermitian
     overlaps = (flat @ flat.conj().T).real.reshape(n, d, n, d)
-    rows = np.einsum("akbk->abk", overlaps) > tol
-    matches = overlaps > 1.0 - tol
+    rows = np.einsum("akbk->abk", overlaps) > ATOL
+    matches = overlaps > 1.0 - ATOL
     violations = []
     for a, b in zip(*np.triu_indices(n, 1)):
         a, b = int(a), int(b)
@@ -520,7 +518,7 @@ def search_coprogrammable_pair(
             v = comp @ (coeff / np.linalg.norm(coeff))
             candidate.append(v)
         candidate = np.array(candidate)
-        if np.max(np.abs(candidate.conj() @ candidate.T - np.eye(dim))) > 1e-8:
+        if np.max(np.abs(candidate.conj() @ candidate.T - np.eye(dim))) > SEARCH_TOL:
             continue
         second = VonNeumannMeasurement.from_basis(candidate)
         if not feasibility_table_check([first, second]):
@@ -553,9 +551,9 @@ def search_extra_relaxed_program(
     for _ in range(trials):
         v = rng.normal(size=proc.program_dim) + 1j * rng.normal(size=proc.program_dim)
         v /= np.linalg.norm(v)
-        if np.max(np.abs(v)) > 1.0 - 1e-6:
+        if np.max(np.abs(v)) > SUPERPOSED_MAX_AMPLITUDE:
             continue
         ops = kraus_operators(proc, ProgramState.pure(v))[0]
-        if _rank_one_pvm_defect(ops.conj().transpose(0, 2, 1) @ ops, 1e-8) is None:
+        if _rank_one_pvm_defect(ops.conj().transpose(0, 2, 1) @ ops, SEARCH_TOL) is None:
             hits.append(v)
     return ExtraProgramSearchResult(trials=trials, hits=tuple(hits))

@@ -189,10 +189,7 @@ def test_criterion_7_padded_synthesis():
                     got = np.trace(dag(ops[slot]) @ ops[slot] @ rho).real
                     expected = np.trace(m.projectors[j] @ rho).real
                     assert abs(got - expected) < 1e-10
-    eye3 = np.eye(3, dtype=complex)
-    assign = SlotAssignment(
-        program_dim=3, program_states=(eye3[0], eye3[1]), slot_maps=((0, 1), (1, 2))
-    )
+    assign = SlotAssignment(slot_maps=((0, 1), (1, 2)))
     with pytest.raises(IsometryViolationError) as err:
         build_orthogonal_processor(assign, [SZ, SX])
     assert (err.value.first, err.value.second, 1 in err.value.slots) == (0, 1, True)

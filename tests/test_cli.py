@@ -230,6 +230,16 @@ class TestReconstruct:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("kind", ["outcome_counts", "probabilities"])
+    def test_negative_or_non_finite_tol_exits_2(self, tmp_path, capsys, tol, kind):
+        data = write_json(tmp_path, "d.json", {kind: [0.25, 0.25, 0.25, 0.25]})
+        code, out = run(tmp_path, "reconstruct", data, sic_povm_file(tmp_path), "--tol", tol)
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "residual tolerance" in err and tol.lstrip("-") in err
+
     def test_pvm_input_exits_3_naming_rank(self, tmp_path, capsys):
         pvm = write_json(
             tmp_path,

@@ -8,7 +8,6 @@ from mapproc.processor import (
     Processor,
     ProgramState,
     induced_povm,
-    is_trivial_povm,
     kraus_operators,
     outcome_probabilities,
     post_measurement_state,
@@ -21,7 +20,6 @@ from mapproc.qid import (
     pauli_measurement_program,
     program_basis_state,
     sic_program,
-    unitary_program,
 )
 from mapproc.sampling import haar_unitary, random_density_operator, random_pure_state
 from mapproc.vnmeas import SlotAssignment, VonNeumannMeasurement
@@ -64,11 +62,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="normalized"):
             ProgramState(components=((1.0, np.array([1.0, 1.0])),))
 
-    def test_from_density_recovers_mixture(self):
-        xi = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
-        ps = ProgramState.from_density(xi)
-        assert np.allclose(ps.density(), xi, atol=1e-12)
-
     def test_partition_blocks_must_be_disjoint(self):
         with pytest.raises(ValueError, match="two blocks"):
             OutcomePartition(blocks=((0, 1), (1, 2)))
@@ -87,11 +80,11 @@ class TestValidation:
             lambda: Processor(
                 data_dim=1, program_dim=2, gate=np.eye(2), program_basis=[[1, 0], [0, np.nan]]
             ),
-            lambda: SlotAssignment(program_dim=2, program_states=[[np.nan, 0]], slot_maps=((0,),)),
+            lambda: SlotAssignment(slot_maps=((np.nan,),)),
             lambda: VonNeumannMeasurement(projectors=[np.diag([1, 0]), np.diag([0, np.nan])]),
             lambda: validate_povm([np.diag([np.nan, 0.5]), np.diag([0.0, 0.5])]),
         ],
-        ids=["qid-program", "program-weight", "program-basis", "slot-states", "projector", "povm"],
+        ids=["qid-program", "program-weight", "program-basis", "slot-maps", "projector", "povm"],
     )
     def test_nan_is_refused(self, build):
         with pytest.raises(ValueError):  # InvalidPovmError is a ValueError
@@ -191,6 +184,10 @@ class TestOutcomeProbabilities:
                 outcome_probabilities(np.eye(2) / 2, [np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
             with pytest.raises(InvalidPovmError):
                 outcome_probabilities(np.eye(2) / 2, [1.0])
+            with pytest.raises(InvalidPovmError):
+                outcome_probabilities(np.eye(2) / 2, [[[1, 0], [0]]])
+            with pytest.raises(InvalidPovmError):
+                outcome_probabilities(np.eye(2) / 2, np.zeros((1, 0, 0)))
 
     def test_in_place_edit_is_checked_again(self, sic_elements):
         povm = np.array(sic_elements)
@@ -281,21 +278,3 @@ class TestSampling:
         sigma = np.sqrt(n * 0.25 * 0.75)
         assert np.all(np.abs(counts - n / 4) < 5 * sigma)
         assert counts.sum() == n
-
-
-class TestTrivialPovm:
-    def test_uniform_trivial(self):
-        cs = is_trivial_povm([np.eye(2) / 4] * 4)
-        assert np.allclose(cs, 0.25, atol=1e-14)
-
-    def test_sic_is_not_trivial(self, sic_elements):
-        assert is_trivial_povm(sic_elements) is None
-
-    def test_unitary_program_yields_trivial_povm(self, qid_proc):
-        program = unitary_program(np.array([0.3, -1.1, 0.4]))
-        povm = induced_povm(
-            qid_proc, program.program_state(), OutcomePartition.finest(4)
-        )
-        cs = is_trivial_povm(povm)
-        assert cs is not None
-        assert np.allclose(cs, 0.25, atol=1e-10)

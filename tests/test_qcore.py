@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 from mapproc.qcore import (
     bell_anchor,
     bloch_expand,
-    is_projector,
     is_unitary,
-    partial_trace,
     pauli,
     tensor,
     trace_distance,
@@ -35,45 +33,6 @@ class TestTensor:
     def test_sigma_z_squared_diagonal(self):
         # hand expansion: diag(1,-1) (x) diag(1,-1)
         assert np.allclose(tensor(pauli(3), pauli(3)), np.diag([1, -1, -1, 1]))
-
-
-class TestPartialTrace:
-    def test_bell_reduction_is_maximally_mixed(self):
-        v = bell_anchor()
-        rho = np.outer(v, v.conj())
-        for keep in (0, 1):
-            assert np.allclose(partial_trace(rho, (2, 2), keep), np.eye(2) / 2, atol=1e-12)
-
-    def test_product_state_factorizes(self):
-        rho = np.array([[0.25, 0.1], [0.1, 0.75]], dtype=complex)
-        xi = np.array([[0.5, 0.4j], [-0.4j, 0.5]], dtype=complex)
-        assert np.allclose(partial_trace(tensor(rho, xi), (2, 2), 0), rho, atol=1e-12)
-        assert np.allclose(partial_trace(tensor(rho, xi), (2, 2), 1), xi, atol=1e-12)
-
-    def test_reduction_of_density_operator_is_density_operator(self):
-        # eigensolver oracle on seeded random inputs
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            rho = g @ g.conj().T
-            rho /= np.trace(rho).real
-            red = partial_trace(rho, (2, 2), 0)
-            assert abs(np.trace(red).real - 1.0) < 1e-12
-            assert np.linalg.eigvalsh(red).min() > -1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            partial_trace(np.eye(6), (2, 2), 0)
-
-    @given(finite, finite)
-    @settings(max_examples=30)
-    def test_linearity(self, s, t):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        lhs = partial_trace(s * a + t * b, (2, 2), 1)
-        rhs = s * partial_trace(a, (2, 2), 1) + t * partial_trace(b, (2, 2), 1)
-        assert np.allclose(lhs, rhs, atol=1e-10)
 
 
 class TestPauli:
@@ -147,15 +106,11 @@ class TestStructureChecks:
     def test_sigma_y_unitary(self):
         assert is_unitary(pauli(2))
 
-    def test_plus_projector(self):
-        assert is_projector(0.5 * (np.eye(2) + pauli(1)))
-
     def test_tetrahedron_element_is_not_a_projector(self):
         f0 = 0.25 * (np.eye(2) + (pauli(1) + pauli(2) + pauli(3)) / np.sqrt(3))
         # eigensolver oracle: spectrum is {0, 1/2}, not {0, 1}
         evals = np.sort(np.linalg.eigvalsh(f0))
         assert np.allclose(evals, [0.0, 0.5], atol=1e-12)
-        assert not is_projector(f0)
 
     def test_non_square_raises(self):
         with pytest.raises(ValueError):

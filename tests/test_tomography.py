@@ -203,6 +203,22 @@ class TestReconstructFromCounts:
             reconstruct_from_counts(np.zeros(4, dtype=int), sic_elements)
 
 
+# each check passes only when within its bound, and NaN is within none
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: reconstruct([np.nan, 0.25, 0.25, 0.5], f),
+        lambda f: reconstruct_from_counts([np.nan, 1, 1, 1], f),
+        lambda f: reconstruct_from_probabilities(np.full(4, 0.25), f, residual_tol=np.nan),
+        lambda f: reconstruct_from_counts([1, 1, 1, 1], f, residual_tol=-1.0),
+    ],
+    ids=["probabilities", "counts", "nan-tolerance", "negative-tolerance"],
+)
+def test_nan_or_negative_input_is_refused(sic_elements, call):
+    with pytest.raises(ValueError):
+        call(sic_elements)
+
+
 def scaled_tetrahedron(eps):
     """Tetrahedron POVM whose Bloch vectors have their z-parts scaled by eps.
 
@@ -266,6 +282,6 @@ def test_project_to_state_satisfies_the_optimality_condition(d, seed):
     estimate = (g + g.conj().T) * rng.uniform(0.05, 1.0)
     estimate += (1.0 - np.trace(estimate).real) / d * np.eye(d)
     rho = project_to_state(estimate)
-    assert is_density_operator(rho, tol=1e-10)
+    assert is_density_operator(rho)
     gradient = rho - estimate
     assert abs(np.linalg.eigvalsh(gradient).min() - np.trace(gradient @ rho).real) < 1e-10

@@ -144,11 +144,8 @@ class TestPadding:
 
 class TestBuildOrthogonalProcessor:
     def test_single_measurement_identity_slots(self):
-        assign = SlotAssignment(
-            program_dim=2,
-            program_states=(np.array([1, 0], dtype=complex),),
-            slot_maps=((0, 1),),
-        )
+        assign = SlotAssignment(slot_maps=((0, 1),))
+        assert assign.program_dim == 2
         report = build_orthogonal_processor(assign, [SZ])
         assert report.unitary
         # one program state in a two-dimensional program space leaves a
@@ -169,12 +166,8 @@ class TestBuildOrthogonalProcessor:
                 assert np.allclose(rec.realized_povm[slot], m.projectors[j], atol=1e-10)
 
     def test_overlapping_slots_are_infeasible(self):
-        eye3 = np.eye(3, dtype=complex)
-        assign = SlotAssignment(
-            program_dim=3,
-            program_states=(eye3[0], eye3[1]),
-            slot_maps=((0, 1), (1, 2)),
-        )
+        assign = SlotAssignment(slot_maps=((0, 1), (1, 2)))
+        assert assign.program_dim == 3
         with pytest.raises(IsometryViolationError) as err:
             build_orthogonal_processor(assign, [SZ, SX])
         assert (err.value.first, err.value.second) == (0, 1)
@@ -196,9 +189,7 @@ class TestBuildOrthogonalProcessor:
 
 
     def test_slot_map_must_cover_every_outcome(self):
-        assign = SlotAssignment(
-            program_dim=3, program_states=(np.eye(3)[0],), slot_maps=((0,),)
-        )
+        assign = SlotAssignment(slot_maps=((0,),))
         with pytest.raises(ValueError, match="needs 2 slots"):
             build_orthogonal_processor(assign, [SZ])
 
@@ -396,8 +387,7 @@ def test_dataclass_arrays_are_read_only():
     assert measurement.projectors[0, 0, 0] == 1
     assign = pad_with_zero_slots([SZ, SX])
     qid = qid_povm(sic_program())
-    arrays = [measurement.projectors, assign.program_states,
-              qid.elements, qid.program_operator, qid.anchor_bloch]
+    arrays = [measurement.projectors, qid.elements, qid.program_operator, qid.anchor_bloch]
     padded = build_orthogonal_processor(assign, [SZ, SX])
     relaxed = relaxed_pvm_processor([SZ, SX])
     for record in padded.measurements + relaxed.measurements:
