@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from . import qid, serialize, tomography, vnmeas
-from .processor import InvalidPovmError, sample_outcomes
+from .processor import sample_outcomes
 from .qcore import is_density_operator
 from .tomography import InconsistentProbabilitiesError, UnderdeterminedPovmError
 from .vnmeas import IsometryViolationError
@@ -241,7 +241,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 2
     try:
-        return args.handler(args)
+        # an overflow or NaN on the way is malformed input, not a warning
+        with np.errstate(over="raise", invalid="raise"):
+            return args.handler(args)
     except (
         UnderdeterminedPovmError,
         InconsistentProbabilitiesError,
@@ -251,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (
-        ValueError, InvalidPovmError, OSError, KeyError, TypeError, IndexError, OverflowError
+        ValueError, OSError, KeyError, TypeError, IndexError, OverflowError, FloatingPointError
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

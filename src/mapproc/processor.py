@@ -9,6 +9,7 @@ outcome indices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,8 +41,8 @@ class ImpossibleOutcomeError(ValueError):
         self.probability = probability
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex)
+def _freeze(a: np.ndarray, dtype: type = complex) -> np.ndarray:
+    out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -85,45 +86,39 @@ class Processor:
 
 @dataclass(frozen=True)
 class ProgramState:
-    """Program-register state as a convex mixture of pure components.
+    """Program-register state as a convex mixture of pure states.
 
-    ``components`` holds (weight, state vector) pairs; the weights sum to 1
-    and each vector is normalized.  A pure program is a single component.
+    ``weights`` is a (c,) array of weights summing to 1 and row c of the
+    (c, program_dim) array ``vectors`` is the normalized state of weight
+    ``weights[c]``; both are read-only copies.  A pure program is one row.
     """
 
-    components: tuple[tuple[float, np.ndarray], ...]
+    weights: np.ndarray
+    vectors: np.ndarray
 
     def __post_init__(self):
-        if not self.components:
-            raise ValueError("program state needs at least one component")
-        total = 0.0
-        frozen = []
-        dim = len(np.asarray(self.components[0][1]))
-        for w, v in self.components:
-            v = np.asarray(v, dtype=complex)
-            if v.ndim != 1 or len(v) != dim:
-                raise ValueError("program components must share one dimension")
+        weights, vectors = _freeze(self.weights, float), _freeze(self.vectors)
+        if weights.ndim != 1 or vectors.ndim != 2 or not 0 < len(weights) == len(vectors):
+            raise ValueError("program state needs (c,) weights and (c, dp) vectors, c > 0")
+        total = 0.0  # scalar checks per row beat array reductions on so few rows
+        for w, v in zip(weights.tolist(), vectors):
             if not -ATOL <= w <= 1 + ATOL:
                 raise ValueError(f"component weight {w} outside [0, 1]")
-            if not abs(np.linalg.norm(v) - 1.0) <= ATOL:
+            if not abs(math.sqrt(np.vdot(v, v).real) - 1.0) <= ATOL:
                 raise ValueError("program component states must be normalized")
             total += w
-            frozen.append((float(w), _freeze(v)))
         if not abs(total - 1.0) <= ATOL:
             raise ValueError(f"component weights sum to {total}, expected 1")
-        object.__setattr__(self, "components", tuple(frozen))
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "vectors", vectors)
 
     @classmethod
     def pure(cls, state: np.ndarray) -> "ProgramState":
-        return cls(components=((1.0, np.asarray(state, dtype=complex)),))
+        return cls(weights=(1.0,), vectors=(state,))
 
     @property
     def dim(self) -> int:
-        return len(self.components[0][1])
-
-    def density(self) -> np.ndarray:
-        weights, states = zip(*self.components)
-        return np.einsum("c,ci,cj->ij", weights, states, np.conj(states))
+        return self.vectors.shape[1]
 
 
 @dataclass(frozen=True)
@@ -173,13 +168,21 @@ class InducedInstrument:
     povm: np.ndarray
 
 
+def _branches(proc: Processor, rows: np.ndarray) -> np.ndarray:
+    """Branches [c, k] = (I (x) <k|) gate (I (x) |rows[c]>) of (c, program_dim) rows."""
+    d, dp = proc.data_dim, proc.program_dim
+    contracted = proc.gate.reshape(d, dp, d, dp) @ rows.T  # [i, m, j, c]
+    branched = proc.program_basis.conj() @ contracted.reshape(d, dp, -1)  # [i, k, (j, c)]
+    return branched.reshape(d, dp, d, -1).transpose(3, 1, 0, 2)
+
+
 def kraus_operators(proc: Processor, program: ProgramState) -> np.ndarray:
     """Extract the Kraus operators induced by a program state.
 
-    Returns a (components, program_dim, d, d) array whose entry [c, k] is
-    sqrt(w_c) times the gate contracted with <k| on the program output and
-    the component state on the program input, so the squared operators
-    sum to the identity over both leading axes.  Weights are clipped at 0,
+    Returns a (c, program_dim, d, d) array whose entry [c, k] is sqrt(w_c)
+    times the gate contracted with <k| on the program output and row c of
+    ``program.vectors`` on the program input, so the squared operators sum
+    to the identity over both leading axes.  Weights are clipped at 0,
     since ProgramState admits rounding dust down to -ATOL.
     """
     if program.dim != proc.program_dim:
@@ -187,11 +190,8 @@ def kraus_operators(proc: Processor, program: ProgramState) -> np.ndarray:
             f"program dimension {program.dim} does not match processor "
             f"program_dim {proc.program_dim}"
         )
-    d, dp = proc.data_dim, proc.program_dim
-    weights, states = zip(*program.components)
-    inputs = np.sqrt(np.clip(weights, 0.0, None))[:, None] * np.array(states)
-    contracted = proc.gate.reshape(d, dp, d, dp) @ inputs.T
-    return np.einsum("km,imjc->ckij", proc.program_basis.conj(), contracted)
+    rows = np.sqrt(np.maximum(program.weights, 0.0))[:, None] * program.vectors
+    return _branches(proc, rows)
 
 
 def induced_instrument(

@@ -62,15 +62,6 @@ def is_unitary(m: np.ndarray) -> bool:
     return bool(np.max(np.abs(dag(m) @ m - np.eye(m.shape[0]))) <= ATOL)
 
 
-def identity_multiple(m: np.ndarray) -> complex | None:
-    """Return c = Tr(m)/d when m equals c*I within ATOL (max-norm), else None."""
-    m = np.asarray(m, dtype=complex)
-    c = np.trace(m) / m.shape[0]
-    if not np.max(np.abs(m - c * np.eye(m.shape[0]))) <= ATOL:
-        return None
-    return c
-
-
 def is_density_operator(m: np.ndarray, tol: float = ATOL) -> bool:
     """Hermitian, unit trace, and no eigenvalue below -tol."""
     m = np.asarray(m, dtype=complex)

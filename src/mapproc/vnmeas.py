@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import ATOL, dag, identity_multiple
-from .processor import PROB_FLOOR, Processor, ProgramState, _freeze, kraus_operators
+from .qcore import ATOL, dag
+from .processor import PROB_FLOOR, Processor, _branches, _freeze
 from .sampling import as_generator, random_rank_one_measurement
 
 # A post-measurement state matches its projector within POSTULATE_ATOL;
@@ -106,6 +106,20 @@ class VonNeumannMeasurement:
         return v * (pivot.conjugate() / abs(pivot))
 
 
+def _pair_sums(left: np.ndarray, right: np.ndarray, d: int, scalars: np.ndarray | None = None):
+    """Blocks S_ab = sum_k A^a_k^dagger B^b_k of the one product dag(left) @ right.
+
+    Column (a, j) of an image stacks A^a_k e_j over the outcomes k.  Returns the
+    (n_left, n_right, d, d) blocks, their scalars (Tr(S_ab)/d unless given) and
+    the first pair, row-major, whose block is not scalars[a, b] * I within ATOL.
+    """
+    s = dag(left) @ right
+    s = s.reshape(len(s) // d, d, -1, d).swapaxes(1, 2)
+    k = np.trace(s, axis1=2, axis2=3) / d if scalars is None else scalars
+    bad = np.argwhere(~(np.abs(s - k[..., None, None] * np.eye(d)).max(axis=(2, 3)) <= ATOL))
+    return s, k, (int(bad[0][0]), int(bad[0][1])) if len(bad) else None
+
+
 def kraus_compatibility(ops_a: np.ndarray, ops_b: np.ndarray) -> tuple[np.ndarray, complex | None]:
     """Evaluate sum_j A_j^dagger B_j for two outcome-paired operator families.
 
@@ -123,8 +137,9 @@ def kraus_compatibility(ops_a: np.ndarray, ops_b: np.ndarray) -> tuple[np.ndarra
         raise ValueError("paired operators must share one dimension") from exc
     if a.ndim != 3 or a.shape != b.shape or a.shape[1] != a.shape[2]:
         raise ValueError("paired operators must share one dimension")
-    s = np.einsum("kji,kjl->il", a.conj(), b)
-    return s, identity_multiple(s)
+    d = a.shape[1]
+    s, k, bad = _pair_sums(a.reshape(-1, d), b.reshape(-1, d), d)
+    return s[0, 0], None if bad else k[0, 0]
 
 
 def coprogram_condition(
@@ -151,9 +166,8 @@ def coprogram_condition(
         if n1 != n2:
             raise ValueError("index pairing needs equal outcome counts")
         pairing = [(j, j) for j in range(n1)]
-    if weights is None:
-        weights = [1.0] * len(pairing)
-    if len(weights) != len(pairing):
+    w = np.ones(len(pairing)) if weights is None else np.asarray(weights, dtype=float)
+    if len(w) != len(pairing):
         raise ValueError("weights must match the pairing length")
     pairs = np.array(pairing, dtype=int).reshape(len(pairing), 2)
     i, j = pairs.T
@@ -161,8 +175,7 @@ def coprogram_condition(
     if outside.any():
         t = int(np.argmax(outside))
         raise ValueError(f"pairing ({i[t]}, {j[t]}) outside the outcome ranges")
-    s = np.einsum("t,tab,tbc->ac", weights, m1.projectors[i], m2.projectors[j])
-    return s, identity_multiple(s)
+    return kraus_compatibility(m1.projectors[i], w[:, None, None] * m2.projectors[j])
 
 
 @dataclass(frozen=True)
@@ -260,16 +273,14 @@ def _check_isometry(image: np.ndarray, padded: np.ndarray) -> None:
     """Raise IsometryViolationError unless image^dagger image = I.
 
     Block (a, b) of the Gram matrix is sum_k padded[a, k]^dagger padded[b, k];
-    the first failing block in row-major order is reported with the slots
-    whose cross terms do not vanish.
+    the first block in row-major order that is not delta_ab * I is reported
+    with the slots whose cross terms do not vanish.
     """
     n, _, d, _ = padded.shape
-    gram = dag(image) @ image
-    defect = np.abs(gram - np.eye(n * d)).reshape(n, d, n, d).max(axis=(1, 3))
-    bad = np.argwhere(defect > ATOL)
-    if len(bad) == 0:
+    _, _, bad = _pair_sums(image, image, d, np.eye(n))
+    if bad is None:
         return
-    a, b = (int(x) for x in bad[0])
+    a, b = bad
     slots: tuple[int, ...] = ()
     if a != b:
         cross = np.einsum("kri,krj->kij", padded[a].conj(), padded[b])
@@ -281,24 +292,24 @@ def _post_states_match(
     ops: np.ndarray,
     slot_map: tuple[int, ...],
     projectors: np.ndarray,
-    rho: np.ndarray,
+    rhos: np.ndarray,
     floor: float,
 ) -> bool:
-    """Projection postulate on one input state.
+    """Projection postulate on an (s, d, d) stack of input states.
 
-    Every processor outcome k with probability Tr(A_k rho A_k^dagger) above
-    ``floor`` must leave the data in the projector of the measurement
-    outcome placed in slot k.  Slots outside the slot map target the zero
-    operator, which no unit-trace post-state matches, so a likely outcome
-    there fails.
+    For every rho, each processor outcome k with probability
+    Tr(A_k rho A_k^dagger) above ``floor`` must leave the data in the
+    projector of the measurement outcome placed in slot k.  Slots outside
+    the slot map target the zero operator, which no unit-trace post-state
+    matches, so a likely outcome there fails.
     """
-    branches = ops @ rho @ ops.conj().transpose(0, 2, 1)
-    p = np.trace(branches, axis1=1, axis2=2).real
-    target = np.zeros_like(branches)
+    branches = ops @ rhos[:, None] @ ops.conj().transpose(0, 2, 1)
+    p = np.trace(branches, axis1=2, axis2=3).real
+    target = np.zeros(ops.shape, dtype=complex)
     target[list(slot_map)] = projectors
-    live = p > floor
-    posts = branches[live] / p[live, None, None]
-    return bool(np.all(np.abs(posts - target[live]) <= POSTULATE_ATOL))
+    live, k = np.nonzero(p > floor)
+    posts = branches[live, k] / p[live, k, None, None]
+    return bool(np.all(np.abs(posts - target[k]) <= POSTULATE_ATOL))
 
 
 def _synthesize(
@@ -322,28 +333,28 @@ def _synthesize(
     domain = np.einsum("ij,am->jmai", np.eye(d), states).reshape(d * dp, n * d)
     gate = image @ dag(domain) + _complement(image) @ dag(_complement(domain))
     proc = Processor(data_dim=d, program_dim=dp, gate=gate)
-    mixed = np.eye(d, dtype=complex) / d
-    records = []
-    for a, m in enumerate(measurements):
-        ops = kraus_operators(proc, ProgramState.pure(states[a]))[0]
-        realized = ops.conj().transpose(0, 2, 1) @ ops
-        wanted = padded[a].conj().transpose(0, 2, 1) @ padded[a]
-        records.append(
-            MeasurementRealization(
-                index=a,
-                projectors=m.projectors,
-                program_state=states[a],
-                slot_map=slot_maps[a],
-                realized_povm=realized,
-                realized=bool(np.max(np.abs(realized - wanted)) <= REALIZED_ATOL),
-                postulate_compliant=_post_states_match(
-                    ops, slot_maps[a], m.projectors, mixed, PROB_FLOOR
-                ),
-                relabeling=relabelings[a],
-            )
+    ops = _branches(proc, states)
+    realized = ops.conj().swapaxes(2, 3) @ ops
+    wanted = padded.conj().swapaxes(2, 3) @ padded
+    exact = np.abs(realized - wanted).max(axis=(1, 2, 3)) <= REALIZED_ATOL
+    mixed = np.eye(d, dtype=complex)[None] / d
+    records = tuple(
+        MeasurementRealization(
+            index=a,
+            projectors=m.projectors,
+            program_state=states[a],
+            slot_map=slot_maps[a],
+            realized_povm=realized[a],
+            realized=bool(exact[a]),
+            postulate_compliant=_post_states_match(
+                ops[a], slot_maps[a], m.projectors, mixed, PROB_FLOOR
+            ),
+            relabeling=relabelings[a],
         )
+        for a, m in enumerate(measurements)
+    )
     return SynthesisReport(
-        processor=proc, unitary=True, completion_used=dp > n, measurements=tuple(records)
+        processor=proc, unitary=True, completion_used=dp > n, measurements=records
     )
 
 
@@ -416,24 +427,16 @@ def verify_projection_postulate(
     projector within POSTULATE_ATOL.  The measurement must be one the
     report realizes.
     """
-    record = next(
-        (
-            rec
-            for rec in report.measurements
-            if rec.projectors.shape == measurement.projectors.shape
-            and np.max(np.abs(rec.projectors - measurement.projectors)) <= POSTULATE_ATOL
-        ),
-        None,
-    )
-    if record is None:
+    for record in report.measurements:
+        same = record.projectors.shape == measurement.projectors.shape
+        if same and np.max(np.abs(record.projectors - measurement.projectors)) <= POSTULATE_ATOL:
+            break
+    else:
         raise ValueError("measurement is not realized by this report")
-    ops = kraus_operators(report.processor, ProgramState.pure(record.program_state))[0]
-    return all(
-        _post_states_match(
-            ops, record.slot_map, measurement.projectors, np.asarray(rho, dtype=complex),
-            POSTULATE_FLOOR,
-        )
-        for rho in samples
+    ops = _branches(report.processor, record.program_state[None])[0]
+    rhos = np.asarray(samples, dtype=complex)
+    return not len(rhos) or _post_states_match(
+        ops, record.slot_map, measurement.projectors, rhos, POSTULATE_FLOOR
     )
 
 
@@ -553,7 +556,7 @@ def search_extra_relaxed_program(
         v /= np.linalg.norm(v)
         if np.max(np.abs(v)) > SUPERPOSED_MAX_AMPLITUDE:
             continue
-        ops = kraus_operators(proc, ProgramState.pure(v))[0]
+        ops = _branches(proc, v[None])[0]
         if _rank_one_pvm_defect(ops.conj().transpose(0, 2, 1) @ ops, SEARCH_TOL) is None:
             hits.append(v)
     return ExtraProgramSearchResult(trials=trials, hits=tuple(hits))

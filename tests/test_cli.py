@@ -481,6 +481,19 @@ def test_fuzzed_inputs_exit_cleanly(command, data):
             strict_json(out.read_text(encoding="utf-8"))
 
 
+# finite documents whose numbers overflow on the way
+_HUGE = {
+    "huge-program": {"alpha": [[1e200, 0], [1e200, 0], [0, 0], [0, 0]]},
+    "huge-amplitude": {"measurements": [_SX, {"dim": 2, "basis": [
+        {"dim": 2, "amp": [[1e200, 0], [0, 0]]}, {"dim": 2, "amp": [[0, 0], [1, 0]]},
+    ]}]},
+    "huge-projector": {"measurements": [_SX, {"dim": 2, "projectors": [
+        serialize.encode_operator(np.diag([1e300, 0])), serialize.encode_operator(np.diag([0, 1])),
+    ]}]},
+    "two-z": {"measurements": [_SZ, _SZ]},
+}
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "argv",
@@ -495,12 +508,22 @@ def test_fuzzed_inputs_exit_cleanly(command, data):
         # 2 qubit measurements fit in 4 slots; a larger index would ask for a larger gate
         ["vn-synth", ("measurements",), "--slots", "[[0,1],[2,4]]"],
         ["vn-synth", ("measurements",), "--slots", "[[0,1],[2,40]]"],
+        ["qid-povm", ("huge-program",)],
+        ["vn-synth", ("huge-amplitude",)],
+        ["vn-relaxed", ("huge-amplitude",)],
+        ["vn-synth", ("huge-projector",)],
+        ["vn-relaxed", ("huge-projector",)],
+        # S = 1e308 I overflows its trace
+        ["vn-check", ("two-z",), "--pairing", "[[0,0],[1,1]]", "--weights", "[1e308, 1e308]"],
     ],
 )
 def test_non_integer_index_or_non_finite_flag_exits_2(tmp_path, capsys, argv):
     # warnings are errors here, so a numpy warning on the way also fails
-    ms = write_json(tmp_path, "ms.json", DOCUMENTS["measurements"])
-    code, out = run(tmp_path, *[ms if isinstance(arg, tuple) else arg for arg in argv])
+    docs = {**DOCUMENTS, **_HUGE}
+    code, out = run(tmp_path, *[
+        write_json(tmp_path, f"{arg[0]}.json", docs[arg[0]]) if isinstance(arg, tuple) else arg
+        for arg in argv
+    ])
     assert code == 2
     assert not out.exists()
     err = capsys.readouterr().err

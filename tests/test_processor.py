@@ -27,7 +27,9 @@ from mapproc.vnmeas import SlotAssignment, VonNeumannMeasurement
 
 def dilated_probabilities(proc, program, rho, partition):
     """Independent oracle: Tr[(I (x) Q_a) G (rho (x) xi) G^dagger]."""
-    xi = program.density()
+    xi = sum(
+        w * np.outer(v, v.conj()) for w, v in zip(program.weights, program.vectors)
+    )
     big = proc.gate @ tensor(rho, xi) @ dag(proc.gate)
     probs = []
     for block in partition.blocks:
@@ -56,11 +58,24 @@ class TestValidation:
     def test_program_state_weights_must_sum_to_one(self):
         e = np.eye(2, dtype=complex)
         with pytest.raises(ValueError, match="sum"):
-            ProgramState(components=((0.5, e[0]), (0.4, e[1])))
+            ProgramState(weights=[0.5, 0.4], vectors=e)
 
     def test_program_state_components_normalized(self):
         with pytest.raises(ValueError, match="normalized"):
-            ProgramState(components=((1.0, np.array([1.0, 1.0])),))
+            ProgramState(weights=[1.0], vectors=[[1.0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "weights, vectors",
+        [
+            ([1.0], [1.0, 0.0]),
+            ([0.5, 0.5], [[1.0, 0.0]]),
+            ([], np.zeros((0, 2))),
+        ],
+        ids=["one-dimensional-vectors", "length-mismatch", "no-rows"],
+    )
+    def test_program_state_arrays_are_checked(self, weights, vectors):
+        with pytest.raises(ValueError):
+            ProgramState(weights=weights, vectors=vectors)
 
     def test_partition_blocks_must_be_disjoint(self):
         with pytest.raises(ValueError, match="two blocks"):
@@ -76,7 +91,7 @@ class TestValidation:
         "build",
         [
             lambda: QidProgram(amplitudes=[np.nan, 0, 0, 0]),
-            lambda: ProgramState(components=((np.nan, np.array([1.0, 0.0])),)),
+            lambda: ProgramState(weights=[np.nan], vectors=[[1.0, 0.0]]),
             lambda: Processor(
                 data_dim=1, program_dim=2, gate=np.eye(2), program_basis=[[1, 0], [0, np.nan]]
             ),
@@ -135,7 +150,7 @@ class TestInducedPovm:
     def test_maximally_mixed_program_gives_trivial_povm(self, qid_proc):
         # direct summation over the four Bell-like components of I/4
         program = ProgramState(
-            components=tuple((0.25, program_basis_state(k)) for k in range(4))
+            weights=np.full(4, 0.25), vectors=[program_basis_state(k) for k in range(4)]
         )
         povm = induced_povm(qid_proc, program, OutcomePartition.finest(4))
         for f in povm:

@@ -22,9 +22,17 @@ from mapproc.sampling import (
     haar_unitary,
     random_density_operator,
     random_pure_state,
+    random_rank_one_measurement,
 )
 from mapproc.tomography import Tomographer, UnderdeterminedPovmError, is_informationally_complete
-from mapproc.vnmeas import VonNeumannMeasurement, feasibility_table_check, kraus_compatibility
+from mapproc.vnmeas import (
+    VonNeumannMeasurement,
+    build_orthogonal_processor,
+    feasibility_table_check,
+    kraus_compatibility,
+    pad_with_zero_slots,
+    relaxed_pvm_processor,
+)
 
 dims = st.integers(min_value=2, max_value=5)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -46,7 +54,7 @@ def random_mixed_program(dp, rng):
     if rng.random() < 0.3:
         weights.append(-1e-12)
     return ProgramState(
-        components=tuple((float(w), random_pure_state(dp, rng)) for w in weights)
+        weights=weights, vectors=[random_pure_state(dp, rng) for _ in weights]
     )
 
 
@@ -73,7 +81,7 @@ def test_mixed_program_kraus_operators_are_trace_preserving(d, dp, seed):
     rng = np.random.default_rng(seed)
     program = random_mixed_program(dp, rng)
     ops = kraus_operators(random_processor(d, dp, rng), program)
-    assert ops.shape == (len(program.components), dp, d, d)
+    assert ops.shape == (len(program.weights), dp, d, d)
     total = sum(dag(a) @ a for a in ops.reshape(-1, d, d))
     assert np.max(np.abs(total - np.eye(d))) < 1e-10
 
@@ -91,7 +99,7 @@ def test_induced_povms_are_psd_and_complete(d, dp, seed):
     assert np.linalg.eigvalsh(inst.povm).min() > -1e-10
     assert np.max(np.abs(inst.povm.sum(axis=0) - np.eye(d))) < 1e-10
     for block, branch, element in zip(partition.blocks, inst.branches, inst.povm):
-        assert branch.shape == (len(program.components) * len(block), d, d)
+        assert branch.shape == (len(program.weights) * len(block), d, d)
         assert np.max(np.abs(sum(dag(a) @ a for a in branch) - element)) < 1e-10
 
 
@@ -171,6 +179,23 @@ def test_kraus_compatibility_is_the_pairwise_sum(d, dp, seed):
     g = rng.normal(size=(dp, d, d)) + 1j * rng.normal(size=(dp, d, d))
     s, _ = kraus_compatibility(list(ops_a), list(g))
     assert np.max(np.abs(s - sum(dag(a) @ b for a, b in zip(ops_a, g)))) < 1e-12
+
+
+@SETTINGS
+@given(st.integers(min_value=2, max_value=4), st.integers(min_value=1, max_value=4), st.booleans(),
+       seeds)
+def test_synthesis_records_match_the_per_program_kraus_operators(d, n, shift, seed):
+    # synthesis extracts every program's Kraus family in one contraction;
+    # kraus_operators on each program alone is the reference
+    rng = np.random.default_rng(seed)
+    ms = [VonNeumannMeasurement(random_rank_one_measurement(d, rng)) for _ in range(n)]
+    if shift:
+        report = relaxed_pvm_processor(ms[:d])
+    else:
+        report = build_orthogonal_processor(pad_with_zero_slots(ms), ms)
+    for rec in report.measurements:
+        ops = kraus_operators(report.processor, ProgramState.pure(rec.program_state))[0]
+        assert np.max(np.abs(rec.realized_povm - ops.conj().transpose(0, 2, 1) @ ops)) <= 1e-12
 
 
 @SETTINGS

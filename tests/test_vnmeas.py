@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mapproc.processor import Processor, ProgramState, kraus_operators, outcome_probabilities
-from mapproc.qcore import dag, identity_multiple, is_unitary, pauli
+from mapproc.qcore import dag, is_unitary, pauli
 from mapproc.qid import qid_povm, sic_program
 from mapproc.sampling import haar_unitary, random_density_operator, random_rank_one_measurement
 from mapproc.vnmeas import (
@@ -116,7 +116,6 @@ class TestKrausCompatibility:
             kraus_compatibility([E0], [E0, E1])
 
     def test_nan_is_not_a_multiple_of_the_identity(self):
-        assert identity_multiple(np.diag([np.nan, 1.0])) is None
         _, k = kraus_compatibility([np.diag([np.nan, 1.0])], [np.eye(2)])
         assert k is None
 
@@ -385,9 +384,14 @@ def test_dataclass_arrays_are_read_only():
     measurement = VonNeumannMeasurement(projectors=projectors)
     projectors[0, 0, 0] = 5  # the caller's array stays the caller's
     assert measurement.projectors[0, 0, 0] == 1
+    weights, vectors = np.array([0.5, 0.5]), np.eye(2, dtype=complex)
+    program = ProgramState(weights=weights, vectors=vectors)
+    weights[0], vectors[0, 0] = 5, 5
+    assert program.weights[0] == 0.5 and program.vectors[0, 0] == 1
     assign = pad_with_zero_slots([SZ, SX])
     qid = qid_povm(sic_program())
-    arrays = [measurement.projectors, qid.elements, qid.program_operator, qid.anchor_bloch]
+    arrays = [measurement.projectors, qid.elements, qid.program_operator, qid.anchor_bloch,
+              program.weights, program.vectors]
     padded = build_orthogonal_processor(assign, [SZ, SX])
     relaxed = relaxed_pvm_processor([SZ, SX])
     for record in padded.measurements + relaxed.measurements:
