@@ -10,6 +10,7 @@ outcome indices.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,6 +40,16 @@ class ImpossibleOutcomeError(ValueError):
         )
         self.outcome = outcome
         self.probability = probability
+
+
+def _index(value, name: str) -> int:
+    """``value`` as a Python int; booleans and non-integers raise ValueError."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _freeze(a: np.ndarray, dtype: type = complex) -> np.ndarray:
@@ -123,7 +134,13 @@ class ProgramState:
 
 @dataclass(frozen=True)
 class OutcomePartition:
-    """Disjoint index blocks covering the program outcomes 0..n-1."""
+    """Disjoint index blocks covering the program outcomes 0..n-1.
+
+    Construction also precomputes, outside the dataclass fields, the
+    outcomes in block order, each block's span in that order and the
+    (blocks, n) 0/1 membership matrix, so grouping an outcome family by
+    block is one index and one matmul.
+    """
 
     blocks: tuple[tuple[int, ...], ...]
 
@@ -138,6 +155,16 @@ class OutcomePartition:
         if seen != set(range(len(seen))):
             raise ValueError("blocks must cover a contiguous index range 0..n-1")
         object.__setattr__(self, "blocks", blocks)
+        order: list[int] = []
+        spans = []
+        for b in blocks:
+            spans.append((len(order), len(order) + len(b)))
+            order.extend(b)
+        membership = np.array([[k in b for k in range(len(order))] for b in blocks], dtype=complex)
+        membership.setflags(write=False)
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_spans", tuple(spans))
+        object.__setattr__(self, "_membership", membership)
 
     @classmethod
     def finest(cls, n: int) -> "OutcomePartition":
@@ -149,7 +176,7 @@ class OutcomePartition:
 
     @property
     def num_indices(self) -> int:
-        return sum(len(b) for b in self.blocks)
+        return len(self._order)
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -200,10 +227,12 @@ def induced_instrument(
     """Group the Kraus operators by partition block and form the POVM."""
     if partition.num_indices != proc.program_dim:
         raise ValueError("partition does not cover the program outcomes")
-    d = proc.data_dim
+    d, n = proc.data_dim, proc.program_dim
     ops = kraus_operators(proc, program)
-    branches = tuple(ops[:, list(block)].reshape(-1, d, d) for block in partition.blocks)
-    povm = np.array([np.einsum("kji,kjl->il", b.conj(), b) for b in branches])
+    grouped = ops[:, partition._order]
+    branches = tuple(grouped[:, a:b].reshape(-1, d, d) for a, b in partition._spans)
+    elements = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=0)  # [k] = sum_c A_ck^dag A_ck
+    povm = (partition._membership @ elements.reshape(n, d * d)).reshape(-1, d, d)
     return InducedInstrument(branches=branches, povm=povm)
 
 
@@ -285,25 +314,32 @@ def post_measurement_state(
 ) -> np.ndarray:
     """Normalized data state after observing one coarse outcome.
 
-    Raises ImpossibleOutcomeError when the outcome probability is at or
-    below PROB_FLOOR, since the conditional state is undefined there.
+    ``outcome`` is an integer block index and ``rho`` a (d, d) operator.
+    Raises ImpossibleOutcomeError when the outcome probability is not
+    above PROB_FLOOR (a NaN probability included), since the conditional
+    state is undefined there.
     """
+    outcome = _index(outcome, "outcome")
     inst = induced_instrument(proc, program, partition)
     if outcome < 0 or outcome >= len(inst.povm):
         raise ValueError(f"outcome {outcome} outside 0..{len(inst.povm) - 1}")
     rho = np.asarray(rho, dtype=complex)
-    p = np.trace(rho @ inst.povm[outcome]).real
-    if p <= PROB_FLOOR:
+    d = proc.data_dim
+    if rho.shape != (d, d):
+        raise ValueError(f"state shape {rho.shape} does not match data_dim {d}")
+    p = np.vdot(inst.povm[outcome], rho).real  # Tr(rho F_b), F_b Hermitian
+    if not p > PROB_FLOOR:
         raise ImpossibleOutcomeError(outcome, p)
     branch = inst.branches[outcome]
-    out = np.einsum("kij,jl,kml->im", branch, rho, branch.conj()) / p
+    out = (branch @ rho @ branch.conj().swapaxes(-1, -2)).sum(axis=0) / p
     return 0.5 * (out + dag(out))
 
 
 def sample_outcomes(
     rho: np.ndarray, povm: np.ndarray, n: int, seed: int | np.random.Generator
 ) -> np.ndarray:
-    """Multinomial outcome counts; deterministic for a fixed seed."""
+    """Multinomial counts of ``n`` shots, a nonnegative integer; deterministic for a fixed seed."""
+    n = _index(n, "sample count")
     if n < 0:
         raise ValueError("sample count must be nonnegative")
     p = outcome_probabilities(rho, povm)

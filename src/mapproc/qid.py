@@ -93,14 +93,20 @@ class QidPovmReport:
         return out
 
 
+# cyclic successors of the Bloch axes: (a x b)_i = a_next b_prev - a_prev b_next
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
 def qid_povm(program: QidProgram) -> QidPovmReport:
     """POVM induced by a QID program under the finest outcome partition."""
     alpha = program.amplitudes
-    a_op = 0.5 * np.tensordot(alpha, _PAULI, axes=1)
-    elements = np.einsum("kab,bc,kcd->kad", _PAULI, dag(a_op) @ a_op, _PAULI)
-    vec = alpha[1:]
-    anchor = alpha[0] * vec.conj() + alpha[0].conjugate() * vec + 1j * np.cross(vec.conj(), vec)
-    anchor = anchor.real
+    a_op = 0.5 * (alpha @ _PAULI.reshape(4, 4)).reshape(2, 2)
+    # each entry is one signed product; + 0.0 turns the -0.0 a BLAS product
+    # can leave into the +0.0 a summation gives, so exported bytes stay stable
+    elements = _PAULI @ (dag(a_op) @ a_op) @ _PAULI + 0.0
+    vec, cvec = alpha[1:], alpha[1:].conj()
+    cross = cvec[_NEXT] * vec[_PREV] - cvec[_PREV] * vec[_NEXT]  # conj(vec) x vec
+    anchor = (alpha[0] * cvec + alpha[0].conjugate() * vec + 1j * cross).real
     for array in (a_op, elements, anchor):
         array.setflags(write=False)
     return QidPovmReport(

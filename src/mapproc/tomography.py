@@ -101,8 +101,9 @@ class Tomographer:
             )
         if not abs(p.sum() - 1.0) <= PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {p.sum()}, expected 1")
-        rho = np.tensordot(p, self.dual_frame, axes=1)
-        fitted = np.einsum("kij,ji->k", self.povm, rho).real
+        n, d, _ = self.povm.shape
+        rho = (p @ self.dual_frame.reshape(n, d * d)).reshape(d, d)
+        fitted = (self.povm.reshape(n, d * d) @ rho.T.reshape(d * d)).real  # Tr(F_j rho)
         residual = float(np.linalg.norm(fitted - p))
         if not residual <= residual_tol:
             raise InconsistentProbabilitiesError(residual, residual_tol)
@@ -155,7 +156,11 @@ def project_to_state(estimate: np.ndarray) -> np.ndarray:
     probability simplex: lambda_i = max(mu_i - theta, 0) with theta fixed
     by unit trace (Smolin, Gambetta & Smith, PRL 108, 070502 (2012)).
     """
-    evals, evecs = np.linalg.eigh(np.asarray(estimate, dtype=complex))
+    return _project(*np.linalg.eigh(np.asarray(estimate, dtype=complex)))
+
+
+def _project(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
+    """project_to_state from the eigendecomposition of the estimate."""
     excess = np.cumsum(evals[::-1]) - 1.0
     kept = np.flatnonzero(evals[::-1] * np.arange(1, len(evals) + 1) > excess)[-1]
     projected = np.clip(evals - excess[kept] / (kept + 1), 0.0, None)
@@ -178,13 +183,14 @@ def reconstruct_from_probabilities(
     if not 0.0 <= residual_tol < np.inf:
         raise ValueError(f"residual tolerance {residual_tol} is not a finite nonnegative number")
     estimate, residual = Tomographer.build(povm)._invert(probabilities, residual_tol)
+    evals, evecs = np.linalg.eigh(estimate)
     diagnostics = ReconstructionDiagnostics(
         residual=residual,
-        eigenvalues=tuple(float(v) for v in np.linalg.eigvalsh(estimate)),
+        eigenvalues=tuple(evals.tolist()),
         projected=bool(project),
     )
     if project:
-        return project_to_state(estimate), diagnostics
+        return _project(evals, evecs), diagnostics
     return estimate, diagnostics
 
 

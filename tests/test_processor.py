@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -275,6 +277,36 @@ class TestPostMeasurementState:
         )
         assert np.allclose(total, channel, atol=1e-10)
 
+    @pytest.mark.filterwarnings("error")
+    def test_nan_state_is_refused(self, qid_proc):
+        # Tr(rho F) is NaN, which must fail the probability floor, not pass it
+        program, partition = pauli_measurement_program(1)
+        rho = np.full((2, 2), np.nan)
+        with pytest.raises(ImpossibleOutcomeError):
+            post_measurement_state(qid_proc, program.program_state(), rho, 0, partition)
+
+    @pytest.mark.parametrize(
+        "outcome", [True, 1.5, np.float64(1.0), "1"], ids=["bool", "fraction", "float64", "str"]
+    )
+    def test_non_integer_outcome_is_refused(self, qid_proc, outcome):
+        program, partition = pauli_measurement_program(1)
+        rho = np.eye(2) / 2
+        with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {outcome!r}")):
+            post_measurement_state(qid_proc, program.program_state(), rho, outcome, partition)
+
+    def test_numpy_integer_outcome_is_an_index(self, qid_proc):
+        program, partition = pauli_measurement_program(2)
+        state, rho = program.program_state(), random_density_operator(2, np.random.default_rng(3))
+        post = post_measurement_state(qid_proc, state, rho, np.int64(1), partition)
+        assert np.array_equal(post, post_measurement_state(qid_proc, state, rho, 1, partition))
+
+    def test_state_shape_must_match_data_dim(self, qid_proc):
+        program, partition = pauli_measurement_program(1)
+        with pytest.raises(ValueError, match="does not match data_dim 2"):
+            post_measurement_state(
+                qid_proc, program.program_state(), np.eye(4) / 4, 0, partition
+            )
+
 
 class TestSampling:
     def test_zero_samples(self, sic_elements):
@@ -293,3 +325,13 @@ class TestSampling:
         sigma = np.sqrt(n * 0.25 * 0.75)
         assert np.all(np.abs(counts - n / 4) < 5 * sigma)
         assert counts.sum() == n
+
+    @pytest.mark.parametrize("n", [2.5, True, 2.0, "3"], ids=["fraction", "bool", "float", "str"])
+    def test_non_integer_count_is_refused(self, sic_elements, n):
+        message = re.escape(f"sample count must be an integer, got {n!r}")
+        with pytest.raises(ValueError, match=message):
+            sample_outcomes(np.eye(2) / 2, sic_elements, n, seed=7)
+
+    def test_numpy_integer_count(self, sic_elements):
+        counts = sample_outcomes(np.eye(2) / 2, sic_elements, np.int64(50), seed=7)
+        assert np.array_equal(counts, sample_outcomes(np.eye(2) / 2, sic_elements, 50, seed=7))

@@ -13,18 +13,26 @@ from mapproc.processor import (
     Processor,
     ProgramState,
     induced_instrument,
+    induced_povm,
     kraus_operators,
+    post_measurement_state,
     validate_povm,
 )
-from mapproc.qcore import ATOL, dag
-from mapproc.qid import QidProgram, qid_povm
+from mapproc.qcore import ATOL, bloch_expand, dag
+from mapproc.qid import QidProgram, qid_povm, qid_unitary
 from mapproc.sampling import (
     haar_unitary,
     random_density_operator,
     random_pure_state,
     random_rank_one_measurement,
 )
-from mapproc.tomography import Tomographer, UnderdeterminedPovmError, is_informationally_complete
+from mapproc.tomography import (
+    Tomographer,
+    UnderdeterminedPovmError,
+    is_informationally_complete,
+    project_to_state,
+    reconstruct_from_probabilities,
+)
 from mapproc.vnmeas import (
     VonNeumannMeasurement,
     build_orthogonal_processor,
@@ -35,6 +43,7 @@ from mapproc.vnmeas import (
 )
 
 dims = st.integers(min_value=2, max_value=5)
+small_dims = st.integers(min_value=2, max_value=4)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -65,9 +74,20 @@ def random_partition(n, rng):
     )
 
 
-def random_ic_povm(d, rng):
+def random_scattered_partition(n, rng):
+    """Blocks of a random permutation of 0..n-1, so blocks are rarely contiguous."""
+    cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False))
+    return OutcomePartition(blocks=tuple(map(tuple, np.split(rng.permutation(n), cuts))))
+
+
+def random_complex_amplitudes(rng):
+    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+    return amps / np.linalg.norm(amps)
+
+
+def random_ic_povm(d, rng, extra=None):
     """n >= d^2 random PSD operators rescaled by S^(-1/2) to sum to I."""
-    n = d * d + int(rng.integers(0, 3))
+    n = d * d + (int(rng.integers(0, 3)) if extra is None else extra)
     g = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
     a = g @ g.conj().transpose(0, 2, 1)
     evals, evecs = np.linalg.eigh(a.sum(axis=0))
@@ -227,3 +247,91 @@ def test_feasibility_table_matches_a_direct_overlap_count(d, seed):
     kinds = [v.kind for v in feasibility_table_check(columns)]
     assert kinds.count("row_orthogonality") == rows
     assert kinds.count("column_permutation") == perms
+
+
+# --- the flat-matmul kernels against the formulas they replaced ----------
+
+QID = qid_unitary()
+
+
+@SETTINGS
+@given(seeds)
+def test_qid_povm_is_the_induced_povm_of_the_qid_gate(seed):
+    program = QidProgram(amplitudes=random_complex_amplitudes(np.random.default_rng(seed)))
+    elements = qid_povm(program).elements
+    oracle = induced_povm(QID, program.program_state(), OutcomePartition.finest(4))
+    assert np.max(np.abs(elements - oracle)) < 1e-12
+
+
+@SETTINGS
+@given(seeds)
+def test_anchor_bloch_is_the_bloch_vector_of_the_first_element(seed):
+    # complex amplitudes make the conj(alpha) x alpha term nonzero, so a sign
+    # or index slip in the written-out cross product shows here
+    amps = random_complex_amplitudes(np.random.default_rng(seed))
+    report = qid_povm(QidProgram(amplitudes=amps))
+    expansion = bloch_expand(4 * report.elements[0] - np.eye(2))
+    assert abs(expansion.scalar) < 1e-12
+    assert np.max(np.abs(report.anchor_bloch - expansion.vector)) < 1e-12
+
+
+@SETTINGS
+@given(small_dims, small_dims, seeds)
+def test_post_measurement_states_reassemble_the_channel(d, dp, seed):
+    # sum_b p_b rho_b = sum_k A_k rho A_k^dagger with p_b = Tr(rho F_b)
+    rng = np.random.default_rng(seed)
+    proc = random_processor(d, dp, rng)
+    program = random_mixed_program(dp, rng)
+    partition = random_scattered_partition(dp, rng)
+    rho = random_density_operator(d, rng)
+    povm = induced_povm(proc, program, partition)
+    total = sum(
+        np.trace(rho @ povm[b]).real * post_measurement_state(proc, program, rho, b, partition)
+        for b in range(len(partition))
+    )
+    channel = sum(a @ rho @ dag(a) for a in kraus_operators(proc, program).reshape(-1, d, d))
+    assert np.max(np.abs(total - channel)) < 1e-10
+
+
+@SETTINGS
+@given(st.integers(min_value=1, max_value=6), seeds)
+def test_partitions_with_the_same_blocks_are_equal(n, seed):
+    rng = np.random.default_rng(seed)
+    blocks = random_scattered_partition(n, rng).blocks
+    a = OutcomePartition(blocks=blocks)
+    b = OutcomePartition(blocks=[list(np.array(block)) for block in blocks])
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b) == f"OutcomePartition(blocks={blocks!r})"
+    if len(blocks) > 1:
+        assert a != OutcomePartition(blocks=blocks[::-1])
+
+
+@SETTINGS
+@given(small_dims, seeds)
+def test_reported_residual_is_the_fitted_probability_error(d, seed):
+    # the parent formula: rho = sum_k p_k D_k, fitted_j = Tr(F_j rho) by einsum
+    rng = np.random.default_rng(seed)
+    povm = random_ic_povm(d, rng, extra=2)
+    rho = random_density_operator(d, rng)
+    noise = rng.normal(size=len(povm))
+    p = np.einsum("ab,jba->j", rho, povm).real + 0.01 * (noise - noise.mean())
+    _, diagnostics = reconstruct_from_probabilities(p, povm, residual_tol=1.0)
+    raw = np.tensordot(p, Tomographer.build(povm).dual_frame, axes=1)
+    fitted = np.einsum("kij,ji->k", povm, raw).real
+    assert diagnostics.residual > 1e-6
+    assert abs(diagnostics.residual - np.linalg.norm(fitted - p)) < 1e-14
+
+
+@SETTINGS
+@given(small_dims, seeds)
+def test_one_eigendecomposition_gives_spectrum_and_projection(d, seed):
+    rng = np.random.default_rng(seed)
+    povm = random_ic_povm(d, rng)
+    p = np.einsum("ab,jba->j", random_density_operator(d, rng), povm).real
+    p = p + 0.2 * (np.eye(len(p))[0] - 1 / len(p))  # push the estimate off the state space
+    estimate, diagnostics = reconstruct_from_probabilities(p, povm, residual_tol=1.0)
+    projected, _ = reconstruct_from_probabilities(p, povm, project=True, residual_tol=1.0)
+    # eigh and eigvalsh agree bit for bit on qubits, to rounding above that
+    spectrum = np.linalg.eigvalsh(estimate)
+    assert np.max(np.abs(np.subtract(diagnostics.eigenvalues, spectrum))) < 1e-12
+    assert np.array_equal(projected, project_to_state(estimate))
