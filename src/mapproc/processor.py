@@ -139,7 +139,8 @@ class OutcomePartition:
     Construction also precomputes, outside the dataclass fields, the
     outcomes in block order, each block's span in that order and the
     (blocks, n) 0/1 membership matrix, so grouping an outcome family by
-    block is one index and one matmul.
+    block is one index and one matmul.  Both arrays are read-only, so
+    one partition can be shared.
     """
 
     blocks: tuple[tuple[int, ...], ...]
@@ -162,6 +163,8 @@ class OutcomePartition:
             order.extend(b)
         membership = np.array([[k in b for k in range(len(order))] for b in blocks], dtype=complex)
         membership.setflags(write=False)
+        order = np.array(order, dtype=np.intp)
+        order.setflags(write=False)
         object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_spans", tuple(spans))
         object.__setattr__(self, "_membership", membership)
@@ -320,18 +323,22 @@ def post_measurement_state(
     state is undefined there.
     """
     outcome = _index(outcome, "outcome")
-    inst = induced_instrument(proc, program, partition)
-    if outcome < 0 or outcome >= len(inst.povm):
-        raise ValueError(f"outcome {outcome} outside 0..{len(inst.povm) - 1}")
+    if partition.num_indices != proc.program_dim:
+        raise ValueError("partition does not cover the program outcomes")
+    ops = kraus_operators(proc, program)
+    if outcome < 0 or outcome >= len(partition):
+        raise ValueError(f"outcome {outcome} outside 0..{len(partition) - 1}")
     rho = np.asarray(rho, dtype=complex)
     d = proc.data_dim
     if rho.shape != (d, d):
         raise ValueError(f"state shape {rho.shape} does not match data_dim {d}")
-    p = np.vdot(inst.povm[outcome], rho).real  # Tr(rho F_b), F_b Hermitian
+    a, b = partition._spans[outcome]
+    branch = ops[:, partition._order[a:b]].reshape(-1, d, d)
+    out = (branch @ rho @ branch.conj().swapaxes(-1, -2)).sum(axis=0)
+    p = np.trace(out).real  # Tr(sum B rho B^dagger) = Tr(rho F_b)
     if not p > PROB_FLOOR:
         raise ImpossibleOutcomeError(outcome, p)
-    branch = inst.branches[outcome]
-    out = (branch @ rho @ branch.conj().swapaxes(-1, -2)).sum(axis=0) / p
+    out = out / p
     return 0.5 * (out + dag(out))
 
 
@@ -343,7 +350,7 @@ def sample_outcomes(
     if n < 0:
         raise ValueError("sample count must be nonnegative")
     p = outcome_probabilities(rho, povm)
-    p = np.clip(p, 0.0, None)
+    p = np.maximum(p, 0.0)
     p = p / p.sum()
     if n == 0:
         return np.zeros(len(povm), dtype=np.int64)

@@ -59,6 +59,10 @@ def is_unitary(m: np.ndarray) -> bool:
     m = np.asarray(m, dtype=complex)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"is_unitary expects a square matrix, got shape {m.shape}")
+    # entries of a unitary lie in the unit disc; refusing larger ones first
+    # keeps huge finite entries from overflowing in the product
+    if not np.abs(m).max() <= 1 + ATOL:
+        return False
     return bool(np.max(np.abs(dag(m) @ m - np.eye(m.shape[0]))) <= ATOL)
 
 

@@ -10,6 +10,7 @@ rotations, and the three Pauli von Neumann measurements.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,11 @@ class QidProgram:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (4,):
             raise ValueError(f"QID program needs 4 amplitudes, got shape {amps.shape}")
-        norm = np.linalg.norm(amps)
+        # a normalized vector has no amplitude above 1; refusing larger ones
+        # first keeps huge finite amplitudes from overflowing in the norm
+        if not max(np.abs(amps).tolist()) <= 1 + ATOL:
+            raise ValueError("QID program amplitudes must be normalized")
+        norm = math.sqrt(amps.real.dot(amps.real) + amps.imag.dot(amps.imag))  # np.linalg.norm
         if not abs(norm - 1.0) <= ATOL:
             raise ValueError("QID program amplitudes must be normalized")
         amps = amps / norm
@@ -146,6 +151,13 @@ def unitary_program(mu: np.ndarray) -> QidProgram:
     return QidProgram(amplitudes=amps)
 
 
+# the three pairings, built once; a partition is immutable, so callers share it
+_PAULI_PAIRINGS = {
+    axis: OutcomePartition(blocks=((0, axis), tuple(k for k in (1, 2, 3) if k != axis)))
+    for axis in (1, 2, 3)
+}
+
+
 def pauli_measurement_program(axis: int) -> tuple[QidProgram, OutcomePartition]:
     """Program plus outcome pairing realizing the sigma_axis measurement.
 
@@ -158,9 +170,7 @@ def pauli_measurement_program(axis: int) -> tuple[QidProgram, OutcomePartition]:
         raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
     amps = np.zeros(4, dtype=complex)
     amps[0] = amps[axis] = 1 / np.sqrt(2)
-    others = tuple(sorted(set(range(4)) - {0, axis}))
-    partition = OutcomePartition(blocks=((0, axis), others))
-    return QidProgram(amplitudes=amps), partition
+    return QidProgram(amplitudes=amps), _PAULI_PAIRINGS[axis]
 
 
 # --- circuit realization ------------------------------------------------

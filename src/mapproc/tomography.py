@@ -9,12 +9,13 @@ under-determined ones are refused.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .qcore import ATOL, dag
+from .qcore import ATOL
 from .processor import _POVM_MEMO_SIZE, validate_povm
 
 # Singular values of the stacked POVM below RANK_CUTOFF times the largest
@@ -104,10 +105,11 @@ class Tomographer:
         n, d, _ = self.povm.shape
         rho = (p @ self.dual_frame.reshape(n, d * d)).reshape(d, d)
         fitted = (self.povm.reshape(n, d * d) @ rho.T.reshape(d * d)).real  # Tr(F_j rho)
-        residual = float(np.linalg.norm(fitted - p))
+        r = fitted - p
+        residual = math.sqrt(r @ r)  # bitwise np.linalg.norm of a real vector
         if not residual <= residual_tol:
             raise InconsistentProbabilitiesError(residual, residual_tol)
-        return 0.5 * (rho + dag(rho)), residual
+        return 0.5 * (rho + rho.conj().T), residual
 
     def reconstruct(self, probabilities: np.ndarray) -> np.ndarray:
         """Invert a probability vector to the unique matching operator.
@@ -160,11 +162,24 @@ def project_to_state(estimate: np.ndarray) -> np.ndarray:
 
 
 def _project(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
-    """project_to_state from the eigendecomposition of the estimate."""
-    excess = np.cumsum(evals[::-1]) - 1.0
-    kept = np.flatnonzero(evals[::-1] * np.arange(1, len(evals) + 1) > excess)[-1]
-    projected = np.clip(evals - excess[kept] / (kept + 1), 0.0, None)
-    return (evecs * projected) @ evecs.conj().T
+    """project_to_state from the eigendecomposition of the estimate.
+
+    One pass over the eigenvalues in descending order: theta is
+    (mu_1 + ... + mu_k - 1)/k for the last k with k mu_k above the
+    numerator.  The sum runs left to right and subtracts 1 last, as
+    ``np.cumsum(mu) - 1`` does; grouping it as -1 + mu_1 + ... changes
+    theta in its last bit on many spectra.
+    """
+    theta = None
+    total = 0.0
+    for k, mu in enumerate(reversed(evals.tolist()), 1):
+        total += mu
+        excess = total - 1.0
+        if mu * k > excess:
+            theta = excess / k
+    if theta is None:  # k = 1 qualifies unless mu_1 is not finite or |mu_1| > 2^53
+        raise ValueError(f"estimate spectrum {evals.tolist()} has no simplex threshold")
+    return (evecs * np.maximum(evals - theta, 0.0)) @ evecs.conj().T
 
 
 def reconstruct_from_probabilities(
@@ -205,7 +220,7 @@ def reconstruct_from_counts(
     Feeds counts/total to reconstruct_from_probabilities.
     """
     counts = np.asarray(counts)
-    if not np.all(counts >= 0):
+    if not (counts >= 0).all():
         raise ValueError("counts must be nonnegative")
     total = counts.sum()
     if not total > 0:

@@ -107,6 +107,30 @@ class TestValidation:
         with pytest.raises(ValueError):  # InvalidPovmError is a ValueError
             build()
 
+    # amplitudes and gate entries this large overflow in a norm or product;
+    # warnings are errors here, so they must be refused before either
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: QidProgram(amplitudes=[1e200, 1e200, 0, 0]), "must be normalized"),
+            (lambda: QidProgram(amplitudes=[1e308 + 1e308j, 0, 0, 0]), "must be normalized"),
+            (lambda: QidProgram(amplitudes=[0, 0, np.inf, 0]), "must be normalized"),
+            (
+                lambda: Processor(data_dim=1, program_dim=2, gate=np.full((2, 2), 1e200)),
+                "must be unitary",
+            ),
+        ],
+        ids=["qid-program", "qid-program-complex", "qid-program-inf", "gate"],
+    )
+    def test_huge_finite_input_is_refused_without_warnings(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_amplitude_within_tolerance_above_one_is_accepted(self):
+        program = QidProgram(amplitudes=[1 + 5e-11, 0, 0, 0])
+        assert program.amplitudes.tolist() == [1, 0, 0, 0]
+
 
 class TestKrausOperators:
     def test_anchor_program_gives_identity_branches(self, qid_proc):
@@ -335,3 +359,23 @@ class TestSampling:
     def test_numpy_integer_count(self, sic_elements):
         counts = sample_outcomes(np.eye(2) / 2, sic_elements, np.int64(50), seed=7)
         assert np.array_equal(counts, sample_outcomes(np.eye(2) / 2, sic_elements, 50, seed=7))
+
+    # counts recorded when negative rounding dust was clipped with np.clip;
+    # the antipode of the first tetrahedron vertex has p_0 = -4.2e-17
+    @pytest.mark.parametrize(
+        "state, seed, n, counts",
+        [
+            ("mixed", 7, 10000, [2495, 3036, 1306, 3163]),
+            ("mixed", 2026, 1000, [240, 321, 130, 309]),
+            ("ground", 7, 10000, [3937, 1023, 1038, 4002]),
+            ("ground", 2026, 1000, [382, 115, 103, 400]),
+            ("antipode", 7, 10000, [0, 3327, 3378, 3295]),
+        ],
+    )
+    def test_counts_of_fixed_seeds_are_pinned(self, sic_elements, state, seed, n, counts):
+        rho = {
+            "mixed": np.array([[0.6, 0.1 + 0.2j], [0.1 - 0.2j, 0.4]]),
+            "ground": np.diag([1.0, 0.0]).astype(complex),
+            "antipode": 0.5 * (np.eye(2) - (pauli(1) + pauli(2) + pauli(3)) / np.sqrt(3)),
+        }[state]
+        assert sample_outcomes(rho, sic_elements, n, seed).tolist() == counts

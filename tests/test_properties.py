@@ -335,3 +335,37 @@ def test_one_eigendecomposition_gives_spectrum_and_projection(d, seed):
     spectrum = np.linalg.eigvalsh(estimate)
     assert np.max(np.abs(np.subtract(diagnostics.eigenvalues, spectrum))) < 1e-12
     assert np.array_equal(projected, project_to_state(estimate))
+
+
+@SETTINGS
+@given(small_dims, seeds)
+def test_reported_residual_is_bitwise_the_numpy_norm(d, seed):
+    # the library takes sqrt(r @ r); numpy's norm of a real vector is the same dot
+    rng = np.random.default_rng(seed)
+    povm = random_ic_povm(d, rng, extra=2)
+    noise = rng.normal(size=len(povm))
+    p = np.einsum("ab,jba->j", random_density_operator(d, rng), povm).real
+    p = p + 0.01 * (noise - noise.mean())
+    _, diagnostics = reconstruct_from_probabilities(p, povm, residual_tol=1.0)
+    n = len(povm)
+    rho = (p @ Tomographer.build(povm).dual_frame.reshape(n, d * d)).reshape(d, d)
+    fitted = (povm.reshape(n, d * d) @ rho.T.reshape(d * d)).real
+    assert diagnostics.residual == np.linalg.norm(fitted - p)
+
+
+@SETTINGS
+@given(small_dims, small_dims, seeds)
+def test_post_measurement_state_is_the_instrument_formula(d, dp, seed):
+    # the formula through the whole instrument, as before the one-block slice
+    rng = np.random.default_rng(seed)
+    proc = random_processor(d, dp, rng)
+    program = random_mixed_program(dp, rng)
+    partition = random_scattered_partition(dp, rng)
+    rho = random_density_operator(d, rng)
+    inst = induced_instrument(proc, program, partition)
+    for b, branch in enumerate(inst.branches):
+        p = np.vdot(inst.povm[b], rho).real
+        out = (branch @ rho @ branch.conj().swapaxes(-1, -2)).sum(axis=0) / p
+        oracle = 0.5 * (out + dag(out))
+        state = post_measurement_state(proc, program, rho, b, partition)
+        assert np.max(np.abs(state - oracle)) < 1e-14

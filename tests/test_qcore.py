@@ -116,6 +116,16 @@ class TestStructureChecks:
         with pytest.raises(ValueError):
             is_unitary(np.ones((2, 3)))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", [1e200, 1e300j, np.inf, np.nan])
+    def test_huge_or_non_finite_entries_are_not_unitary(self, entry):
+        assert is_unitary(np.full((2, 2), entry)) is False
+
+    def test_unitary_within_tolerance_stays_unitary(self):
+        # entries of a unitary reach 1; rounding above it is not a refusal
+        assert is_unitary(pauli(1) * (1 + 2e-11))
+        assert not is_unitary(pauli(1) * (1 + 1e-9))
+
 
 def test_trace_distance_of_orthogonal_pure_states():
     assert abs(trace_distance(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) - 1.0) < 1e-14

@@ -204,6 +204,18 @@ class TestPauliMeasurementProgram:
         with pytest.raises(ValueError):
             pauli_measurement_program(0)
 
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    def test_pairing_is_built_once_and_read_only(self, axis):
+        _, partition = pauli_measurement_program(axis)
+        assert pauli_measurement_program(axis)[1] is partition
+        others = tuple(k for k in (1, 2, 3) if k != axis)
+        fresh = OutcomePartition(blocks=((0, axis), others))
+        assert partition == fresh and hash(partition) == hash(fresh)
+        assert repr(partition) == f"OutcomePartition(blocks={((0, axis), others)!r})"
+        for private in (partition._order, partition._membership):
+            with pytest.raises(ValueError, match="read-only"):
+                private[0] = 1
+
     def test_coprogrammability_identity(self, qid_proc):
         # (1/2)(P+P0 + P+P1 + P-P1 + P-P0) = (1/2) I across the x and z programs
         prog_x, _ = pauli_measurement_program(1)

@@ -17,6 +17,7 @@ from mapproc.tomography import (
     reconstruct_from_counts,
     reconstruct_from_probabilities,
 )
+from mapproc.tomography import _project
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
@@ -285,3 +286,66 @@ def test_project_to_state_satisfies_the_optimality_condition(d, seed):
     assert is_density_operator(rho)
     gradient = rho - estimate
     assert abs(np.linalg.eigvalsh(gradient).min() - np.trace(gradient @ rho).real) < 1e-10
+
+
+# --- the one-pass simplex threshold against the vectorized formula -------
+
+
+def project_oracle(evals, evecs):
+    """The cumulative-sum projection the one-pass threshold replaced."""
+    excess = np.cumsum(evals[::-1]) - 1.0
+    kept = np.flatnonzero(evals[::-1] * np.arange(1, len(evals) + 1) > excess)[-1]
+    projected = np.clip(evals - excess[kept] / (kept + 1), 0.0, None)
+    return (evecs * projected) @ evecs.conj().T
+
+
+def random_hermitian(d, rng):
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return (g + g.conj().T) * rng.uniform(0.05, 2.0)
+
+
+def _spectrum(kind, d, rng):
+    """Ascending eigenvalues of one kind; 'repeated' keeps exact ties."""
+    if kind == "state":
+        return np.sort(rng.dirichlet(np.ones(d)))
+    if kind == "repeated":
+        return np.sort(rng.choice([-0.25, 0.0, 0.125, 0.25, 0.5, 1.0], size=d))
+    if kind == "negative":  # one eigenvalue below zero; unit trace when d > 1
+        mu = rng.uniform(0.0, 1.0, size=d)
+        mu[0] = -rng.uniform(0.0, 0.5)
+        mu[1:] += (1.0 - mu.sum()) / max(d - 1, 1)
+        return np.sort(mu)
+    mu = np.linalg.eigvalsh(random_hermitian(d, rng))  # 'hermitian'
+    return mu if rng.random() < 0.5 else mu + (1.0 - mu.sum()) / d
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "repeated", "state", "negative"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_one_pass_threshold_is_the_cumulative_sum_formula(d, kind):
+    rng = np.random.default_rng([d, len(kind)])
+    for _ in range(300):
+        evals, evecs = _spectrum(kind, d, rng), haar_unitary(d, rng)
+        assert np.array_equal(_project(evals, evecs), project_oracle(evals, evecs))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_projection_of_an_estimate_matches_the_formula_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    for _ in range(200):
+        estimate = random_hermitian(d, rng)
+        estimate += (1.0 - np.trace(estimate).real) / d * np.eye(d)
+        evals, evecs = np.linalg.eigh(estimate)
+        assert np.array_equal(project_to_state(estimate), project_oracle(evals, evecs))
+
+
+def test_spectrum_beyond_float_precision_has_no_threshold(sic_elements):
+    # mu - 1 rounds to mu once |mu| >= 2^53, so no k qualifies; the formula
+    # above fails with an IndexError, the library with a ValueError
+    evals, evecs = np.array([-3e17, 3e17]), np.eye(2, dtype=complex)
+    with pytest.raises(IndexError):
+        project_oracle(evals, evecs)
+    with pytest.raises(ValueError, match="no simplex threshold"):
+        _project(evals, evecs)
+    p = np.array([1e17, -1e17, 0.5, 0.5])  # sums to 1, consistent for any tetrahedron
+    with pytest.raises(ValueError, match="no simplex threshold"):
+        reconstruct_from_probabilities(p, sic_elements, project=True, residual_tol=1e3)
