@@ -24,7 +24,6 @@ from .processor import (
 )
 from .qcore import (
     BlochExpansion,
-    bell_anchor,
     bloch_expand,
     is_density_operator,
     is_unitary,

@@ -1,22 +1,22 @@
 """General measurement-assisted programmable processor model.
 
-A processor is a fixed unitary on data (x) program together with an
-orthonormal basis in which the program register is measured.  Feeding it a
-program state induces an instrument on the data register: one Kraus branch
-per program outcome, grouped into coarse outcomes by a partition of the
-outcome indices.
+A processor is a fixed unitary on data (x) program followed by a
+measurement of the program register in the computational basis.  Feeding
+it a program state induces an instrument on the data register: one Kraus
+branch per program outcome, grouped into coarse outcomes by a partition of
+the outcome indices.  Measuring in another orthonormal basis B, row k
+being |b_k>, is the processor with gate (I (x) B.conj()) @ gate.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .qcore import ATOL, dag, is_unitary
+from .qcore import ATOL, _index, dag, is_unitary
 from .sampling import as_generator
 
 PROB_FLOOR = 1e-12
@@ -42,16 +42,6 @@ class ImpossibleOutcomeError(ValueError):
         self.probability = probability
 
 
-def _index(value, name: str) -> int:
-    """``value`` as a Python int; booleans and non-integers raise ValueError."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def _freeze(a: np.ndarray, dtype: type = complex) -> np.ndarray:
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
@@ -60,16 +50,16 @@ def _freeze(a: np.ndarray, dtype: type = complex) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Processor:
-    """Fixed unitary ``gate`` on data (x) program plus the measured program basis.
+    """Fixed unitary ``gate`` on data (x) program; the program is measured in |k>.
 
-    ``program_basis`` is a (program_dim, program_dim) array whose row k is
-    the basis vector |k>; it defaults to the computational basis.
+    To measure the program in another orthonormal basis B whose row k is
+    |b_k>, use the gate np.kron(np.eye(data_dim), B.conj()) @ gate: its
+    outcome k gives the branch (I (x) <b_k|) gate.
     """
 
     data_dim: int
     program_dim: int
     gate: np.ndarray
-    program_basis: np.ndarray | None = None
 
     def __post_init__(self):
         dim = self.data_dim * self.program_dim
@@ -78,21 +68,7 @@ class Processor:
             raise ValueError(f"gate shape {gate.shape} does not match data*program = {dim}")
         if not is_unitary(gate):
             raise ValueError("processor gate must be unitary")
-        basis = self.program_basis
-        if basis is None:
-            basis = np.eye(self.program_dim, dtype=complex)
-        basis = np.asarray(basis, dtype=complex)
-        if basis.shape != (self.program_dim, self.program_dim):
-            raise ValueError("program_basis must hold program_dim vectors of length program_dim")
-        overlaps = basis.conj() @ basis.T
-        if not np.max(np.abs(overlaps - np.eye(self.program_dim))) <= ATOL:
-            raise ValueError("program_basis must be orthonormal")
         object.__setattr__(self, "gate", _freeze(gate))
-        object.__setattr__(self, "program_basis", _freeze(basis))
-
-    @property
-    def dim(self) -> int:
-        return self.data_dim * self.program_dim
 
 
 @dataclass(frozen=True)
@@ -201,9 +177,8 @@ class InducedInstrument:
 def _branches(proc: Processor, rows: np.ndarray) -> np.ndarray:
     """Branches [c, k] = (I (x) <k|) gate (I (x) |rows[c]>) of (c, program_dim) rows."""
     d, dp = proc.data_dim, proc.program_dim
-    contracted = proc.gate.reshape(d, dp, d, dp) @ rows.T  # [i, m, j, c]
-    branched = proc.program_basis.conj() @ contracted.reshape(d, dp, -1)  # [i, k, (j, c)]
-    return branched.reshape(d, dp, d, -1).transpose(3, 1, 0, 2)
+    contracted = proc.gate.reshape(d, dp, d, dp) @ rows.T  # [i, k, j, c]
+    return contracted.transpose(3, 1, 0, 2)
 
 
 def kraus_operators(proc: Processor, program: ProgramState) -> np.ndarray:

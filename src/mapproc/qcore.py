@@ -7,6 +7,7 @@ Subsystem ordering is data-first everywhere: in a product basis vector
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +27,20 @@ _PAULI = np.array(
 _PAULI.setflags(write=False)
 
 
+def _index(value, name: str) -> int:
+    """``value`` as a Python int; booleans and non-integers raise ValueError."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def pauli(k: int) -> np.ndarray:
     """Return the k-th Pauli matrix; index 0 is the 2x2 identity."""
-    if k not in (0, 1, 2, 3):
+    k = _index(k, "Pauli index")
+    if not 0 <= k <= 3:
         raise ValueError(f"Pauli index must be in 0..3, got {k}")
     return _PAULI[k].copy()
 
@@ -41,13 +53,6 @@ def dag(m: np.ndarray) -> np.ndarray:
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product, first factor slow."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def bell_anchor() -> np.ndarray:
-    """The maximally entangled two-qubit state (|00> + |11>)/sqrt(2)."""
-    v = np.zeros(4, dtype=complex)
-    v[0] = v[3] = 1.0 / np.sqrt(2.0)
-    return v
 
 
 def _is_hermitian(m: np.ndarray, tol: float) -> bool:

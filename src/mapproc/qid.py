@@ -15,24 +15,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import _PAULI, ATOL, bell_anchor, bloch_expand, dag, pauli, tensor
+from .qcore import _PAULI, ATOL, _index, bloch_expand, dag
 from .processor import OutcomePartition, Processor, ProgramState
 from .tomography import is_informationally_complete
 
 DATA_DIM = 2
 PROGRAM_DIM = 4
 
-
-def program_basis_state(k: int) -> np.ndarray:
-    """k-th Bell-like program vector (sigma_k on the first qubit of the anchor)."""
-    return tensor(pauli(k), np.eye(2)) @ bell_anchor()
-
-
-_XI = np.array([program_basis_state(k) for k in range(4)])
+# row k is Xi_k = (sigma_k (x) I)|anchor>, the anchor being (|00> + |11>)/sqrt(2)
+_XI = np.kron(_PAULI, np.eye(2)) @ (np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
 
 
 def qid_unitary() -> Processor:
-    """Build the QID processor with the computational program basis.
+    """Build the QID processor.
 
     The gate is assembled directly from its branch decomposition
     (1/2) sum_{k,j} (sigma_k sigma_j sigma_k) (x) |k><Xi_j|, which is
@@ -166,6 +161,7 @@ def pauli_measurement_program(axis: int) -> tuple[QidProgram, OutcomePartition]:
     paired with outcome ``axis``; the remaining two outcomes form the other
     block.
     """
+    axis = _index(axis, "axis")
     if axis not in (1, 2, 3):
         raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
     amps = np.zeros(4, dtype=complex)

@@ -123,21 +123,20 @@ def encode_processor(p: Processor) -> dict:
         "data_dim": p.data_dim,
         "program_dim": p.program_dim,
         "gate": encode_operator(p.gate),
-        "program_basis": [encode_state(v) for v in p.program_basis],
     }
 
 
 def decode_processor(obj) -> Processor:
     if not isinstance(obj, dict):
         raise ValueError("processor must be an object")
+    if "program_basis" in obj:
+        raise ValueError(
+            "processor key program_basis is not read: the program is measured in the "
+            "computational basis; for a basis B with rows |b_k>, use the gate (I (x) B.conj()) @ gate"
+        )
     data_dim, program_dim = _dimension(obj, "data_dim"), _dimension(obj, "program_dim")
     gate = decode_operator(obj.get("gate"))
-    basis = None
-    if "program_basis" in obj:
-        if not isinstance(obj["program_basis"], list) or not obj["program_basis"]:
-            raise ValueError("program_basis must be a nonempty list of states")
-        basis = np.stack([decode_state(v) for v in obj["program_basis"]])
-    return Processor(data_dim=data_dim, program_dim=program_dim, gate=gate, program_basis=basis)
+    return Processor(data_dim=data_dim, program_dim=program_dim, gate=gate)
 
 
 def encode_partition(part: OutcomePartition) -> dict:

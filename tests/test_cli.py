@@ -587,7 +587,6 @@ def synthesis(program_dim, relabeling):
     return [
         ("processor", [
             ("data_dim", "int"), ("program_dim", "int"), ("gate", operator(2 * program_dim)),
-            ("program_basis", (program_dim, state(program_dim))),
         ]),
         ("unitary", "bool"),
         ("completion_used", "bool"),

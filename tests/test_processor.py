@@ -16,13 +16,8 @@ from mapproc.processor import (
     sample_outcomes,
     validate_povm,
 )
-from mapproc.qcore import bell_anchor, dag, pauli, tensor
-from mapproc.qid import (
-    QidProgram,
-    pauli_measurement_program,
-    program_basis_state,
-    sic_program,
-)
+from mapproc.qcore import dag, pauli, tensor
+from mapproc.qid import QidProgram, pauli_measurement_program, sic_program
 from mapproc.sampling import haar_unitary, random_density_operator, random_pure_state
 from mapproc.vnmeas import SlotAssignment, VonNeumannMeasurement
 
@@ -37,8 +32,7 @@ def dilated_probabilities(proc, program, rho, partition):
     for block in partition.blocks:
         q = np.zeros((proc.program_dim, proc.program_dim), dtype=complex)
         for k in block:
-            v = proc.program_basis[k]
-            q += np.outer(v, v.conj())
+            q[k, k] = 1.0  # e_k e_k^dagger
         probs.append(np.trace(big @ tensor(np.eye(proc.data_dim), q)).real)
     return np.array(probs)
 
@@ -51,11 +45,6 @@ class TestValidation:
     def test_gate_shape_must_match(self):
         with pytest.raises(ValueError, match="shape"):
             Processor(data_dim=2, program_dim=2, gate=np.eye(8))
-
-    def test_program_basis_must_be_orthonormal(self):
-        basis = np.array([[1, 0], [1, 0]], dtype=complex)
-        with pytest.raises(ValueError, match="orthonormal"):
-            Processor(data_dim=2, program_dim=2, gate=np.eye(4), program_basis=basis)
 
     def test_program_state_weights_must_sum_to_one(self):
         e = np.eye(2, dtype=complex)
@@ -94,14 +83,12 @@ class TestValidation:
         [
             lambda: QidProgram(amplitudes=[np.nan, 0, 0, 0]),
             lambda: ProgramState(weights=[np.nan], vectors=[[1.0, 0.0]]),
-            lambda: Processor(
-                data_dim=1, program_dim=2, gate=np.eye(2), program_basis=[[1, 0], [0, np.nan]]
-            ),
+            lambda: Processor(data_dim=1, program_dim=2, gate=[[1, 0], [0, np.nan]]),
             lambda: SlotAssignment(slot_maps=((np.nan,),)),
             lambda: VonNeumannMeasurement(projectors=[np.diag([1, 0]), np.diag([0, np.nan])]),
             lambda: validate_povm([np.diag([np.nan, 0.5]), np.diag([0.0, 0.5])]),
         ],
-        ids=["qid-program", "program-weight", "program-basis", "slot-maps", "projector", "povm"],
+        ids=["qid-program", "program-weight", "gate", "slot-maps", "projector", "povm"],
     )
     def test_nan_is_refused(self, build):
         with pytest.raises(ValueError):  # InvalidPovmError is a ValueError
@@ -134,7 +121,7 @@ class TestValidation:
 
 class TestKrausOperators:
     def test_anchor_program_gives_identity_branches(self, qid_proc):
-        program = ProgramState.pure(bell_anchor())
+        program = QidProgram(amplitudes=np.eye(4)[0]).program_state()
         ops = kraus_operators(qid_proc, program)
         assert ops.shape == (1, 4, 2, 2)
         for a in ops[0]:
@@ -175,9 +162,8 @@ class TestInducedPovm:
 
     def test_maximally_mixed_program_gives_trivial_povm(self, qid_proc):
         # direct summation over the four Bell-like components of I/4
-        program = ProgramState(
-            weights=np.full(4, 0.25), vectors=[program_basis_state(k) for k in range(4)]
-        )
+        family = [QidProgram(amplitudes=e).state_vector() for e in np.eye(4)]
+        program = ProgramState(weights=np.full(4, 0.25), vectors=family)
         povm = induced_povm(qid_proc, program, OutcomePartition.finest(4))
         for f in povm:
             assert np.allclose(f, np.eye(2) / 4, atol=1e-12)
@@ -261,7 +247,7 @@ class TestOutcomeProbabilities:
 
 class TestPostMeasurementState:
     def test_identity_program_leaves_state_alone(self, qid_proc):
-        program = ProgramState.pure(bell_anchor())
+        program = QidProgram(amplitudes=np.eye(4)[0]).program_state()
         rng = np.random.default_rng(4)
         rho = random_density_operator(2, rng)
         for a in range(4):

@@ -49,8 +49,7 @@ SETTINGS = settings(max_examples=25, deadline=None)
 
 
 def random_processor(d, dp, rng):
-    gate = haar_unitary(d * dp, rng)
-    return Processor(data_dim=d, program_dim=dp, gate=gate, program_basis=haar_unitary(dp, rng))
+    return Processor(data_dim=d, program_dim=dp, gate=haar_unitary(d * dp, rng))
 
 
 def random_mixed_program(dp, rng):
@@ -104,6 +103,19 @@ def test_mixed_program_kraus_operators_are_trace_preserving(d, dp, seed):
     assert ops.shape == (len(program.weights), dp, d, d)
     total = sum(dag(a) @ a for a in ops.reshape(-1, d, d))
     assert np.max(np.abs(total - np.eye(d))) < 1e-10
+
+
+@SETTINGS
+@given(small_dims, dims, seeds)
+def test_a_measured_program_basis_folds_into_the_gate(d, dp, seed):
+    """Measuring the program in basis B (row k = |b_k>) is the gate (I (x) B.conj()) @ U."""
+    rng = np.random.default_rng(seed)
+    u, basis = haar_unitary(d * dp, rng), haar_unitary(dp, rng)
+    program = random_pure_state(dp, rng)
+    folded = Processor(data_dim=d, program_dim=dp, gate=np.kron(np.eye(d), basis.conj()) @ u)
+    expected = np.einsum("km,imjn,n->kij", basis.conj(), u.reshape(d, dp, d, dp), program)
+    got = kraus_operators(folded, ProgramState.pure(program))
+    assert np.max(np.abs(got[0] - expected)) <= 1e-12
 
 
 @SETTINGS

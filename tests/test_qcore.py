@@ -1,10 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapproc.qcore import (
-    bell_anchor,
     bloch_expand,
     is_unitary,
     pauli,
@@ -63,15 +64,10 @@ class TestPauli:
         with pytest.raises(ValueError):
             pauli(4)
 
-
-class TestBellAnchor:
-    def test_normalized(self):
-        assert abs(np.linalg.norm(bell_anchor()) - 1.0) < 1e-14
-
-    def test_pauli_translates_are_orthonormal(self):
-        family = [tensor(pauli(k), np.eye(2)) @ bell_anchor() for k in range(4)]
-        overlaps = np.array([[a.conj() @ b for b in family] for a in family])
-        assert np.allclose(overlaps, np.eye(4), atol=1e-14)
+    @pytest.mark.parametrize("k", [True, 1.0], ids=["bool", "float"])
+    def test_non_integer_index_is_refused(self, k):
+        with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {k!r}")):
+            pauli(k)
 
 
 class TestBlochExpand:

@@ -1,13 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from mapproc.processor import OutcomePartition, induced_povm, kraus_operators, outcome_probabilities
-from mapproc.qcore import bell_anchor, dag, pauli, tensor
+from mapproc.qcore import dag, pauli, tensor
 from mapproc.qid import (
     QidProgram,
     pauli_measurement_program,
-    program_basis_state,
     qid_circuit_search,
     qid_povm,
     sic_program,
@@ -15,6 +16,11 @@ from mapproc.qid import (
 )
 from mapproc.sampling import random_density_operator, random_pure_state
 from mapproc.vnmeas import kraus_compatibility
+
+
+def bell_like(k):
+    """Bell-like program vector Xi_k, the QID program with amplitude 1 on k."""
+    return QidProgram(amplitudes=np.eye(4)[k]).state_vector()
 
 
 def pauli_product_index(m, k):
@@ -26,6 +32,21 @@ def pauli_product_index(m, k):
     raise AssertionError("pauli product not proportional to a pauli")
 
 
+class TestBellLikeFamily:
+    def test_normalized(self):
+        anchor = np.array([1, 0, 0, 1]) / np.sqrt(2)  # (|00> + |11>)/sqrt(2)
+        assert np.array_equal(bell_like(0), anchor)
+        for k in range(4):
+            assert abs(np.linalg.norm(bell_like(k)) - 1.0) < 1e-14
+
+    def test_pauli_translates_are_orthonormal(self):
+        family = [bell_like(k) for k in range(4)]
+        for k in range(4):
+            assert np.array_equal(family[k], tensor(pauli(k), np.eye(2)) @ family[0])
+        overlaps = np.array([[a.conj() @ b for b in family] for a in family])
+        assert np.allclose(overlaps, np.eye(4), atol=1e-14)
+
+
 class TestQidUnitary:
     def test_gate_is_unitary(self, qid_proc):
         g = qid_proc.gate
@@ -33,14 +54,14 @@ class TestQidUnitary:
 
     def test_action_on_anchor_program(self, qid_proc):
         psi = random_pure_state(2, seed=1)
-        out = qid_proc.gate @ tensor(psi.reshape(2, 1), bell_anchor().reshape(4, 1)).ravel()
+        out = qid_proc.gate @ np.kron(psi, bell_like(0))
         expected = np.kron(psi, 0.5 * np.ones(4))
         assert np.allclose(out, expected, atol=1e-12)
 
     def test_action_on_x_translate_has_sign_pattern(self, qid_proc):
         # sigma_k sigma_x sigma_k signs are (+, +, -, -)
         psi = random_pure_state(2, seed=2)
-        out = qid_proc.gate @ np.kron(psi, program_basis_state(1))
+        out = qid_proc.gate @ np.kron(psi, bell_like(1))
         expected = np.kron(pauli(1) @ psi, 0.5 * np.array([1, 1, -1, -1]))
         assert np.allclose(out, expected, atol=1e-12)
 
@@ -102,7 +123,7 @@ class TestQidPovm:
             for m in range(1, 4):
                 translated = tensor(pauli(m), np.eye(2)) @ state
                 new_amps = np.array(
-                    [program_basis_state(j).conj() @ translated for j in range(4)]
+                    [bell_like(j).conj() @ translated for j in range(4)]
                 )
                 new_report = qid_povm(QidProgram(amplitudes=new_amps))
                 for k in range(4):
@@ -203,6 +224,11 @@ class TestPauliMeasurementProgram:
     def test_invalid_axis(self):
         with pytest.raises(ValueError):
             pauli_measurement_program(0)
+
+    @pytest.mark.parametrize("axis", [True, 1.0], ids=["bool", "float"])
+    def test_non_integer_axis_is_refused(self, axis):
+        with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {axis!r}")):
+            pauli_measurement_program(axis)
 
     @pytest.mark.parametrize("axis", [1, 2, 3])
     def test_pairing_is_built_once_and_read_only(self, axis):

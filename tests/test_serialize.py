@@ -26,7 +26,16 @@ def test_processor_round_trip():
     proc = qid_unitary()
     back = serialize.decode_processor(serialize.encode_processor(proc))
     assert np.array_equal(back.gate, proc.gate)
-    assert np.array_equal(back.program_basis, proc.program_basis)
+
+
+def test_processor_with_a_program_basis_is_refused():
+    doc = serialize.encode_processor(qid_unitary())
+    doc["program_basis"] = [serialize.encode_state(v) for v in np.eye(4)]
+    with pytest.raises(ValueError) as caught:
+        serialize.decode_processor(doc)
+    message = str(caught.value)
+    assert message.startswith("processor key program_basis is not read")
+    assert "(I (x) B.conj()) @ gate" in message and "\n" not in message
 
 
 def test_measurement_both_forms():

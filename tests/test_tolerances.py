@@ -15,6 +15,7 @@ import re
 from pathlib import Path
 
 import mapproc
+from mapproc.processor import Processor
 from mapproc.vnmeas import SlotAssignment
 
 SRC = Path(mapproc.__file__).parent
@@ -119,3 +120,5 @@ def test_slot_assignment_holds_only_its_slot_maps():
     assert [f.name for f in dataclasses.fields(SlotAssignment)] == ["slot_maps"]
     assert SlotAssignment(slot_maps=((0, 1), (2, 3))).program_dim == 4
     assert SlotAssignment(slot_maps=((0,), (0,), (0,))).program_dim == 3
+    # a processor is its gate: the program is measured in the computational basis
+    assert [f.name for f in dataclasses.fields(Processor)] == ["data_dim", "program_dim", "gate"]
