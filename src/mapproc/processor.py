@@ -48,7 +48,7 @@ def _freeze(a: np.ndarray, dtype: type = complex) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Processor:
     """Fixed unitary ``gate`` on data (x) program; the program is measured in |k>.
 
@@ -71,7 +71,7 @@ class Processor:
         object.__setattr__(self, "gate", _freeze(gate))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProgramState:
     """Program-register state as a convex mixture of pure states.
 
@@ -122,7 +122,7 @@ class OutcomePartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        blocks = tuple(tuple(int(k) for k in b) for b in self.blocks)
+        blocks = tuple(tuple(_index(k, "outcome index") for k in b) for b in self.blocks)
         seen: set[int] = set()
         for b in blocks:
             for k in b:
@@ -161,7 +161,7 @@ class OutcomePartition:
         return len(self.blocks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InducedInstrument:
     """Per-block Kraus branches and the matching POVM elements.
 

@@ -81,7 +81,7 @@ def is_density_operator(m: np.ndarray, tol: float = ATOL) -> bool:
     return bool(np.linalg.eigvalsh(m).min() >= -tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlochExpansion:
     """Pauli expansion ``h = scalar*I + vector . sigma`` of a Hermitian qubit operator."""
 

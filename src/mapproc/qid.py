@@ -38,7 +38,7 @@ def qid_unitary() -> Processor:
     return Processor(data_dim=DATA_DIM, program_dim=PROGRAM_DIM, gate=g)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QidProgram:
     """Program amplitudes over the Bell-like family; a norm within ATOL of 1 is divided out."""
 
@@ -67,7 +67,7 @@ class QidProgram:
         return ProgramState.pure(self.state_vector())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QidPovmReport:
     """The four-outcome POVM a QID program realizes.
 
@@ -189,7 +189,7 @@ _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _LOCALS = {"I": np.eye(2, dtype=complex), "H": _HADAMARD}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QidCircuit:
     """A 4-CNOT realization of the QID gate.
 
@@ -248,9 +248,6 @@ def qid_circuit_search() -> QidCircuit | None:
     """
     target = qid_unitary().gate
     for perm in itertools.permutations(_CNOTS):
-        base = np.eye(8, dtype=complex)
-        for control, t in perm:
-            base = _cnot(control, t) @ base
         for in_layer in itertools.product("IH", repeat=2):
             for out_layer in itertools.product("IH", repeat=2):
                 candidate = QidCircuit(

@@ -64,7 +64,7 @@ def is_informationally_complete(povm: np.ndarray) -> bool:
     return isinstance(_build_tomographer(Tomographer, f.shape, f.tobytes()), Tomographer)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tomographer:
     """Precomputed inversion data for one informationally complete POVM.
 

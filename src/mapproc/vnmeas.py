@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import ATOL, dag
+from .qcore import ATOL, _index, dag
 from .processor import PROB_FLOOR, Processor, _branches, _freeze
 from .sampling import as_generator, random_rank_one_measurement
 
@@ -21,14 +21,25 @@ from .sampling import as_generator, random_rank_one_measurement
 # outcomes at or below POSTULATE_FLOOR in probability are not checked.
 POSTULATE_ATOL = 1e-8
 POSTULATE_FLOOR = 1e-10
-# A realized POVM element is formed through the synthesized gate, so its
-# rounding is allowed ten times the structural tolerance.
+# A realized POVM element is read back from the synthesized gate; its
+# program columns are copies of the image, and the check still allows ten
+# times the structural tolerance rather than demanding equal bits.
 REALIZED_ATOL = 10 * ATOL
 # The randomized searches accept a drawn basis or induced measurement within
 # SEARCH_TOL, and count a program as superposed when no amplitude exceeds
 # SUPERPOSED_MAX_AMPLITUDE in modulus.
 SEARCH_TOL = 1e-8
 SUPERPOSED_MAX_AMPLITUDE = 1.0 - 1e-6
+
+
+def _shared_dim(measurements: list[VonNeumannMeasurement]) -> int:
+    """The one dimension of a nonempty measurement list; ValueError otherwise."""
+    if not measurements:
+        raise ValueError("need at least one measurement")
+    d = measurements[0].dim
+    if any(m.dim != d for m in measurements):
+        raise ValueError("measurements must share one dimension")
+    return d
 
 
 class IsometryViolationError(ValueError):
@@ -66,7 +77,7 @@ def _rank_one_pvm_defect(projs: np.ndarray, tol: float) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VonNeumannMeasurement:
     """Ordered complete family of d mutually orthogonal rank-1 projectors.
 
@@ -169,7 +180,10 @@ def coprogram_condition(
     w = np.ones(len(pairing)) if weights is None else np.asarray(weights, dtype=float)
     if len(w) != len(pairing):
         raise ValueError("weights must match the pairing length")
-    pairs = np.array(pairing, dtype=int).reshape(len(pairing), 2)
+    if not np.isfinite(w).all():
+        raise ValueError(f"weights must be finite, got {w[~np.isfinite(w)][0]}")
+    flat = [_index(x, "pairing index") for x in np.ravel(np.array(pairing, dtype=object))]
+    pairs = np.array(flat, dtype=int).reshape(len(pairing), 2)
     i, j = pairs.T
     outside = (i < 0) | (i >= n1) | (j < 0) | (j >= n2)
     if outside.any():
@@ -191,7 +205,7 @@ class SlotAssignment:
     slot_maps: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        maps = tuple(tuple(int(s) for s in m) for m in self.slot_maps)
+        maps = tuple(tuple(_index(s, "slot index") for s in m) for m in self.slot_maps)
         if not maps:
             raise ValueError("need at least one slot map")
         for m in maps:
@@ -214,18 +228,13 @@ def pad_with_zero_slots(measurements: list[VonNeumannMeasurement]) -> SlotAssign
     space and the alpha-th computational program state, so all cross
     products vanish and the processor map is an isometry by construction.
     """
-    if not measurements:
-        raise ValueError("need at least one measurement")
-    d = measurements[0].dim
-    for m in measurements:
-        if m.dim != d:
-            raise ValueError("measurements must share one dimension")
+    d = _shared_dim(measurements)
     return SlotAssignment(
         slot_maps=tuple(tuple(range(a * d, (a + 1) * d)) for a in range(len(measurements)))
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementRealization:
     """How one program of a synthesized processor performs its measurement.
 
@@ -249,7 +258,7 @@ class MeasurementRealization:
                 object.__setattr__(self, name, _freeze(getattr(self, name)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SynthesisReport:
     """Synthesized processor plus per-measurement verification records."""
 
@@ -314,25 +323,29 @@ def _post_states_match(
 
 def _synthesize(
     padded: np.ndarray,
-    states: np.ndarray,
     measurements: list[VonNeumannMeasurement],
     slot_maps: tuple[tuple[int, ...], ...],
     relabelings: tuple[np.ndarray | None, ...],
 ) -> SynthesisReport:
-    """Processor acting as psi (x) states[a] -> sum_k (padded[a, k] psi) (x) |k>.
+    """Processor acting as psi (x) |a> -> sum_k (padded[a, k] psi) (x) |k>.
 
-    ``padded`` has shape (n, dp, d, d) and ``states`` (n, dp).  Column
-    (a, i) of the image isometry V is the image of e_i (x) states[a], and
-    the same column of the domain isometry W is e_i (x) states[a] itself,
-    so the gate is V W^dagger plus V_perp W_perp^dagger on the orthogonal
-    complements.
+    ``padded`` has shape (n, dp, d, d) and program a is the computational
+    state |a>.  Column (a, i) of the image isometry is the image of
+    e_i (x) |a>, so it is copied to gate column i*dp + a; the orthonormal
+    complement of the image, from one complete QR, fills the columns
+    (i, a >= n) in order.
     """
     n, dp, d, _ = padded.shape
     image = padded.transpose(2, 1, 0, 3).reshape(d * dp, n * d)
     _check_isometry(image, padded)
-    domain = np.einsum("ij,am->jmai", np.eye(d), states).reshape(d * dp, n * d)
-    gate = image @ dag(domain) + _complement(image) @ dag(_complement(domain))
-    proc = Processor(data_dim=d, program_dim=dp, gate=gate)
+    gate = np.empty((d * dp, d, dp), dtype=complex)
+    gate[:, :, :n] = image.reshape(d * dp, n, d).swapaxes(1, 2)
+    gate[:, :, n:] = _complement(image).reshape(d * dp, d, dp - n)
+    # + 0.0 turns a -0.0, copied or from the QR, into +0.0 (as in qid_povm),
+    # so exported bytes stay stable
+    gate += 0.0
+    states = np.eye(n, dp, dtype=complex)
+    proc = Processor(data_dim=d, program_dim=dp, gate=gate.reshape(d * dp, d * dp))
     ops = _branches(proc, states)
     realized = ops.conj().swapaxes(2, 3) @ ops
     wanted = padded.conj().swapaxes(2, 3) @ padded
@@ -369,20 +382,16 @@ def build_orthogonal_processor(
     is checked first and reported as IsometryViolationError naming the
     offending measurement pair and slots.
     """
+    d = _shared_dim(measurements)
     n, dp = len(measurements), assign.program_dim
     if n != len(assign.slot_maps):
         raise ValueError("one measurement per slot map required")
-    d = measurements[0].dim
     padded = np.zeros((n, dp, d, d), dtype=complex)
     for a, (m, slots) in enumerate(zip(measurements, assign.slot_maps)):
-        if m.dim != d:
-            raise ValueError("measurements must share one dimension")
         if len(slots) != d:
             raise ValueError(f"slot map {a} needs {d} slots, got {len(slots)}")
         padded[a, list(slots)] = m.projectors
-    return _synthesize(
-        padded, np.eye(n, dp, dtype=complex), measurements, assign.slot_maps, (None,) * n
-    )
+    return _synthesize(padded, measurements, assign.slot_maps, (None,) * n)
 
 
 def relaxed_pvm_processor(pvms: list[VonNeumannMeasurement]) -> SynthesisReport:
@@ -394,25 +403,16 @@ def relaxed_pvm_processor(pvms: list[VonNeumannMeasurement]) -> SynthesisReport:
     exact; post-measurement states are U E U^dagger, so the projection
     postulate only survives when U_alpha is trivial.
     """
-    if not pvms:
-        raise ValueError("need at least one measurement")
-    d = pvms[0].dim
-    n = len(pvms)
+    d, n = _shared_dim(pvms), len(pvms)
     if n > d:
         raise ValueError(f"shift construction fits at most d={d} measurements, got {n}")
-    for m in pvms:
-        if m.dim != d:
-            raise ValueError("measurements must share one dimension")
     outcomes = np.arange(d)
     # slot k of program alpha holds |(k + alpha) mod d><phi_k|
     padded = np.zeros((n, d, d, d), dtype=complex)
     for a, m in enumerate(pvms):
         phis = np.array([m.basis_vector(k) for k in outcomes])
         padded[a, outcomes, (outcomes + a) % d] = phis.conj()
-    return _synthesize(
-        padded, np.eye(d, dtype=complex)[:n], pvms,
-        (tuple(range(d)),) * n, tuple(padded.sum(axis=1)),
-    )
+    return _synthesize(padded, pvms, (tuple(range(d)),) * n, tuple(padded.sum(axis=1)))
 
 
 def verify_projection_postulate(
@@ -460,10 +460,7 @@ def feasibility_table_check(columns: list[VonNeumannMeasurement]) -> list[Feasib
     """
     if not columns:
         return []
-    d = columns[0].dim
-    for m in columns:
-        if m.dim != d:
-            raise ValueError("columns must share one dimension")
+    d = _shared_dim(columns)
     if len(columns) > d:
         raise ValueError(f"at most d={d} columns can share a d-size program")
     n = len(columns)
@@ -489,7 +486,7 @@ def feasibility_table_check(columns: list[VonNeumannMeasurement]) -> list[Feasib
     return violations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairSearchResult:
     """Outcome of a randomized hunt for a feasible distinct measurement pair."""
 
@@ -529,7 +526,7 @@ def search_coprogrammable_pair(
     return PairSearchResult(dim=dim, trials=trials, hits=tuple(hits))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtraProgramSearchResult:
     """Programs beyond the construction basis that realize some measurement."""
 

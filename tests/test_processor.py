@@ -76,6 +76,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="cover"):
             OutcomePartition(blocks=((0,), (2,)))
 
+    # int() would read 0.5 as 0 and True as 1
+    @pytest.mark.parametrize("blocks", [((0.5,), (1,)), ((True,), (0,))], ids=["float", "bool"])
+    def test_partition_index_must_be_an_integer(self, blocks):
+        with pytest.raises(ValueError, match="outcome index must be an integer"):
+            OutcomePartition(blocks=blocks)
+
     # each check compares a defect with a tolerance; NaN compares False
     # both ways, so every check must be phrased to pass only when within it
     @pytest.mark.parametrize(

@@ -18,7 +18,7 @@ from mapproc.processor import (
     post_measurement_state,
     validate_povm,
 )
-from mapproc.qcore import ATOL, bloch_expand, dag
+from mapproc.qcore import ATOL, bloch_expand, dag, is_unitary
 from mapproc.qid import QidProgram, qid_povm, qid_unitary
 from mapproc.sampling import (
     haar_unitary,
@@ -34,6 +34,7 @@ from mapproc.tomography import (
     reconstruct_from_probabilities,
 )
 from mapproc.vnmeas import (
+    SlotAssignment,
     VonNeumannMeasurement,
     build_orthogonal_processor,
     feasibility_table_check,
@@ -214,17 +215,37 @@ def test_kraus_compatibility_is_the_pairwise_sum(d, dp, seed):
 
 
 @SETTINGS
-@given(st.integers(min_value=2, max_value=4), st.integers(min_value=1, max_value=4), st.booleans(),
-       seeds)
-def test_synthesis_records_match_the_per_program_kraus_operators(d, n, shift, seed):
+@given(st.integers(min_value=2, max_value=4), st.integers(min_value=1, max_value=4),
+       st.sampled_from(["padded", "interleaved", "shift"]), seeds)
+def test_synthesis_records_match_the_per_program_kraus_operators(d, n, layout, seed):
     # synthesis extracts every program's Kraus family in one contraction;
-    # kraus_operators on each program alone is the reference
+    # kraus_operators on each program alone is the reference.  The gate's
+    # program columns |a>, a < n, are copies of the image columns, so they
+    # equal the padded operators bitwise, and the completion keeps it unitary.
     rng = np.random.default_rng(seed)
     ms = [VonNeumannMeasurement(random_rank_one_measurement(d, rng)) for _ in range(n)]
-    if shift:
-        report = relaxed_pvm_processor(ms[:d])
+    if layout == "shift":
+        ms = ms[:d]
+        report = relaxed_pvm_processor(ms)
+        eye = np.eye(d)
+        padded = np.array([
+            [np.outer(eye[(k + a) % d], m.basis_vector(k).conj()) for k in range(d)]
+            for a, m in enumerate(ms)
+        ])
     else:
-        report = build_orthogonal_processor(pad_with_zero_slots(ms), ms)
+        # interleaved: measurement a uses slots a, a + n, a + 2n, ...
+        assign = pad_with_zero_slots(ms) if layout == "padded" else SlotAssignment(
+            tuple(tuple(a + n * j for j in range(d)) for a in range(n)))
+        report = build_orthogonal_processor(assign, ms)
+        padded = np.zeros((n, assign.program_dim, d, d), dtype=complex)
+        for a, (m, slots) in enumerate(zip(ms, assign.slot_maps)):
+            padded[a, list(slots)] = m.projectors
+    n, dp = len(ms), report.processor.program_dim
+    # column (i, a) of the gate is sum_k (padded[a, k] e_i) (x) |k>; + 0.0
+    # as in the gate, since a copied -0.0 is exported as +0.0
+    image = padded.transpose(2, 1, 3, 0).reshape(d * dp, d, n) + 0.0
+    assert report.gate.reshape(d * dp, d, dp)[:, :, :n].tobytes() == image.tobytes()
+    assert is_unitary(report.gate)
     for rec in report.measurements:
         ops = kraus_operators(report.processor, ProgramState.pure(rec.program_state))[0]
         assert np.max(np.abs(rec.realized_povm - ops.conj().transpose(0, 2, 1) @ ops)) <= 1e-12

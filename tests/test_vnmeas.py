@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
 
-from mapproc.processor import Processor, ProgramState, kraus_operators, outcome_probabilities
-from mapproc.qcore import dag, is_unitary, pauli
-from mapproc.qid import qid_povm, sic_program
+from mapproc.processor import (
+    OutcomePartition,
+    Processor,
+    ProgramState,
+    induced_instrument,
+    kraus_operators,
+    outcome_probabilities,
+)
+from mapproc.qcore import bloch_expand, dag, is_unitary, pauli
+from mapproc.qid import QidCircuit, qid_povm, qid_unitary, sic_program
 from mapproc.sampling import haar_unitary, random_density_operator, random_rank_one_measurement
+from mapproc.tomography import Tomographer
 from mapproc.vnmeas import (
     IsometryViolationError,
     MeasurementRealization,
@@ -95,6 +103,24 @@ class TestCoprogramCondition:
             else:
                 assert abs(k - k_rot) < 1e-10
 
+    # np.array(pairing, dtype=int) would pair (0.7, 0), (1.2, 1) as (0, 0), (1, 1)
+    @pytest.mark.parametrize(
+        "pairing", [[(0.7, 0), (1.2, 1)], [(True, 0), (1, 1)]], ids=["float", "bool"]
+    )
+    def test_pairing_index_must_be_an_integer(self, pairing):
+        with pytest.raises(ValueError, match="pairing index must be an integer"):
+            coprogram_condition(SX, SZ, pairing=pairing)
+
+    def test_numpy_integer_pairing_is_read(self):
+        pairing = [tuple(np.array(p)) for p in FOUR_OUTCOME_PAIRING]
+        s, k = coprogram_condition(SX, SZ, pairing=pairing, weights=[0.5] * 4)
+        assert np.allclose(s, 0.5 * np.eye(2), atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_weights_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match=f"weights must be finite, got {bad}"):
+            coprogram_condition(SZ, SZ, weights=[bad, 1.0])
+
     def test_dimension_mismatch(self):
         m3 = random_measurement(3, np.random.default_rng(0))
         with pytest.raises(ValueError, match="dimension"):
@@ -139,6 +165,17 @@ class TestPadding:
         report = build_orthogonal_processor(assign, ms)
         assert report.unitary
         assert all(rec.realized for rec in report.measurements)
+
+
+class TestSlotAssignment:
+    # int() would read 0.5 as 0, 1.7 as 1 and True as 1
+    @pytest.mark.parametrize(
+        "slot_maps", [((0.5, 1.7),), ((True, False),), ((0, 1), (2.0, 3))],
+        ids=["fraction", "bool", "integral-float"],
+    )
+    def test_slot_index_must_be_an_integer(self, slot_maps):
+        with pytest.raises(ValueError, match="slot index must be an integer"):
+            SlotAssignment(slot_maps=slot_maps)
 
 
 class TestBuildOrthogonalProcessor:
@@ -285,6 +322,12 @@ class TestRelaxedProcessor:
         with pytest.raises(ValueError, match="at most"):
             relaxed_pvm_processor(ms)
 
+    def test_mixed_dimensions_are_named_before_the_count(self):
+        rng = np.random.default_rng(72)
+        ms = [SZ, random_measurement(3, rng), random_measurement(3, rng)]
+        with pytest.raises(ValueError, match="share one dimension"):
+            relaxed_pvm_processor(ms)
+
 
 class TestProjectionPostulate:
     def test_padded_synthesis_complies(self):
@@ -400,3 +443,40 @@ def test_dataclass_arrays_are_read_only():
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 5
+
+
+def test_array_holding_dataclasses_compare_by_identity():
+    # generated __eq__ and __hash__ would compare and hash the arrays, which
+    # raises; these classes compare by identity and hash like any object
+    relaxed = relaxed_pvm_processor([SZ, SX])
+    builders = [
+        qid_unitary,
+        lambda: sic_program().program_state(),
+        sic_program,
+        lambda: qid_povm(sic_program()),
+        lambda: induced_instrument(
+            qid_unitary(), sic_program().program_state(), OutcomePartition.finest(4)
+        ),
+        lambda: bloch_expand(pauli(3)),
+        lambda: Tomographer.build(qid_povm(sic_program()).elements),  # memoized: one instance
+        lambda: VonNeumannMeasurement(projectors=(E0, E1)),
+        lambda: relaxed.measurements[0],  # one instance
+        lambda: relaxed_pvm_processor([SZ, SX]),
+        lambda: QidCircuit(gates=(), input_layer=("I", "I"), output_layer=("I", "I"),
+                           relabeling=np.eye(4)),
+        lambda: search_coprogrammable_pair(2, trials=1, seed=0),
+        lambda: search_extra_relaxed_program([SZ, SX], trials=1, seed=0),
+    ]
+    for build in builders:
+        x, y = build(), build()
+        assert x == x and not x != x
+        assert (x == y) is (x is y)
+        assert hash(x) == hash(x) and {x: 1}[x] == 1
+        assert len({x, y}) == (1 if x is y else 2)
+
+
+def test_value_dataclasses_compare_by_value():
+    assert SlotAssignment(slot_maps=((0, 1),)) == SlotAssignment(slot_maps=[np.arange(2)])
+    assert hash(SlotAssignment(slot_maps=((0, 1),))) == hash(SlotAssignment(slot_maps=((0, 1),)))
+    first, second = feasibility_table_check([SX, SZ]), feasibility_table_check([SX, SZ])
+    assert first == second and hash(first[0]) == hash(second[0])
