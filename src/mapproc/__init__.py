@@ -23,8 +23,7 @@ from .processor import (
     sample_outcomes,
 )
 from .qcore import (
-    BlochExpansion,
-    bloch_expand,
+    InfeasibleError,
     is_density_operator,
     is_unitary,
     pauli,

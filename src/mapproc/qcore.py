@@ -8,7 +8,6 @@ Subsystem ordering is data-first everywhere: in a product basis vector
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +24,13 @@ _PAULI = np.array(
     dtype=complex,
 )
 _PAULI.setflags(write=False)
+
+
+class InfeasibleError(ValueError):
+    """The input is well formed, but the object it asks for cannot exist.
+
+    The base of every refusal the CLI reports with exit 3.
+    """
 
 
 def _index(value, name: str) -> int:
@@ -79,33 +85,6 @@ def is_density_operator(m: np.ndarray, tol: float = ATOL) -> bool:
     if abs(np.trace(m).real - 1.0) > tol:
         return False
     return bool(np.linalg.eigvalsh(m).min() >= -tol)
-
-
-@dataclass(frozen=True, eq=False)
-class BlochExpansion:
-    """Pauli expansion ``h = scalar*I + vector . sigma`` of a Hermitian qubit operator."""
-
-    scalar: float
-    vector: np.ndarray
-
-    def assemble(self) -> np.ndarray:
-        return np.tensordot(np.append(self.scalar, self.vector), _PAULI, axes=1)
-
-
-def bloch_expand(h: np.ndarray) -> BlochExpansion:
-    """Expand a Hermitian 2x2 operator in the Pauli basis.
-
-    scalar = Tr(h)/2 and vector_j = Tr(h sigma_j)/2, so reassembling is
-    exact to rounding (within 1e-12).
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.shape != (2, 2):
-        raise ValueError(f"bloch_expand expects a 2x2 operator, got shape {h.shape}")
-    if not _is_hermitian(h, ATOL):
-        raise ValueError("bloch_expand expects a Hermitian operator")
-    scalar = 0.5 * np.trace(h).real
-    vector = 0.5 * np.einsum("ij,kji->k", h, _PAULI[1:]).real
-    return BlochExpansion(scalar=scalar, vector=vector)
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

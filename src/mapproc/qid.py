@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import _PAULI, ATOL, _index, bloch_expand, dag
+from .qcore import _PAULI, ATOL, _index, dag
 from .processor import OutcomePartition, Processor, ProgramState
 from .tomography import is_informationally_complete
 
@@ -67,6 +67,10 @@ class QidProgram:
         return ProgramState.pure(self.state_vector())
 
 
+# row k: the signs sigma_k sigma_j sigma_k = +-sigma_j puts on the Bloch axes j
+_FLIPS = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
+
+
 @dataclass(frozen=True, eq=False)
 class QidPovmReport:
     """The four-outcome POVM a QID program realizes.
@@ -84,13 +88,15 @@ class QidPovmReport:
     informationally_complete: bool
 
     def bloch_points(self) -> list[tuple[str, float, float, float]]:
-        """Bloch-sphere coordinates of the states 2 F_k (unit vectors when rank 1)."""
-        out = []
-        for k, f in enumerate(self.elements):
-            # a state (I + r.sigma)/2 has Pauli coefficients r/2
-            v = 2 * bloch_expand(2 * f).vector
-            out.append((f"F{k}", float(v[0]), float(v[1]), float(v[2])))
-        return out
+        """Bloch-sphere coordinates of the states 2 F_k (unit vectors when rank 1).
+
+        2 F_k = sigma_k (2 F_0) sigma_k, and conjugating by sigma_k flips the
+        two Bloch components that anticommute with it, so point k is
+        ``_FLIPS[k] * anchor_bloch``.
+        """
+        # + 0.0 keeps a flipped zero at +0.0
+        points = _FLIPS * self.anchor_bloch + 0.0
+        return [(f"F{k}", x, y, z) for k, (x, y, z) in enumerate(points.tolist())]
 
 
 # cyclic successors of the Bloch axes: (a x b)_i = a_next b_prev - a_prev b_next

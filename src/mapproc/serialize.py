@@ -20,8 +20,10 @@ from .tomography import ReconstructionDiagnostics
 from .vnmeas import SynthesisReport, VonNeumannMeasurement
 
 
-def encode_complex(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+def _pairs(a) -> list[list[float]]:
+    """The entries of a complex array or scalar, row-major, as [re, im] pairs."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack((a.real, a.imag), -1).reshape(-1, 2).tolist()
 
 
 def _real(x) -> float:
@@ -79,7 +81,7 @@ def encode_operator(m: np.ndarray) -> dict:
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "data": [encode_complex(z) for z in m.ravel()],
+        "data": _pairs(m),
     }
 
 
@@ -106,7 +108,7 @@ def encode_state(v: np.ndarray) -> dict:
     v = np.asarray(v, dtype=complex)
     if v.ndim != 1:
         raise ValueError("state must be a vector")
-    return {"dim": int(len(v)), "amp": [encode_complex(z) for z in v]}
+    return {"dim": int(len(v)), "amp": _pairs(v)}
 
 
 def decode_state(obj) -> np.ndarray:
@@ -145,7 +147,7 @@ def encode_partition(part: OutcomePartition) -> dict:
 
 def encode_qid_program(program: QidProgram, partition: OutcomePartition | None = None) -> dict:
     """{"alpha": [4 complex]}, plus the outcome partition when one is given."""
-    payload: dict = {"alpha": [encode_complex(z) for z in program.amplitudes]}
+    payload: dict = {"alpha": _pairs(program.amplitudes)}
     if partition is not None:
         payload["partition"] = encode_partition(partition)
     return payload
@@ -240,7 +242,7 @@ def decode_measurement_list(obj) -> list[VonNeumannMeasurement]:
 def encode_coprogram_condition(s: np.ndarray, k: complex | None) -> dict:
     return {
         "condition_operator": encode_operator(s),
-        "scalar": None if k is None else encode_complex(k),
+        "scalar": None if k is None else _pairs(k)[0],
         "orthogonal_programs_required": k is None,
     }
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import ATOL
+from .qcore import ATOL, InfeasibleError
 from .processor import _POVM_MEMO_SIZE, validate_povm
 
 # Singular values of the stacked POVM below RANK_CUTOFF times the largest
@@ -25,7 +25,7 @@ PROB_SUM_TOL = 1e-6
 RESIDUAL_TOL = 1e-6
 
 
-class UnderdeterminedPovmError(ValueError):
+class UnderdeterminedPovmError(InfeasibleError):
     """POVM does not span the operator space; reconstruction is ambiguous."""
 
     def __init__(self, rank: int, needed: int):
@@ -37,7 +37,7 @@ class UnderdeterminedPovmError(ValueError):
         self.needed = needed
 
 
-class InconsistentProbabilitiesError(ValueError):
+class InconsistentProbabilitiesError(InfeasibleError):
     """No operator reproduces the supplied probabilities within tolerance."""
 
     def __init__(self, residual: float, tolerance: float):
@@ -52,7 +52,7 @@ class InconsistentProbabilitiesError(ValueError):
 def gram_matrix(povm: np.ndarray) -> np.ndarray:
     """Real symmetric matrix of pairwise overlaps Tr(F_j F_k)."""
     f = np.asarray(povm, dtype=complex)
-    skew = np.abs(f - f.conj().transpose(0, 2, 1)).max(axis=(1, 2)) > ATOL
+    skew = ~(np.abs(f - f.conj().transpose(0, 2, 1)).max(axis=(1, 2)) <= ATOL)
     if skew.any():
         raise ValueError(f"POVM element {int(np.argmax(skew))} is not Hermitian")
     return np.einsum("jab,kba->jk", f, f).real
@@ -61,7 +61,7 @@ def gram_matrix(povm: np.ndarray) -> np.ndarray:
 def is_informationally_complete(povm: np.ndarray) -> bool:
     """True when the elements span the full d^2-dimensional operator space."""
     f = validate_povm(povm)
-    return isinstance(_build_tomographer(Tomographer, f.shape, f.tobytes()), Tomographer)
+    return isinstance(_build_tomographer(f.shape, f.tobytes()), Tomographer)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +82,7 @@ class Tomographer:
     @classmethod
     def build(cls, povm: np.ndarray) -> "Tomographer":
         f = validate_povm(povm)
-        built = _build_tomographer(cls, f.shape, f.tobytes())
+        built = _build_tomographer(f.shape, f.tobytes())
         if not isinstance(built, Tomographer):
             raise UnderdeterminedPovmError(built, f.shape[1] ** 2)
         return built
@@ -122,7 +122,7 @@ class Tomographer:
 
 
 @lru_cache(maxsize=_POVM_MEMO_SIZE)
-def _build_tomographer(cls, shape: tuple[int, ...], data: bytes) -> Tomographer | int:
+def _build_tomographer(shape: tuple[int, ...], data: bytes) -> Tomographer | int:
     """The Tomographer of a validated stack given by content, or its rank if below d^2.
 
     One SVD F = U S V^dagger of the (n, d^2) stack: the rank counts the singular
@@ -136,7 +136,7 @@ def _build_tomographer(cls, shape: tuple[int, ...], data: bytes) -> Tomographer 
         return rank
     dual = ((u / s) @ vh).reshape(shape)
     dual.setflags(write=False)
-    return cls(povm=f, dual_frame=dual)
+    return Tomographer(povm=f, dual_frame=dual)
 
 
 def reconstruct(probabilities: np.ndarray, povm: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import ATOL, _index, dag
+from .qcore import ATOL, InfeasibleError, _index, dag
 from .processor import PROB_FLOOR, Processor, _branches, _freeze
 from .sampling import as_generator, random_rank_one_measurement
 
@@ -42,7 +42,7 @@ def _shared_dim(measurements: list[VonNeumannMeasurement]) -> int:
     return d
 
 
-class IsometryViolationError(ValueError):
+class IsometryViolationError(InfeasibleError):
     """The padded operator families cannot be completed to a unitary."""
 
     def __init__(self, first: int, second: int, slots: tuple[int, ...]):
@@ -333,14 +333,15 @@ def _synthesize(
     state |a>.  Column (a, i) of the image isometry is the image of
     e_i (x) |a>, so it is copied to gate column i*dp + a; the orthonormal
     complement of the image, from one complete QR, fills the columns
-    (i, a >= n) in order.
+    (i, a >= n) in order; with dp = n there are none and no QR is run.
     """
     n, dp, d, _ = padded.shape
     image = padded.transpose(2, 1, 0, 3).reshape(d * dp, n * d)
     _check_isometry(image, padded)
     gate = np.empty((d * dp, d, dp), dtype=complex)
     gate[:, :, :n] = image.reshape(d * dp, n, d).swapaxes(1, 2)
-    gate[:, :, n:] = _complement(image).reshape(d * dp, d, dp - n)
+    if dp > n:
+        gate[:, :, n:] = _complement(image).reshape(d * dp, d, dp - n)
     # + 0.0 turns a -0.0, copied or from the QR, into +0.0 (as in qid_povm),
     # so exported bytes stay stable
     gate += 0.0
@@ -380,12 +381,18 @@ def build_orthogonal_processor(
     (zero elsewhere); the map extends to a unitary exactly when all cross
     products between different measurements' slot operators cancel, which
     is checked first and reported as IsometryViolationError naming the
-    offending measurement pair and slots.
+    offending measurement pair and slots.  Any injective assignment can be
+    relabelled into the N*d slots of N measurements, so a slot index at or
+    above N*d, which would only enlarge the gate, raises ValueError.
     """
     d = _shared_dim(measurements)
     n, dp = len(measurements), assign.program_dim
     if n != len(assign.slot_maps):
         raise ValueError("one measurement per slot map required")
+    if dp > n * d:
+        raise ValueError(
+            f"slot index {dp - 1} outside 0..{n * d - 1}, the N*d slots of the inputs"
+        )
     padded = np.zeros((n, dp, d, d), dtype=complex)
     for a, (m, slots) in enumerate(zip(measurements, assign.slot_maps)):
         if len(slots) != d:
@@ -401,11 +408,12 @@ def relaxed_pvm_processor(pvms: list[VonNeumannMeasurement]) -> SynthesisReport:
     mapping its k-th basis vector to |(k + alpha) mod d>, which makes all
     cross products cancel for arbitrary inputs.  Outcome statistics are
     exact; post-measurement states are U E U^dagger, so the projection
-    postulate only survives when U_alpha is trivial.
+    postulate only survives when U_alpha is trivial.  More than d
+    measurements raise InfeasibleError.
     """
     d, n = _shared_dim(pvms), len(pvms)
     if n > d:
-        raise ValueError(f"shift construction fits at most d={d} measurements, got {n}")
+        raise InfeasibleError(f"the shift construction fits at most d={d} measurements, got {n}")
     outcomes = np.arange(d)
     # slot k of program alpha holds |(k + alpha) mod d><phi_k|
     padded = np.zeros((n, d, d, d), dtype=complex)

@@ -314,6 +314,21 @@ class TestVnCommands:
         assert code == 3
         assert "at most" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv", [["vn-relaxed"], ["vn-synth", "--slots", "[[0,1],[2,3,4],[5,6,7]]"]],
+        ids=["vn-relaxed", "vn-synth-slots"],
+    )
+    def test_mixed_dimensions_exit_2(self, tmp_path, capsys, argv):
+        # three measurements of dimensions 2, 3, 3: the dimension is named
+        # before the shift bound N <= d or the slot bound N*d is read
+        qutrit = {"dim": 3, "basis": [serialize.encode_state(v) for v in np.eye(3)]}
+        doc = json.loads(open(measurements_file(tmp_path)).read())
+        doc["measurements"][1:] = [qutrit, qutrit]
+        ms = write_json(tmp_path, "mixed.json", doc)
+        code, out = run(tmp_path, argv[0], ms, *argv[1:])
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == "error: measurements must share one dimension\n"
+
 
 class TestBlochExport:
     def test_sic_tetrahedron_csv(self, tmp_path):
@@ -346,9 +361,37 @@ def test_stdout_and_stdin_streams(tmp_path, capsys, monkeypatch):
     assert report["informationally_complete"] is True
 
 
+def test_exit_3_is_decided_by_one_library_class():
+    import mapproc
+
+    refusals = (mapproc.UnderdeterminedPovmError, mapproc.InconsistentProbabilitiesError,
+                mapproc.IsometryViolationError)
+    assert all(issubclass(cls, mapproc.InfeasibleError) for cls in refusals)
+    # still a ValueError, so library callers that catch ValueError keep working
+    assert issubclass(mapproc.InfeasibleError, ValueError)
+
+
 def test_no_command_prints_help_and_exits_2(capsys):
     assert main([]) == 2
     assert "usage" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["qid-povm", "--sic"], ["qid-program", "--sic"], ["reconstruct", "data", "povm"],
+    ["vn-check", "ms"], ["vn-synth", "ms"], ["vn-relaxed", "ms"], ["bloch-export", "--sic"],
+], ids=lambda argv: argv[0])
+def test_seed_belongs_to_simulate_only(tmp_path, capsys, argv):
+    # only simulate draws random numbers; elsewhere a seed would be recorded
+    # in the manifest without changing the artifact
+    files = {"data": write_json(tmp_path, "data.json", {"outcome_counts": [4, 3, 2, 1]}),
+             "povm": sic_povm_file(tmp_path), "ms": measurements_file(tmp_path)}
+    argv = [files.get(arg, arg) for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+    code, out = run(tmp_path, *argv)
+    assert code == 0 and '"seed": null' in out.read_text()
 
 
 def test_tol_belongs_to_reconstruct_only(tmp_path):
@@ -366,7 +409,7 @@ _SX = {"dim": 2, "basis": [
 ]}
 _SZ = {"dim": 2, "projectors": [serialize.encode_operator(np.diag(d)) for d in np.eye(2)]}
 DOCUMENTS = {
-    "program": {"alpha": [serialize.encode_complex(z) for z in sic_program().amplitudes]},
+    "program": serialize.encode_qid_program(sic_program()),
     "state": serialize.encode_operator(np.array([[0.7, 0.2j], [-0.2j, 0.3]])),
     "povm": serialize.encode_povm(qid_povm(sic_program()).elements),
     "data": {"outcome_counts": [400, 300, 200, 100]},
@@ -422,17 +465,17 @@ def test_every_subcommand_is_fuzzed():
     assert set(subparsers.choices) == set(COMMANDS)
 
 
-# Every settable value by dest: (flags, positionals in order), 27 flags and
+# Every settable value by dest: (flags, positionals in order), 20 flags and
 # 9 positionals in all.  A new option fails here until it is added on purpose.
 OPTIONS = {
-    "qid-povm": ({"seed", "output", "sic"}, ("program",)),
-    "qid-program": ({"seed", "output", "sic", "unitary", "pauli_axis"}, ()),
+    "qid-povm": ({"output", "sic"}, ("program",)),
+    "qid-program": ({"output", "sic", "unitary", "pauli_axis"}, ()),
     "simulate": ({"seed", "output", "n"}, ("state", "povm")),
-    "reconstruct": ({"seed", "output", "project", "tol"}, ("data", "povm")),
-    "vn-check": ({"seed", "output", "pairing", "weights"}, ("measurements",)),
-    "vn-synth": ({"seed", "output", "slots"}, ("measurements",)),
-    "vn-relaxed": ({"seed", "output"}, ("measurements",)),
-    "bloch-export": ({"seed", "output", "sic"}, ("program",)),
+    "reconstruct": ({"output", "project", "tol"}, ("data", "povm")),
+    "vn-check": ({"output", "pairing", "weights"}, ("measurements",)),
+    "vn-synth": ({"output", "slots"}, ("measurements",)),
+    "vn-relaxed": ({"output"}, ("measurements",)),
+    "bloch-export": ({"output", "sic"}, ("program",)),
 }
 
 
@@ -446,7 +489,7 @@ def test_every_option_is_pinned():
         for name, p in subparsers.choices.items()
     }
     assert found == OPTIONS
-    assert sum(len(flags) for flags, _ in found.values()) == 27
+    assert sum(len(flags) for flags, _ in found.values()) == 20
     assert sum(len(positionals) for _, positionals in found.values()) == 9
 
 
@@ -553,8 +596,8 @@ def state(dim):
     return [("dim", "int"), ("amp", (dim, COMPLEX))]
 
 
-def manifest(inputs, tolerance="NoneType"):
-    return [("command", "str"), ("inputs", (inputs, "str") if inputs else []), ("seed", "int"),
+def manifest(inputs, tolerance="NoneType", seed="NoneType"):
+    return [("command", "str"), ("inputs", (inputs, "str") if inputs else []), ("seed", seed),
             ("tolerance", tolerance), ("tool_version", "str")]
 
 
@@ -607,7 +650,8 @@ WIRE_FORMATS = [
     (["qid-povm", ("program",)], povm_report(1)),
     (["qid-povm", "--sic"], povm_report(0)),
     (["simulate", ("state",), ("povm",), "--n", "100"],
-     [("outcome_counts", (4, "int")), ("n", "int"), ("seed", "int"), ("manifest", manifest(2))]),
+     [("outcome_counts", (4, "int")), ("n", "int"), ("seed", "int"),
+      ("manifest", manifest(2, seed="int"))]),
     (["reconstruct", ("data",), ("povm",), "--project"], reconstruction("NoneType")),
     (["reconstruct", ("probabilities",), ("povm",), "--tol", "0.1"], reconstruction("float")),
     (["vn-check", ("measurements",), "--pairing", "[[0,0],[0,1],[1,1],[1,0]]",

@@ -154,7 +154,7 @@ class TestKrausOperators:
 class TestInducedPovm:
     def test_single_block_gives_identity(self, qid_proc):
         povm = induced_povm(
-            qid_proc, sic_program().program_state(), OutcomePartition.single(4)
+            qid_proc, sic_program().program_state(), OutcomePartition(blocks=(tuple(range(4)),))
         )
         assert len(povm) == 1
         assert np.allclose(povm[0], np.eye(2), atol=1e-12)

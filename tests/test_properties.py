@@ -18,7 +18,7 @@ from mapproc.processor import (
     post_measurement_state,
     validate_povm,
 )
-from mapproc.qcore import ATOL, bloch_expand, dag, is_unitary
+from mapproc.qcore import ATOL, dag, is_unitary, pauli
 from mapproc.qid import QidProgram, qid_povm, qid_unitary
 from mapproc.sampling import (
     haar_unitary,
@@ -303,9 +303,22 @@ def test_anchor_bloch_is_the_bloch_vector_of_the_first_element(seed):
     # or index slip in the written-out cross product shows here
     amps = random_complex_amplitudes(np.random.default_rng(seed))
     report = qid_povm(QidProgram(amplitudes=amps))
-    expansion = bloch_expand(4 * report.elements[0] - np.eye(2))
-    assert abs(expansion.scalar) < 1e-12
-    assert np.max(np.abs(report.anchor_bloch - expansion.vector)) < 1e-12
+    h = 4 * report.elements[0] - np.eye(2)
+    # h = b . sigma with b_j = Tr(h sigma_j)/2, and no identity part
+    coefficients = [np.trace(h @ pauli(j)) / 2 for j in range(4)]
+    assert np.max(np.abs(coefficients - np.append(0, report.anchor_bloch))) < 1e-12
+
+
+@SETTINGS
+@given(seeds)
+def test_bloch_points_are_the_bloch_vectors_of_the_elements(seed):
+    # point k is the Bloch vector r of 2 F_k = (I + r . sigma)/2, r_j = Tr(2 F_k sigma_j)
+    amps = random_complex_amplitudes(np.random.default_rng(seed))
+    report = qid_povm(QidProgram(amplitudes=amps))
+    points = report.bloch_points()
+    assert [label for label, *_ in points] == ["F0", "F1", "F2", "F3"]
+    oracle = [[np.trace(2 * f @ pauli(j)).real for j in (1, 2, 3)] for f in report.elements]
+    assert np.max(np.abs(np.array([xyz for _, *xyz in points]) - oracle)) < 1e-12
 
 
 @SETTINGS

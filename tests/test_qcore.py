@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapproc.qcore import (
-    bloch_expand,
     is_unitary,
     pauli,
     tensor,
@@ -14,10 +13,6 @@ from mapproc.qcore import (
 )
 
 finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
-
-
-def hermitian_from(a, b, c, d):
-    return a * pauli(0) + b * pauli(1) + c * pauli(2) + d * pauli(3)
 
 
 class TestTensor:
@@ -68,34 +63,6 @@ class TestPauli:
     def test_non_integer_index_is_refused(self, k):
         with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {k!r}")):
             pauli(k)
-
-
-class TestBlochExpand:
-    def test_half_identity(self):
-        exp = bloch_expand(0.5 * np.eye(2))
-        assert abs(exp.scalar - 0.5) < 1e-14
-        assert np.allclose(exp.vector, 0, atol=1e-14)
-
-    def test_tetrahedron_anchor_element(self):
-        f0 = 0.25 * (np.eye(2) + (pauli(1) + pauli(2) + pauli(3)) / np.sqrt(3))
-        exp = bloch_expand(f0)
-        assert abs(exp.scalar - 0.25) < 1e-12
-        assert np.allclose(exp.vector, np.full(3, 1 / (4 * np.sqrt(3))), atol=1e-12)
-
-    def test_ground_state_projector(self):
-        exp = bloch_expand(np.diag([1.0, 0.0]))
-        assert abs(exp.scalar - 0.5) < 1e-14
-        assert np.allclose(exp.vector, [0, 0, 0.5], atol=1e-14)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            bloch_expand(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    @given(finite, finite, finite, finite)
-    @settings(max_examples=50)
-    def test_round_trip(self, a, b, c, d):
-        h = hermitian_from(a, b, c, d)
-        assert np.max(np.abs(bloch_expand(h).assemble() - h)) < 1e-12
 
 
 class TestStructureChecks:

@@ -48,8 +48,10 @@ class TestGramMatrix:
         assert np.max(np.abs(gram - expected)) < 1e-12
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            gram_matrix([np.array([[0, 1], [0, 0]], dtype=complex)])
+        # a NaN entry fails the Hermitian test too: NaN compares false
+        for element in ([[0, 1], [0, 0]], [[np.nan, 0], [0, 1]]):
+            with pytest.raises(ValueError, match="Hermitian"):
+                gram_matrix([np.array(element, dtype=complex)])
 
 
 class TestInformationalCompleteness:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from mapproc.processor import (
     kraus_operators,
     outcome_probabilities,
 )
-from mapproc.qcore import bloch_expand, dag, is_unitary, pauli
+from mapproc import vnmeas
+from mapproc.qcore import InfeasibleError, dag, is_unitary, pauli
 from mapproc.qid import QidCircuit, qid_povm, qid_unitary, sic_program
 from mapproc.sampling import haar_unitary, random_density_operator, random_rank_one_measurement
 from mapproc.tomography import Tomographer
@@ -229,6 +232,23 @@ class TestBuildOrthogonalProcessor:
         with pytest.raises(ValueError, match="needs 2 slots"):
             build_orthogonal_processor(assign, [SZ])
 
+    @pytest.mark.parametrize("slot_maps,top", [(((0, 100),), 100), (((0, 1), (2, 4)), 4)],
+                             ids=["one-measurement", "two-measurements"])
+    def test_slot_index_must_lie_in_the_n_d_slots(self, slot_maps, top):
+        # one large slot index would set the gate dimension d * (1 + index)
+        n = len(slot_maps)
+        with pytest.raises(ValueError, match=re.escape(
+            f"slot index {top} outside 0..{2 * n - 1}, the N*d slots of the inputs"
+        )):
+            build_orthogonal_processor(SlotAssignment(slot_maps), [SZ, SX][:n])
+
+    def test_mixed_dimensions_are_named_before_the_slot_bound(self):
+        ms = [SZ, random_measurement(3, np.random.default_rng(61)),
+              random_measurement(3, np.random.default_rng(62))]
+        assign = SlotAssignment(((0, 1), (2, 3, 4), (5, 6, 7)))
+        with pytest.raises(ValueError, match="share one dimension"):
+            build_orthogonal_processor(assign, ms)
+
 
 class TestSynthesisInvariants:
     """Unitarity, realization and the defining gate action on every size."""
@@ -276,6 +296,19 @@ class TestSynthesisInvariants:
         self.assert_gate_applies(report, padded)
 
 
+def test_no_completion_qr_when_the_image_fills_the_gate(monkeypatch):
+    # the shift construction with N = d has dp = n: every gate column is an
+    # image column, so the complete QR would fill an empty slice
+    def refuse(v):
+        raise AssertionError("complete QR for zero completion columns")
+
+    monkeypatch.setattr(vnmeas, "_complement", refuse)
+    report = relaxed_pvm_processor([SZ, SX])
+    assert not report.completion_used and is_unitary(report.gate)
+    with pytest.raises(AssertionError, match="zero completion columns"):
+        relaxed_pvm_processor([SX])
+
+
 class TestRelaxedProcessor:
     def test_qubit_pair_matches_shift_structure(self):
         phi = np.array([0.6, 0.8], dtype=complex)
@@ -319,7 +352,7 @@ class TestRelaxedProcessor:
     def test_too_many_measurements(self):
         rng = np.random.default_rng(71)
         ms = [random_measurement(2, rng) for _ in range(3)]
-        with pytest.raises(ValueError, match="at most"):
+        with pytest.raises(InfeasibleError, match="at most d=2 measurements, got 3"):
             relaxed_pvm_processor(ms)
 
     def test_mixed_dimensions_are_named_before_the_count(self):
@@ -457,7 +490,6 @@ def test_array_holding_dataclasses_compare_by_identity():
         lambda: induced_instrument(
             qid_unitary(), sic_program().program_state(), OutcomePartition.finest(4)
         ),
-        lambda: bloch_expand(pauli(3)),
         lambda: Tomographer.build(qid_povm(sic_program()).elements),  # memoized: one instance
         lambda: VonNeumannMeasurement(projectors=(E0, E1)),
         lambda: relaxed.measurements[0],  # one instance
