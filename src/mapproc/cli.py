@@ -21,12 +21,7 @@ import numpy as np
 from . import __version__
 from . import qid, serialize, tomography, vnmeas
 from .processor import sample_outcomes
-from .qcore import InfeasibleError, is_density_operator
-
-
-# A state document passes as a density operator within STATE_TOL: it is
-# typed or rounded by hand, so it gets more slack than the library's ATOL.
-STATE_TOL = 1e-8
+from .qcore import InfeasibleError
 
 
 def _load_json(path: str):
@@ -95,8 +90,6 @@ def _cmd_qid_program(args) -> int:
 
 def _cmd_simulate(args) -> int:
     rho = serialize.decode_density_operator(_load_json(args.state))
-    if not is_density_operator(rho, tol=STATE_TOL):
-        raise ValueError(f"{args.state}: not a density operator")
     povm = serialize.decode_povm(_load_json(args.povm))
     counts = sample_outcomes(rho, povm, args.n, args.seed)
     _emit_json(args, serialize.encode_counts(counts, args.seed), [args.state, args.povm])

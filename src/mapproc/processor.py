@@ -20,6 +20,9 @@ from .qcore import ATOL, _index, dag, is_unitary
 from .sampling import as_generator
 
 PROB_FLOOR = 1e-12
+# A state, typed or rounded by hand, passes within STATE_TOL: its outcome
+# probabilities before sampling, and a density-operator document in full.
+STATE_TOL = 1e-8
 
 # Validated POVMs kept by content; every entry pins its stack, so the bound
 # stays small (one tomography POVM and a few others in use at a time).
@@ -148,10 +151,6 @@ class OutcomePartition:
     @classmethod
     def finest(cls, n: int) -> "OutcomePartition":
         return cls(blocks=tuple((k,) for k in range(n)))
-
-    @classmethod
-    def single(cls, n: int) -> "OutcomePartition":
-        return cls(blocks=(tuple(range(n)),))
 
     @property
     def num_indices(self) -> int:
@@ -320,11 +319,22 @@ def post_measurement_state(
 def sample_outcomes(
     rho: np.ndarray, povm: np.ndarray, n: int, seed: int | np.random.Generator
 ) -> np.ndarray:
-    """Multinomial counts of ``n`` shots, a nonnegative integer; deterministic for a fixed seed."""
+    """Multinomial counts of ``n`` shots, a nonnegative integer; deterministic for a fixed seed.
+
+    The outcome probabilities must form a distribution within STATE_TOL
+    (no p_k below -STATE_TOL, sum 1); otherwise ``rho`` is not a state and
+    ValueError names the probabilities.
+    """
     n = _index(n, "sample count")
     if n < 0:
         raise ValueError("sample count must be nonnegative")
     p = outcome_probabilities(rho, povm)
+    # scalar checks on a few floats beat array reductions; a NaN fails the sum
+    probs = p.tolist()
+    if not (min(probs) >= -STATE_TOL and abs(sum(probs) - 1.0) <= STATE_TOL):
+        raise ValueError(
+            f"outcome probabilities {probs} are not a distribution: rho is not a state"
+        )
     p = np.maximum(p, 0.0)
     p = p / p.sum()
     if n == 0:

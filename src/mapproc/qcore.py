@@ -80,7 +80,11 @@ def is_unitary(m: np.ndarray) -> bool:
 def is_density_operator(m: np.ndarray, tol: float = ATOL) -> bool:
     """Hermitian, unit trace, and no eigenvalue below -tol."""
     m = np.asarray(m, dtype=complex)
-    if m.shape[0] != m.shape[1] or not _is_hermitian(m, tol):
+    if m.shape[0] != m.shape[1]:
+        return False
+    # |m_ij| <= sqrt(m_ii m_jj) <= 1 for a state; refusing larger entries
+    # first keeps huge finite ones from overflowing in the checks
+    if not np.abs(m).max() <= 1 + tol or not _is_hermitian(m, tol):
         return False
     if abs(np.trace(m).real - 1.0) > tol:
         return False

@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from .processor import OutcomePartition, Processor
+from .processor import STATE_TOL, OutcomePartition, Processor
+from .qcore import is_density_operator
 from .qid import QidPovmReport, QidProgram
 from .tomography import ReconstructionDiagnostics
 from .vnmeas import SynthesisReport, VonNeumannMeasurement
@@ -97,11 +98,14 @@ def decode_operator(obj) -> np.ndarray:
 def decode_density_operator(obj) -> np.ndarray:
     """A bare operator document, or the {"state": operator} output of reconstruct.
 
-    Whether the operator is a density operator is left to the caller.
+    The operator must be a density operator within STATE_TOL.
     """
     if isinstance(obj, dict) and "state" in obj:
         obj = obj["state"]
-    return decode_operator(obj)
+    rho = decode_operator(obj)
+    if not is_density_operator(rho, tol=STATE_TOL):
+        raise ValueError(f"state is not a density operator within {STATE_TOL}")
+    return rho
 
 
 def encode_state(v: np.ndarray) -> dict:

@@ -15,7 +15,6 @@ import numpy as np
 
 from .qcore import ATOL, InfeasibleError, _index, dag
 from .processor import PROB_FLOOR, Processor, _branches, _freeze
-from .sampling import as_generator, random_rank_one_measurement
 
 # A post-measurement state matches its projector within POSTULATE_ATOL;
 # outcomes at or below POSTULATE_FLOOR in probability are not checked.
@@ -25,11 +24,6 @@ POSTULATE_FLOOR = 1e-10
 # program columns are copies of the image, and the check still allows ten
 # times the structural tolerance rather than demanding equal bits.
 REALIZED_ATOL = 10 * ATOL
-# The randomized searches accept a drawn basis or induced measurement within
-# SEARCH_TOL, and count a program as superposed when no amplitude exceeds
-# SUPERPOSED_MAX_AMPLITUDE in modulus.
-SEARCH_TOL = 1e-8
-SUPERPOSED_MAX_AMPLITUDE = 1.0 - 1e-6
 
 
 def _shared_dim(measurements: list[VonNeumannMeasurement]) -> int:
@@ -55,7 +49,7 @@ class IsometryViolationError(InfeasibleError):
         self.slots = slots
 
 
-def _rank_one_pvm_defect(projs: np.ndarray, tol: float) -> str | None:
+def _rank_one_pvm_defect(projs: np.ndarray) -> str | None:
     """Why the (n, d, d) stack is not d orthogonal rank-1 projectors summing to I, or None."""
     d = projs.shape[1]
     if len(projs) != d:
@@ -65,13 +59,13 @@ def _rank_one_pvm_defect(projs: np.ndarray, tol: float) -> str | None:
     skew = np.abs(projs - projs.conj().transpose(0, 2, 1)).max(axis=(1, 2))
     idempotency = np.abs(projs @ projs - projs).max(axis=(1, 2))
     trace = np.abs(np.trace(projs, axis1=1, axis2=2).real - 1.0)
-    bad = np.flatnonzero(~((skew <= tol) & (idempotency <= tol) & (trace <= tol)))
+    bad = np.flatnonzero(~((skew <= ATOL) & (idempotency <= ATOL) & (trace <= ATOL)))
     if bad.size:
         return f"element {bad[0]} is not a rank-1 projector"
-    if not np.max(np.abs(projs.sum(axis=0) - np.eye(d))) <= tol:
+    if not np.max(np.abs(projs.sum(axis=0) - np.eye(d))) <= ATOL:
         return "projectors must sum to the identity"
     products = np.abs(projs[:, None] @ projs[None, :]).max(axis=(2, 3))
-    bad = np.argwhere(np.triu(products > tol, 1))
+    bad = np.argwhere(np.triu(products > ATOL, 1))
     if len(bad):
         return f"projectors {bad[0][0]} and {bad[0][1]} are not orthogonal"
     return None
@@ -94,7 +88,7 @@ class VonNeumannMeasurement:
             projs = np.asarray(self.projectors, dtype=complex)
         except ValueError as exc:  # the projectors do not stack
             raise ValueError("projectors must share one dimension") from exc
-        defect = _rank_one_pvm_defect(projs, ATOL)
+        defect = _rank_one_pvm_defect(projs)
         if defect is not None:
             raise ValueError(defect)
         object.__setattr__(self, "projectors", _freeze(projs))
@@ -272,12 +266,6 @@ class SynthesisReport:
         return self.processor.gate
 
 
-def _complement(v: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the orthogonal complement of v's columns."""
-    q, _ = np.linalg.qr(v, mode="complete")
-    return q[:, v.shape[1]:]
-
-
 def _check_isometry(image: np.ndarray, padded: np.ndarray) -> None:
     """Raise IsometryViolationError unless image^dagger image = I.
 
@@ -341,7 +329,8 @@ def _synthesize(
     gate = np.empty((d * dp, d, dp), dtype=complex)
     gate[:, :, :n] = image.reshape(d * dp, n, d).swapaxes(1, 2)
     if dp > n:
-        gate[:, :, n:] = _complement(image).reshape(d * dp, d, dp - n)
+        q, _ = np.linalg.qr(image, mode="complete")
+        gate[:, :, n:] = q[:, n * d:].reshape(d * dp, d, dp - n)
     # + 0.0 turns a -0.0, copied or from the QR, into +0.0 (as in qid_povm),
     # so exported bytes stay stable
     gate += 0.0
@@ -464,13 +453,14 @@ def feasibility_table_check(columns: list[VonNeumannMeasurement]) -> list[Feasib
     Checks that outcome-paired vectors of different columns are orthogonal
     (row orthogonality) and that no column is an outcome permutation of
     another up to phases.  An empty result means the collection passes
-    the necessary conditions; it is not a sufficiency certificate.
+    the necessary conditions; it is not a sufficiency certificate.  More
+    than d columns raise InfeasibleError.
     """
     if not columns:
         return []
     d = _shared_dim(columns)
     if len(columns) > d:
-        raise ValueError(f"at most d={d} columns can share a d-size program")
+        raise InfeasibleError(f"at most d={d} columns can share a d-size program")
     n = len(columns)
     flat = np.array([m.projectors for m in columns]).reshape(n * d, d * d)
     # overlaps[a, k, b, l] = Tr(P_ak P_bl); the projectors are Hermitian
@@ -492,76 +482,3 @@ def feasibility_table_check(columns: list[VonNeumannMeasurement]) -> list[Feasib
                 FeasibilityViolation(kind="column_permutation", first=a, second=b)
             )
     return violations
-
-
-@dataclass(frozen=True, eq=False)
-class PairSearchResult:
-    """Outcome of a randomized hunt for a feasible distinct measurement pair."""
-
-    dim: int
-    trials: int
-    hits: tuple[tuple[VonNeumannMeasurement, VonNeumannMeasurement], ...]
-
-
-def search_coprogrammable_pair(
-    dim: int, trials: int, seed: int | np.random.Generator
-) -> PairSearchResult:
-    """Randomized search for two distinct measurements passing the table check.
-
-    Each trial draws a random measurement, then draws candidate partner
-    vectors inside the orthogonal complement of each outcome (so row
-    orthogonality holds by construction) and keeps the partner only when
-    those vectors happen to form a measurement that is not an outcome
-    permutation of the first.  No hit is expected for dim 2 or 3.
-    """
-    rng = as_generator(seed)
-    hits = []
-    for _ in range(trials):
-        first = VonNeumannMeasurement(projectors=random_rank_one_measurement(dim, rng))
-        candidate = []
-        for k in range(dim):
-            e = first.basis_vector(k)
-            comp = _complement(e[:, None])
-            coeff = rng.normal(size=dim - 1) + 1j * rng.normal(size=dim - 1)
-            v = comp @ (coeff / np.linalg.norm(coeff))
-            candidate.append(v)
-        candidate = np.array(candidate)
-        if np.max(np.abs(candidate.conj() @ candidate.T - np.eye(dim))) > SEARCH_TOL:
-            continue
-        second = VonNeumannMeasurement.from_basis(candidate)
-        if not feasibility_table_check([first, second]):
-            hits.append((first, second))
-    return PairSearchResult(dim=dim, trials=trials, hits=tuple(hits))
-
-
-@dataclass(frozen=True, eq=False)
-class ExtraProgramSearchResult:
-    """Programs beyond the construction basis that realize some measurement."""
-
-    trials: int
-    hits: tuple[np.ndarray, ...]
-
-
-def search_extra_relaxed_program(
-    pvms: list[VonNeumannMeasurement], trials: int, seed: int | np.random.Generator
-) -> ExtraProgramSearchResult:
-    """Look for extra program states of a shift-construction processor.
-
-    Draws random genuinely superposed program states and reports those
-    whose induced outcome operators form a measurement (rank-1 orthogonal
-    projectors).  Whether such states exist beyond the basis programs is
-    an open question; this utility only reports what it finds.
-    """
-    report = relaxed_pvm_processor(pvms)
-    proc = report.processor
-    rng = as_generator(seed)
-    hits = []
-    for _ in range(trials):
-        v = rng.normal(size=proc.program_dim) + 1j * rng.normal(size=proc.program_dim)
-        v /= np.linalg.norm(v)
-        if np.max(np.abs(v)) > SUPERPOSED_MAX_AMPLITUDE:
-            continue
-        ops = _branches(proc, v[None])[0]
-        if _rank_one_pvm_defect(ops.conj().transpose(0, 2, 1) @ ops, SEARCH_TOL) is None:
-            hits.append(v)
-    return ExtraProgramSearchResult(trials=trials, hits=tuple(hits))

@@ -163,6 +163,14 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "rows" in err and err.count("\n") == 1
 
+    def test_trace_one_state_that_is_not_positive_exits_2(self, tmp_path, capsys):
+        state = write_json(tmp_path, "state.json", serialize.encode_operator(np.diag([2.0, -1.0])))
+        code, out = run(tmp_path, "simulate", state, sic_povm_file(tmp_path), "--n", "10")
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "not a density operator" in err and err.count("\n") == 1
+
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -352,6 +352,19 @@ class TestSampling:
         counts = sample_outcomes(np.eye(2) / 2, sic_elements, np.int64(50), seed=7)
         assert np.array_equal(counts, sample_outcomes(np.eye(2) / 2, sic_elements, 50, seed=7))
 
+    @pytest.mark.parametrize(
+        "rho, probabilities",
+        [
+            (np.diag([2.0, -1.0]), "-0.183"),  # trace 1, not positive: a negative p_k
+            (np.zeros((2, 2)), "[0.0, 0.0, 0.0, 0.0]"),  # probabilities sum to 0
+        ],
+        ids=["not-positive", "zero"],
+    )
+    def test_non_state_is_refused(self, sic_elements, rho, probabilities):
+        with pytest.raises(ValueError, match="not a distribution") as caught:
+            sample_outcomes(rho, sic_elements, 1000, seed=0)
+        assert probabilities in str(caught.value)
+
     # counts recorded when negative rounding dust was clipped with np.clip;
     # the antipode of the first tetrahedron vertex has p_0 = -4.2e-17
     @pytest.mark.parametrize(

@@ -25,15 +25,13 @@ MODULES = [importlib.import_module(f"mapproc.{m.name}") for m in pkgutil.iter_mo
 TOLERANCES = {
     "qcore.ATOL": 1e-10,
     "processor.PROB_FLOOR": 1e-12,
+    "processor.STATE_TOL": 1e-8,
     "tomography.RANK_CUTOFF": 1e-9,
     "tomography.PROB_SUM_TOL": 1e-6,
     "tomography.RESIDUAL_TOL": 1e-6,
     "vnmeas.POSTULATE_ATOL": 1e-8,
     "vnmeas.POSTULATE_FLOOR": 1e-10,
     "vnmeas.REALIZED_ATOL": 1e-9,
-    "vnmeas.SEARCH_TOL": 1e-8,
-    "vnmeas.SUPERPOSED_MAX_AMPLITUDE": 1.0 - 1e-6,
-    "cli.STATE_TOL": 1e-8,
 }
 
 # the tolerances a caller may set, as (function, parameter)

@@ -2,19 +2,26 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapproc.processor import (
     OutcomePartition,
     Processor,
     ProgramState,
     induced_instrument,
+    induced_povm,
     kraus_operators,
     outcome_probabilities,
 )
-from mapproc import vnmeas
 from mapproc.qcore import InfeasibleError, dag, is_unitary, pauli
 from mapproc.qid import QidCircuit, qid_povm, qid_unitary, sic_program
-from mapproc.sampling import haar_unitary, random_density_operator, random_rank_one_measurement
+from mapproc.sampling import (
+    haar_unitary,
+    random_density_operator,
+    random_pure_state,
+    random_rank_one_measurement,
+)
 from mapproc.tomography import Tomographer
 from mapproc.vnmeas import (
     IsometryViolationError,
@@ -28,8 +35,6 @@ from mapproc.vnmeas import (
     kraus_compatibility,
     pad_with_zero_slots,
     relaxed_pvm_processor,
-    search_coprogrammable_pair,
-    search_extra_relaxed_program,
     verify_projection_postulate,
 )
 
@@ -299,10 +304,10 @@ class TestSynthesisInvariants:
 def test_no_completion_qr_when_the_image_fills_the_gate(monkeypatch):
     # the shift construction with N = d has dp = n: every gate column is an
     # image column, so the complete QR would fill an empty slice
-    def refuse(v):
+    def refuse(*args, **kwargs):
         raise AssertionError("complete QR for zero completion columns")
 
-    monkeypatch.setattr(vnmeas, "_complement", refuse)
+    monkeypatch.setattr(np.linalg, "qr", refuse)
     report = relaxed_pvm_processor([SZ, SX])
     assert not report.completion_used and is_unitary(report.gate)
     with pytest.raises(AssertionError, match="zero completion columns"):
@@ -434,25 +439,35 @@ class TestFeasibilityTable:
         assert feasibility_table_check([SZ]) == []
 
     def test_too_many_columns(self):
-        with pytest.raises(ValueError, match="at most"):
+        with pytest.raises(InfeasibleError, match="at most"):
             feasibility_table_check([SZ, SX, VonNeumannMeasurement(projectors=(E1, E0))])
 
 
-class TestSearches:
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_no_coprogrammable_pair_found(self, dim):
-        result = search_coprogrammable_pair(dim, trials=50, seed=90)
-        assert result.trials == 50
-        assert result.hits == ()
+class TestProgrammabilityLimits:
+    @settings(max_examples=25, deadline=None)
+    @given(d=st.integers(min_value=2, max_value=5), seed=st.integers(0, 2**32 - 1))
+    def test_superposed_program_mixes_the_shift_measurements(self, d, seed):
+        # program psi realizes F_k = sum_a |psi_a|^2 P^a_k, as <k+a|k+b> = delta_ab
+        rng = np.random.default_rng(seed)
+        ms = [random_measurement(d, rng) for _ in range(d)]
+        proc = relaxed_pvm_processor(ms).processor
+        psi = random_pure_state(d, rng)
+        povm = induced_povm(proc, ProgramState.pure(psi), OutcomePartition.finest(d))
+        weights = np.abs(psi) ** 2
+        closed = sum(w * m.projectors for w, m in zip(weights, ms))
+        assert np.max(np.abs(povm - closed)) <= 1e-12
 
-    def test_extra_relaxed_program_search_is_deterministic(self):
-        rng = np.random.default_rng(91)
-        ms = [random_measurement(2, rng) for _ in range(2)]
-        a = search_extra_relaxed_program(ms, trials=30, seed=5)
-        b = search_extra_relaxed_program(ms, trials=30, seed=5)
-        assert len(a.hits) == len(b.hits)
-        for x, y in zip(a.hits, b.hits):
-            assert np.array_equal(x, y)
+    @pytest.mark.parametrize("d", [4, 5, 6, 7, 8])
+    def test_zero_diagonal_partner_passes_the_table(self, d):
+        # f_k = sum_j W_kj e_j with W = S (I - 2 u u^dagger), u = (sqrt(3) e_0 + e_2)/2:
+        # zero diagonal (rows orthogonal), and W is not monomial (no permutation)
+        u = np.zeros(d)
+        u[0], u[2] = np.sqrt(3) / 2, 1 / 2
+        w = np.roll(np.eye(d) - 2 * np.outer(u, u), 1, axis=0)
+        assert np.all(np.diag(w) == 0) and np.count_nonzero(w) > d
+        first = haar_unitary(d, 100 + d)
+        pair = [VonNeumannMeasurement.from_basis(v) for v in (first, w @ first)]
+        assert feasibility_table_check(pair) == []
 
 
 def test_dataclass_arrays_are_read_only():
@@ -496,8 +511,6 @@ def test_array_holding_dataclasses_compare_by_identity():
         lambda: relaxed_pvm_processor([SZ, SX]),
         lambda: QidCircuit(gates=(), input_layer=("I", "I"), output_layer=("I", "I"),
                            relabeling=np.eye(4)),
-        lambda: search_coprogrammable_pair(2, trials=1, seed=0),
-        lambda: search_extra_relaxed_program([SZ, SX], trials=1, seed=0),
     ]
     for build in builders:
         x, y = build(), build()
