@@ -8,6 +8,10 @@ byte-identical artifacts, each of which embeds a small run manifest.
 
 Exit codes: 0 success, 2 malformed or invalid input, 3 mathematically
 infeasible request (the library's InfeasibleError).
+
+Each handler imports the library module it runs, so a subcommand loads
+only what it uses: ``simulate`` never loads ``qid``, ``tomography`` or
+``vnmeas``.
 """
 
 from __future__ import annotations
@@ -15,13 +19,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__
-from . import qid, serialize, tomography, vnmeas
-from .processor import sample_outcomes
+from . import __version__, serialize
 from .qcore import InfeasibleError
+
+if TYPE_CHECKING:
+    from .qid import QidProgram
 
 
 def _load_json(path: str):
@@ -57,7 +63,9 @@ def _emit_json(args, payload: dict, inputs: list[str]) -> None:
     _write_text(args, json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
-def _resolve_program(args) -> tuple[qid.QidProgram, list[str]]:
+def _resolve_program(args) -> tuple[QidProgram, list[str]]:
+    from . import qid
+
     if args.sic:
         if args.program is not None:
             raise ValueError("give either a program file or --sic, not both")
@@ -68,12 +76,16 @@ def _resolve_program(args) -> tuple[qid.QidProgram, list[str]]:
 
 
 def _cmd_qid_povm(args) -> int:
+    from . import qid
+
     program, inputs = _resolve_program(args)
     _emit_json(args, serialize.encode_qid_povm_report(qid.qid_povm(program)), inputs)
     return 0
 
 
 def _cmd_qid_program(args) -> int:
+    from . import qid
+
     chosen = [bool(args.sic), args.unitary is not None, args.pauli_axis is not None]
     if sum(chosen) != 1:
         raise ValueError("choose exactly one of --sic, --unitary, --pauli-axis")
@@ -89,6 +101,8 @@ def _cmd_qid_program(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .processor import sample_outcomes
+
     rho = serialize.decode_density_operator(_load_json(args.state))
     povm = serialize.decode_povm(_load_json(args.povm))
     counts = sample_outcomes(rho, povm, args.n, args.seed)
@@ -97,6 +111,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    from . import tomography
+
     data, counts = serialize.decode_tomography_data(_load_json(args.data))
     povm = serialize.decode_povm(_load_json(args.povm))
     residual_tol = args.tol if args.tol is not None else tomography.RESIDUAL_TOL
@@ -110,6 +126,8 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_vn_check(args) -> int:
+    from . import vnmeas
+
     ms = serialize.decode_measurement_list(_load_json(args.measurements))
     if len(ms) != 2:
         raise ValueError(f"vn-check needs exactly 2 measurements, got {len(ms)}")
@@ -124,6 +142,8 @@ def _cmd_vn_check(args) -> int:
 
 
 def _cmd_vn_synth(args) -> int:
+    from . import vnmeas
+
     ms = serialize.decode_measurement_list(_load_json(args.measurements))
     if args.slots is None:
         assign = vnmeas.pad_with_zero_slots(ms)
@@ -135,6 +155,8 @@ def _cmd_vn_synth(args) -> int:
 
 
 def _cmd_vn_relaxed(args) -> int:
+    from . import vnmeas
+
     ms = serialize.decode_measurement_list(_load_json(args.measurements))
     report = vnmeas.relaxed_pvm_processor(ms)
     _emit_json(args, serialize.encode_synthesis_report(report), [args.measurements])
@@ -142,6 +164,8 @@ def _cmd_vn_relaxed(args) -> int:
 
 
 def _cmd_bloch_export(args) -> int:
+    from . import qid
+
     program, inputs = _resolve_program(args)
     report = qid.qid_povm(program)
     manifest = _manifest(args, inputs)

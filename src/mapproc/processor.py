@@ -238,7 +238,11 @@ def validate_povm(povm: np.ndarray) -> np.ndarray:
     A stack that passed is remembered by its exact content, so repeated
     calls on one POVM skip the checks and share the returned array.
     """
-    if len(povm) == 0:
+    try:
+        n = len(povm)
+    except TypeError:  # a scalar or a 0-d array
+        raise InvalidPovmError(f"expected a sequence of (d, d) operators, got {povm!r}") from None
+    if n == 0:
         raise InvalidPovmError("empty POVM")
     first = _shape(povm[0])
     if not first or first[0] == 0:
@@ -321,9 +325,13 @@ def sample_outcomes(
 ) -> np.ndarray:
     """Multinomial counts of ``n`` shots, a nonnegative integer; deterministic for a fixed seed.
 
-    The outcome probabilities must form a distribution within STATE_TOL
-    (no p_k below -STATE_TOL, sum 1); otherwise ``rho`` is not a state and
-    ValueError names the probabilities.
+    Raises ValueError naming the outcome probabilities p_k = Tr(rho F_k)
+    unless they form a distribution within STATE_TOL: no p_k below
+    -STATE_TOL and |sum p - 1| <= STATE_TOL.  Only p is checked, not
+    ``rho``: an operator that is not a state but gives such p, such as
+    (I + 1.2 n.sigma)/2 with n a tetrahedron vertex on the tetrahedron
+    POVM, is sampled.  Check ``rho`` with ``is_density_operator`` first
+    when it may not be a state, as ``simulate`` does.
     """
     n = _index(n, "sample count")
     if n < 0:

@@ -68,7 +68,7 @@ def _is_hermitian(m: np.ndarray, tol: float) -> bool:
 def is_unitary(m: np.ndarray) -> bool:
     """True when m^dagger m equals the identity within ATOL (max-norm)."""
     m = np.asarray(m, dtype=complex)
-    if m.shape[0] != m.shape[1]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"is_unitary expects a square matrix, got shape {m.shape}")
     # entries of a unitary lie in the unit disc; refusing larger ones first
     # keeps huge finite entries from overflowing in the product
@@ -80,7 +80,7 @@ def is_unitary(m: np.ndarray) -> bool:
 def is_density_operator(m: np.ndarray, tol: float = ATOL) -> bool:
     """Hermitian, unit trace, and no eigenvalue below -tol."""
     m = np.asarray(m, dtype=complex)
-    if m.shape[0] != m.shape[1]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     # |m_ij| <= sqrt(m_ii m_jj) <= 1 for a state; refusing larger entries
     # first keeps huge finite ones from overflowing in the checks

@@ -11,14 +11,17 @@ clean exit.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .processor import STATE_TOL, OutcomePartition, Processor
 from .qcore import is_density_operator
-from .qid import QidPovmReport, QidProgram
-from .tomography import ReconstructionDiagnostics
-from .vnmeas import SynthesisReport, VonNeumannMeasurement
+
+if TYPE_CHECKING:
+    from .qid import QidPovmReport, QidProgram
+    from .tomography import ReconstructionDiagnostics
+    from .vnmeas import SynthesisReport, VonNeumannMeasurement
 
 
 def _pairs(a) -> list[list[float]]:
@@ -158,6 +161,8 @@ def encode_qid_program(program: QidProgram, partition: OutcomePartition | None =
 
 
 def decode_qid_program(obj) -> QidProgram:
+    from .qid import QidProgram
+
     if not isinstance(obj, dict) or "alpha" not in obj:
         raise ValueError("QID program must carry an alpha list")
     alpha = obj["alpha"]
@@ -218,6 +223,8 @@ def encode_reconstruction(state: np.ndarray, diag: ReconstructionDiagnostics) ->
 
 def decode_measurement(obj) -> VonNeumannMeasurement:
     """Accept either projector or basis form."""
+    from .vnmeas import VonNeumannMeasurement
+
     if not isinstance(obj, dict):
         raise ValueError("measurement must be an object with a dim")
     dim = _dimension(obj, "dim")

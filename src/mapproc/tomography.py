@@ -223,8 +223,9 @@ def reconstruct_from_counts(
     if not (counts >= 0).all():
         raise ValueError("counts must be nonnegative")
     total = counts.sum()
-    if not total > 0:
-        raise ValueError("counts must have a positive total")
+    # refused before dividing, so an infinite count never reaches a NaN
+    if not 0 < total < math.inf:
+        raise ValueError(f"counts must have a positive finite total, got {total}")
     return reconstruct_from_probabilities(
         counts / float(total), povm, project=project, residual_tol=residual_tol
     )

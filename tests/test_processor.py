@@ -233,6 +233,11 @@ class TestOutcomeProbabilities:
         povm[:] = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2)), np.zeros((2, 2))]
         assert np.array_equal(outcome_probabilities(rho, povm), [1.0, 0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("povm", [5, np.array(1.0)], ids=["int", "0-d-array"])
+    def test_non_sequence_is_not_a_povm(self, povm):
+        with pytest.raises(InvalidPovmError, match="expected a sequence"):
+            validate_povm(povm)
+
     def test_validated_stack_is_read_only(self, sic_elements):
         f = validate_povm(sic_elements)
         assert f is validate_povm(np.array(sic_elements))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapproc.qcore import (
+    is_density_operator,
     is_unitary,
     pauli,
     tensor,
@@ -78,6 +79,13 @@ class TestStructureChecks:
     def test_non_square_raises(self):
         with pytest.raises(ValueError):
             is_unitary(np.ones((2, 3)))
+
+    def test_vector_is_not_a_square_matrix(self):
+        with pytest.raises(ValueError, match="expects a square matrix"):
+            is_unitary(np.ones(3))
+
+    def test_vector_is_not_a_density_operator(self):
+        assert is_density_operator(np.ones(3)) is False
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("entry", [1e200, 1e300j, np.inf, np.nan])

@@ -202,8 +202,13 @@ class TestReconstructFromCounts:
     def test_rejects_bad_counts(self, sic_elements):
         with pytest.raises(ValueError, match="nonnegative"):
             reconstruct_from_counts(np.array([-1, 1, 0, 0]), sic_elements)
-        with pytest.raises(ValueError, match="positive total"):
+        with pytest.raises(ValueError, match="positive finite total"):
             reconstruct_from_counts(np.zeros(4, dtype=int), sic_elements)
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_total_is_refused_before_dividing(self, sic_elements):
+        with pytest.raises(ValueError, match="positive finite total, got inf"):
+            reconstruct_from_counts([np.inf, 1, 1, 1], sic_elements)
 
 
 # each check passes only when within its bound, and NaN is within none
