@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Search for a 4-CNOT circuit realization of the QID gate and print it."""
+"""Print the known 4-CNOT copying network of the QID gate and check it.
+
+The residual is the largest entry of (I (x) M) U - G, with U the circuit
+unitary, M the measurement-basis relabeling and G the QID gate.
+"""
 
 import numpy as np
 
-from mapproc.qcore import tensor
 from mapproc.qid import qid_circuit_search, qid_unitary
 
 NAMES = {0: "data", 1: "prog1", 2: "prog2"}
@@ -11,9 +14,6 @@ NAMES = {0: "data", 1: "prog1", 2: "prog2"}
 
 def main() -> None:
     circuit = qid_circuit_search()
-    if circuit is None:
-        print("no circuit found in the searched family")
-        return
     print("gates (left to right):")
     for control, target in circuit.gates:
         print(f"  CNOT {NAMES[control]} -> {NAMES[target]}")
@@ -22,7 +22,7 @@ def main() -> None:
     print("measurement-basis relabeling (monomial matrix):")
     print(np.round(circuit.relabeling, 6))
     residual = np.max(
-        np.abs(tensor(np.eye(2), circuit.relabeling) @ circuit.unitary() - qid_unitary().gate)
+        np.abs(np.kron(np.eye(2), circuit.relabeling) @ circuit.unitary() - qid_unitary().gate)
     )
     print(f"match residual: {residual:.2e}")
 

@@ -34,7 +34,6 @@ _EXPORTS = {
         "is_density_operator",
         "is_unitary",
         "pauli",
-        "tensor",
         "trace_distance",
     ),
     "qid": (

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import ATOL, _index, dag, is_unitary
+from .qcore import ATOL, _index, _is_hermitian, dag, is_unitary
 from .sampling import as_generator
 
 PROB_FLOOR = 1e-12
@@ -268,7 +268,7 @@ def _checked_povm(shape: tuple[int, ...], data: bytes) -> np.ndarray:
     """The numerical POVM checks on a stack given by content; raising is not cached."""
     f = np.frombuffer(data, dtype=complex).reshape(shape)  # read-only view
     d = shape[1]
-    skew = ~(np.abs(f - f.conj().transpose(0, 2, 1)).max(axis=(1, 2)) <= ATOL)
+    skew = ~_is_hermitian(f, ATOL)
     bad = skew | (np.linalg.eigvalsh(f).min(axis=1) < -ATOL)
     if bad.any():
         i = int(np.argmax(bad))

@@ -56,13 +56,9 @@ def dag(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().T
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, first factor slow."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def _is_hermitian(m: np.ndarray, tol: float) -> bool:
-    return m.shape[0] == m.shape[1] and bool(np.max(np.abs(m - dag(m))) <= tol)
+def _is_hermitian(m: np.ndarray, tol: float) -> np.ndarray:
+    """Per square matrix over the last two axes: within tol of its adjoint (NaN is not)."""
+    return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) <= tol
 
 
 def is_unitary(m: np.ndarray) -> bool:

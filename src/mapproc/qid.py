@@ -9,7 +9,6 @@ rotations, and the three Pauli von Neumann measurements.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -190,7 +189,7 @@ def _cnot(control: int, target: int) -> np.ndarray:
         m[b2, b] = 1.0
     return m
 
-_CNOTS = ((0, 1), (0, 2), (1, 0), (2, 0))
+
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _LOCALS = {"I": np.eye(2, dtype=complex), "H": _HADAMARD}
 
@@ -223,51 +222,25 @@ class QidCircuit:
         return np.kron(np.eye(2, dtype=complex), np.kron(_LOCALS[names[0]], _LOCALS[names[1]]))
 
 
-def _monomial_program_factor(x: np.ndarray) -> np.ndarray | None:
-    """Return M when x = I_2 (x) M with M a monomial unitary (within ATOL), else None."""
-    x4 = x.reshape(2, 4, 2, 4)
-    m = x4[0, :, 0, :]
-    for i in range(2):
-        for j in range(2):
-            block = x4[i, :, j, :]
-            target = m if i == j else np.zeros((4, 4))
-            if np.max(np.abs(block - target)) > ATOL:
-                return None
-    mags = np.abs(m)
-    hot = mags > 0.5
-    if not (np.all(hot.sum(axis=0) == 1) and np.all(hot.sum(axis=1) == 1)):
-        return None
-    if np.max(np.abs(mags[hot] - 1.0)) > ATOL or np.max(mags[~hot]) > ATOL:
-        return None
-    return m
+_RELABELING = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=complex)
+_RELABELING.setflags(write=False)
+
+_QID_CIRCUIT = QidCircuit(
+    gates=((0, 1), (0, 2), (1, 0), (2, 0)),
+    input_layer=("I", "I"),
+    output_layer=("H", "I"),
+    relabeling=_RELABELING,
+)
 
 
-def qid_circuit_search() -> QidCircuit | None:
-    """Brute-force search for a 4-CNOT circuit implementing the QID gate.
+def qid_circuit_search() -> QidCircuit:
+    """The 4-CNOT circuit realizing the QID gate.
 
-    The family is finite and enumerated deterministically: every ordering
-    of the four data-program CNOTs (both control directions), composed with
-    I-or-H local layers on the program qubits at the input and output.  A
-    candidate matches when the QID gate equals the circuit up to a
-    relabeling (permutation and phases) of the measured program basis.
-    Returns None when the family contains no match.
+    It is the copying network of Buzek, Braunstein, Hillery and Bruss,
+    PRA 56, 3446 (1997): CNOTs from the data qubit onto each program qubit,
+    then from each program qubit back onto the data, followed by a Hadamard
+    on the first program qubit.  The QID gate equals (I (x) M) times this
+    circuit, where M is the signed permutation of the measured program
+    basis that fixes |0> and |1>, sends |3> to -|2> and |2> to |3>.
     """
-    target = qid_unitary().gate
-    for perm in itertools.permutations(_CNOTS):
-        for in_layer in itertools.product("IH", repeat=2):
-            for out_layer in itertools.product("IH", repeat=2):
-                candidate = QidCircuit(
-                    gates=perm,
-                    input_layer=in_layer,
-                    output_layer=out_layer,
-                    relabeling=np.eye(4, dtype=complex),
-                )
-                m = _monomial_program_factor(target @ dag(candidate.unitary()))
-                if m is not None:
-                    return QidCircuit(
-                        gates=perm,
-                        input_layer=in_layer,
-                        output_layer=out_layer,
-                        relabeling=m,
-                    )
-    return None
+    return _QID_CIRCUIT

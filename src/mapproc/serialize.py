@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .processor import STATE_TOL, OutcomePartition, Processor
-from .qcore import is_density_operator
+from .qcore import ATOL, is_density_operator
 
 if TYPE_CHECKING:
     from .qid import QidPovmReport, QidProgram
@@ -254,7 +254,7 @@ def encode_coprogram_condition(s: np.ndarray, k: complex | None) -> dict:
     return {
         "condition_operator": encode_operator(s),
         "scalar": None if k is None else _pairs(k)[0],
-        "orthogonal_programs_required": k is None,
+        "orthogonal_programs_required": k is None or bool(abs(k) <= ATOL),
     }
 
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import ATOL, InfeasibleError
+from .qcore import ATOL, InfeasibleError, _is_hermitian
 from .processor import _POVM_MEMO_SIZE, validate_povm
 
 # Singular values of the stacked POVM below RANK_CUTOFF times the largest
@@ -52,7 +52,7 @@ class InconsistentProbabilitiesError(InfeasibleError):
 def gram_matrix(povm: np.ndarray) -> np.ndarray:
     """Real symmetric matrix of pairwise overlaps Tr(F_j F_k)."""
     f = np.asarray(povm, dtype=complex)
-    skew = ~(np.abs(f - f.conj().transpose(0, 2, 1)).max(axis=(1, 2)) <= ATOL)
+    skew = ~_is_hermitian(f, ATOL)
     if skew.any():
         raise ValueError(f"POVM element {int(np.argmax(skew))} is not Hermitian")
     return np.einsum("jab,kba->jk", f, f).real
@@ -222,8 +222,9 @@ def reconstruct_from_counts(
     counts = np.asarray(counts)
     if not (counts >= 0).all():
         raise ValueError("counts must be nonnegative")
-    total = counts.sum()
-    # refused before dividing, so an infinite count never reaches a NaN
+    # a Python sum overflows to inf without numpy's warning; refused before
+    # dividing, so an infinite total never reaches a NaN
+    total = sum(counts.ravel().tolist())
     if not 0 < total < math.inf:
         raise ValueError(f"counts must have a positive finite total, got {total}")
     return reconstruct_from_probabilities(

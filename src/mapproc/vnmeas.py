@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import ATOL, InfeasibleError, _index, dag
-from .processor import PROB_FLOOR, Processor, _branches, _freeze
+from .qcore import ATOL, InfeasibleError, _index, _is_hermitian, dag
+from .processor import Processor, _branches, _freeze
 
 # A post-measurement state matches its projector within POSTULATE_ATOL;
 # outcomes at or below POSTULATE_FLOOR in probability are not checked.
@@ -56,10 +56,9 @@ def _rank_one_pvm_defect(projs: np.ndarray) -> str | None:
         return f"need {d} projectors on dimension {d}, got {len(projs)}"
     if projs.shape != (d, d, d):
         return "projectors must share one dimension"
-    skew = np.abs(projs - projs.conj().transpose(0, 2, 1)).max(axis=(1, 2))
     idempotency = np.abs(projs @ projs - projs).max(axis=(1, 2))
     trace = np.abs(np.trace(projs, axis1=1, axis2=2).real - 1.0)
-    bad = np.flatnonzero(~((skew <= ATOL) & (idempotency <= ATOL) & (trace <= ATOL)))
+    bad = np.flatnonzero(~(_is_hermitian(projs, ATOL) & (idempotency <= ATOL) & (trace <= ATOL)))
     if bad.size:
         return f"element {bad[0]} is not a rank-1 projector"
     if not np.max(np.abs(projs.sum(axis=0) - np.eye(d))) <= ATOL:
@@ -159,10 +158,10 @@ def coprogram_condition(
     outcomes (i, j); the default pairing is by index with unit weights.
     Working with projector products keeps S independent of basis-vector
     phases.  The scalar k is present exactly when S = k*I within ATOL, in
-    which case programs with overlap k are admissible; otherwise the
-    program states must be orthogonal.  An explicit pairing (with repetitions and
-    weights) expresses realizations that spread one measurement over
-    several processor outcomes.
+    which case programs with overlap k are admissible; otherwise, or when
+    |k| <= ATOL (overlap 0), the program states must be orthogonal.  An
+    explicit pairing (with repetitions and weights) expresses realizations
+    that spread one measurement over several processor outcomes.
     """
     if m1.dim != m2.dim:
         raise ValueError("measurements must share one dimension")
@@ -290,12 +289,11 @@ def _post_states_match(
     slot_map: tuple[int, ...],
     projectors: np.ndarray,
     rhos: np.ndarray,
-    floor: float,
 ) -> bool:
     """Projection postulate on an (s, d, d) stack of input states.
 
     For every rho, each processor outcome k with probability
-    Tr(A_k rho A_k^dagger) above ``floor`` must leave the data in the
+    Tr(A_k rho A_k^dagger) above POSTULATE_FLOOR must leave the data in the
     projector of the measurement outcome placed in slot k.  Slots outside
     the slot map target the zero operator, which no unit-trace post-state
     matches, so a likely outcome there fails.
@@ -304,7 +302,7 @@ def _post_states_match(
     p = np.trace(branches, axis1=2, axis2=3).real
     target = np.zeros(ops.shape, dtype=complex)
     target[list(slot_map)] = projectors
-    live, k = np.nonzero(p > floor)
+    live, k = np.nonzero(p > POSTULATE_FLOOR)
     posts = branches[live, k] / p[live, k, None, None]
     return bool(np.all(np.abs(posts - target[k]) <= POSTULATE_ATOL))
 
@@ -349,9 +347,7 @@ def _synthesize(
             slot_map=slot_maps[a],
             realized_povm=realized[a],
             realized=bool(exact[a]),
-            postulate_compliant=_post_states_match(
-                ops[a], slot_maps[a], m.projectors, mixed, PROB_FLOOR
-            ),
+            postulate_compliant=_post_states_match(ops[a], slot_maps[a], m.projectors, mixed),
             relabeling=relabelings[a],
         )
         for a, m in enumerate(measurements)
@@ -432,9 +428,7 @@ def verify_projection_postulate(
         raise ValueError("measurement is not realized by this report")
     ops = _branches(report.processor, record.program_state[None])[0]
     rhos = np.asarray(samples, dtype=complex)
-    return not len(rhos) or _post_states_match(
-        ops, record.slot_map, measurement.projectors, rhos, POSTULATE_FLOOR
-    )
+    return not len(rhos) or _post_states_match(ops, record.slot_map, measurement.projectors, rhos)
 
 
 @dataclass(frozen=True)

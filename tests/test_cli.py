@@ -281,6 +281,15 @@ class TestVnCommands:
         assert doc["scalar"] is None
         assert doc["orthogonal_programs_required"] is True
 
+    def test_check_zero_scalar_requires_orthogonal_programs(self, tmp_path):
+        # S = P0 P1 + P1 P0 = 0: the programs' overlap k = 0 makes them orthogonal
+        ms = write_json(tmp_path, "two-z.json", {"measurements": [_SZ, _SZ]})
+        code, out = run(tmp_path, "vn-check", ms, "--pairing", "[[0,1],[1,0]]")
+        doc = json.loads(out.read_text())
+        assert code == 0
+        assert doc["scalar"] == [0.0, 0.0]
+        assert doc["orthogonal_programs_required"] is True
+
     def test_synth_two_measurements(self, tmp_path):
         code, out = run(tmp_path, "vn-synth", measurements_file(tmp_path))
         doc = json.loads(out.read_text())

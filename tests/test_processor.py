@@ -16,7 +16,7 @@ from mapproc.processor import (
     sample_outcomes,
     validate_povm,
 )
-from mapproc.qcore import dag, pauli, tensor
+from mapproc.qcore import dag, pauli
 from mapproc.qid import QidProgram, pauli_measurement_program, sic_program
 from mapproc.sampling import haar_unitary, random_density_operator, random_pure_state
 from mapproc.vnmeas import SlotAssignment, VonNeumannMeasurement
@@ -27,13 +27,13 @@ def dilated_probabilities(proc, program, rho, partition):
     xi = sum(
         w * np.outer(v, v.conj()) for w, v in zip(program.weights, program.vectors)
     )
-    big = proc.gate @ tensor(rho, xi) @ dag(proc.gate)
+    big = proc.gate @ np.kron(rho, xi) @ dag(proc.gate)
     probs = []
     for block in partition.blocks:
         q = np.zeros((proc.program_dim, proc.program_dim), dtype=complex)
         for k in block:
             q[k, k] = 1.0  # e_k e_k^dagger
-        probs.append(np.trace(big @ tensor(np.eye(proc.data_dim), q)).real)
+        probs.append(np.trace(big @ np.kron(np.eye(proc.data_dim), q)).real)
     return np.array(probs)
 
 
@@ -232,6 +232,11 @@ class TestOutcomeProbabilities:
             outcome_probabilities(rho, povm)
         povm[:] = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2)), np.zeros((2, 2))]
         assert np.array_equal(outcome_probabilities(rho, povm), [1.0, 0.0, 0.0, 0.0])
+
+    def test_first_non_hermitian_element_is_named(self):
+        skew = np.array([[0.25, 0.1], [0.0, 0.25]])
+        with pytest.raises(InvalidPovmError, match="element 1 is not Hermitian"):
+            validate_povm([np.eye(2) / 2, skew, np.eye(2) / 2 - skew])
 
     @pytest.mark.parametrize("povm", [5, np.array(1.0)], ids=["int", "0-d-array"])
     def test_non_sequence_is_not_a_povm(self, povm):

@@ -9,27 +9,10 @@ from mapproc.qcore import (
     is_density_operator,
     is_unitary,
     pauli,
-    tensor,
     trace_distance,
 )
 
 finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
-
-
-class TestTensor:
-    def test_identity_case(self):
-        assert np.array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_sigma_x_with_identity_is_antidiagonal_blocks(self):
-        m = tensor(pauli(1), np.eye(2))
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0:2, 2:4] = np.eye(2)
-        expected[2:4, 0:2] = np.eye(2)
-        assert np.array_equal(m, expected)
-
-    def test_sigma_z_squared_diagonal(self):
-        # hand expansion: diag(1,-1) (x) diag(1,-1)
-        assert np.allclose(tensor(pauli(3), pauli(3)), np.diag([1, -1, -1, 1]))
 
 
 class TestPauli:

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from mapproc.processor import OutcomePartition, induced_povm, kraus_operators, outcome_probabilities
-from mapproc.qcore import dag, pauli, tensor
+from mapproc.qcore import ATOL, dag, pauli
 from mapproc.qid import (
     QidProgram,
     pauli_measurement_program,
@@ -42,7 +42,7 @@ class TestBellLikeFamily:
     def test_pauli_translates_are_orthonormal(self):
         family = [bell_like(k) for k in range(4)]
         for k in range(4):
-            assert np.array_equal(family[k], tensor(pauli(k), np.eye(2)) @ family[0])
+            assert np.array_equal(family[k], np.kron(pauli(k), np.eye(2)) @ family[0])
         overlaps = np.array([[a.conj() @ b for b in family] for a in family])
         assert np.allclose(overlaps, np.eye(4), atol=1e-14)
 
@@ -121,7 +121,7 @@ class TestQidPovm:
             report = qid_povm(QidProgram(amplitudes=amps))
             state = QidProgram(amplitudes=amps).state_vector()
             for m in range(1, 4):
-                translated = tensor(pauli(m), np.eye(2)) @ state
+                translated = np.kron(pauli(m), np.eye(2)) @ state
                 new_amps = np.array(
                     [bell_like(j).conj() @ translated for j in range(4)]
                 )
@@ -256,13 +256,13 @@ class TestPauliMeasurementProgram:
 
 class TestCircuitSearch:
     def test_search_finds_four_cnot_circuit(self, qid_proc):
+        # the copying network: data onto each program qubit, then back
         circuit = qid_circuit_search()
-        assert circuit is not None
-        assert len(circuit.gates) == 4
-        for control, target in circuit.gates:
-            assert {control, target} <= {0, 1, 2} and 0 in (control, target)
-        relabeled = tensor(np.eye(2), circuit.relabeling) @ circuit.unitary()
-        assert np.max(np.abs(relabeled - qid_proc.gate)) < 1e-10
+        assert circuit.gates == ((0, 1), (0, 2), (1, 0), (2, 0))
+        assert circuit.input_layer == ("I", "I")
+        assert circuit.output_layer == ("H", "I")
+        relabeled = np.kron(np.eye(2), circuit.relabeling) @ circuit.unitary()
+        assert np.max(np.abs(relabeled - qid_proc.gate)) <= ATOL
 
     def test_relabeling_is_monomial(self):
         m = qid_circuit_search().relabeling
@@ -278,3 +278,7 @@ class TestCircuitSearch:
         assert a.gates == b.gates
         assert a.input_layer == b.input_layer and a.output_layer == b.output_layer
         assert np.array_equal(a.relabeling, b.relabeling)
+
+    def test_relabeling_is_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            qid_circuit_search().relabeling[0, 0] = 0

@@ -44,3 +44,14 @@ def test_coprogram_search_prints_the_exact_answers():
     assert lines[2].startswith("d=4: partner") and lines[2].endswith(", 0 table violations")
     deviations = [float(re.search(r"within (\S+) over", line).group(1)) for line in lines[3:]]
     assert len(deviations) == 3 and max(deviations) <= 1e-12
+
+
+def test_find_qid_circuit_prints_the_known_network():
+    lines = run_script("find_qid_circuit.py").splitlines()
+    assert lines[1:5] == [
+        "  CNOT data -> prog1",
+        "  CNOT data -> prog2",
+        "  CNOT prog1 -> data",
+        "  CNOT prog2 -> data",
+    ]
+    assert lines[-1] == "match residual: 0.00e+00"

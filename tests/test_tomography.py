@@ -210,6 +210,11 @@ class TestReconstructFromCounts:
         with pytest.raises(ValueError, match="positive finite total, got inf"):
             reconstruct_from_counts([np.inf, 1, 1, 1], sic_elements)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_total_is_refused_without_a_warning(self, sic_elements):
+        with pytest.raises(ValueError, match="positive finite total, got inf"):
+            reconstruct_from_counts([1e308, 1e308, 1, 1], sic_elements)
+
 
 # each check passes only when within its bound, and NaN is within none
 @pytest.mark.parametrize(

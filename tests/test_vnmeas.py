@@ -56,6 +56,12 @@ class TestVonNeumannMeasurement:
         with pytest.raises(ValueError, match="rank-1"):
             VonNeumannMeasurement(projectors=(np.eye(2) / 2, np.eye(2) / 2))
 
+    def test_rejects_non_hermitian_idempotents(self):
+        # idempotent, unit trace and summing to I: only the Hermitian test fails
+        oblique = np.array([[1.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="element 0 is not a rank-1 projector"):
+            VonNeumannMeasurement(projectors=(oblique, np.eye(2) - oblique))
+
     def test_rejects_incomplete_family(self):
         with pytest.raises(ValueError, match="identity"):
             VonNeumannMeasurement(projectors=(E0, E0))
