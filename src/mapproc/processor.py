@@ -81,6 +81,10 @@ class ProgramState:
     ``weights`` is a (c,) array of weights summing to 1 and row c of the
     (c, program_dim) array ``vectors`` is the normalized state of weight
     ``weights[c]``; both are read-only copies.  A pure program is one row.
+    Construction also stores, outside the dataclass fields, the read-only
+    rows sqrt(w_c) v_c that ``kraus_operators`` contracts with the gate;
+    weights are clipped at 0 there, since rounding dust down to -ATOL is
+    admitted.
     """
 
     weights: np.ndarray
@@ -91,16 +95,21 @@ class ProgramState:
         if weights.ndim != 1 or vectors.ndim != 2 or not 0 < len(weights) == len(vectors):
             raise ValueError("program state needs (c,) weights and (c, dp) vectors, c > 0")
         total = 0.0  # scalar checks per row beat array reductions on so few rows
+        scales = []
         for w, v in zip(weights.tolist(), vectors):
             if not -ATOL <= w <= 1 + ATOL:
                 raise ValueError(f"component weight {w} outside [0, 1]")
             if not abs(math.sqrt(np.vdot(v, v).real) - 1.0) <= ATOL:
                 raise ValueError("program component states must be normalized")
             total += w
+            scales.append(math.sqrt(max(0.0, w)))
         if not abs(total - 1.0) <= ATOL:
             raise ValueError(f"component weights sum to {total}, expected 1")
+        rows = np.array(scales)[:, None] * vectors
+        rows.setflags(write=False)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "_rows", rows)
 
     @classmethod
     def pure(cls, state: np.ndarray) -> "ProgramState":
@@ -186,16 +195,14 @@ def kraus_operators(proc: Processor, program: ProgramState) -> np.ndarray:
     Returns a (c, program_dim, d, d) array whose entry [c, k] is sqrt(w_c)
     times the gate contracted with <k| on the program output and row c of
     ``program.vectors`` on the program input, so the squared operators sum
-    to the identity over both leading axes.  Weights are clipped at 0,
-    since ProgramState admits rounding dust down to -ATOL.
+    to the identity over both leading axes.
     """
     if program.dim != proc.program_dim:
         raise ValueError(
             f"program dimension {program.dim} does not match processor "
             f"program_dim {proc.program_dim}"
         )
-    rows = np.sqrt(np.maximum(program.weights, 0.0))[:, None] * program.vectors
-    return _branches(proc, rows)
+    return _branches(proc, program._rows)
 
 
 def induced_instrument(
@@ -235,8 +242,10 @@ def validate_povm(povm: np.ndarray) -> np.ndarray:
     Raises InvalidPovmError, naming the first offending element, unless
     every element is Hermitian and PSD and they sum to the identity, all
     within ATOL; negative eigenvalue dust above -ATOL is treated as zero.
-    A stack that passed is remembered by its exact content, so repeated
-    calls on one POVM skip the checks and share the returned array.
+    An element with an entry that is not finite or above 1 + ATOL in
+    modulus is refused as such, before its other checks.  A stack that
+    passed is remembered by its exact content, so repeated calls on one
+    POVM skip the checks and share the returned array.
     """
     try:
         n = len(povm)
@@ -265,25 +274,41 @@ def validate_povm(povm: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=_POVM_MEMO_SIZE)
 def _checked_povm(shape: tuple[int, ...], data: bytes) -> np.ndarray:
-    """The numerical POVM checks on a stack given by content; raising is not cached."""
+    """The numerical POVM checks on a stack given by content; raising is not cached.
+
+    One decision over the whole stack; only a refusal walks the elements
+    to name the first bad one.  Every entry of 0 <= F <= I lies in the unit
+    disc, so larger or non-finite entries are refused first: the later
+    checks then cannot overflow or warn.
+    """
     f = np.frombuffer(data, dtype=complex).reshape(shape)  # read-only view
     d = shape[1]
-    skew = ~_is_hermitian(f, ATOL)
-    bad = skew | (np.linalg.eigvalsh(f).min(axis=1) < -ATOL)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise InvalidPovmError(
-            f"element {i} is not {'Hermitian' if skew[i] else 'positive semidefinite'}"
-        )
-    if not np.max(np.abs(f.sum(axis=0) - np.eye(d))) <= ATOL:
-        raise InvalidPovmError("elements do not sum to the identity")
-    return f
+    if (
+        np.abs(f).max() <= 1 + ATOL
+        and np.abs(f - f.conj().swapaxes(1, 2)).max() <= ATOL
+        and np.linalg.eigvalsh(f)[:, 0].min() >= -ATOL  # eigvalsh sorts ascending
+        and np.abs(f.sum(axis=0) - np.eye(d)).max() <= ATOL
+    ):
+        return f
+    for i, e in enumerate(f):
+        if not np.abs(e).max() <= 1 + ATOL:
+            raise InvalidPovmError(f"element {i} has an entry not finite or above 1 in modulus")
+        if not _is_hermitian(e, ATOL):
+            raise InvalidPovmError(f"element {i} is not Hermitian")
+        if np.linalg.eigvalsh(e)[0] < -ATOL:
+            raise InvalidPovmError(f"element {i} is not positive semidefinite")
+    raise InvalidPovmError("elements do not sum to the identity")
 
 
 def outcome_probabilities(rho: np.ndarray, povm: np.ndarray) -> np.ndarray:
     """p_a = Tr(rho F_a) for each POVM element, unclamped."""
     f = validate_povm(povm)
-    return np.einsum("ij,kji->k", np.asarray(rho, dtype=complex), f).real
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != f.shape[1:]:
+        raise ValueError(
+            f"state shape {rho.shape} does not match POVM element shape {f.shape[1:]}"
+        )
+    return np.einsum("ij,kji->k", rho, f).real
 
 
 def post_measurement_state(

@@ -50,8 +50,10 @@ class InconsistentProbabilitiesError(InfeasibleError):
 
 
 def gram_matrix(povm: np.ndarray) -> np.ndarray:
-    """Real symmetric matrix of pairwise overlaps Tr(F_j F_k)."""
+    """Real symmetric matrix of pairwise overlaps Tr(F_j F_k) of an (n, d, d) stack."""
     f = np.asarray(povm, dtype=complex)
+    if f.ndim != 3 or f.shape[1] != f.shape[2]:
+        raise ValueError(f"expected an (n, d, d) stack of operators, got shape {f.shape}")
     skew = ~_is_hermitian(f, ATOL)
     if skew.any():
         raise ValueError(f"POVM element {int(np.argmax(skew))} is not Hermitian")
@@ -69,15 +71,23 @@ class Tomographer:
     """Precomputed inversion data for one informationally complete POVM.
 
     ``povm`` and ``dual_frame`` are (n, d, d) stacks; the dual operators
-    D_k give rho = sum_k Tr(rho F_k) D_k.  They exist only for
-    informationally complete POVMs, so construction fails otherwise.
-    ``build`` makes every array read-only, so its instances are immutable
-    and safe to share, and it returns the same instance for a POVM of the
-    same content while that POVM stays among the few most recent.
+    D_k, each exactly Hermitian, give rho = sum_k Tr(rho F_k) D_k.  They
+    exist only for informationally complete POVMs, so construction fails
+    otherwise.  ``build`` makes every array read-only, so its instances
+    are immutable and safe to share, and it returns the same instance for
+    a POVM of the same content while that POVM stays among the few most
+    recent.  Construction also keeps, outside the dataclass fields, both
+    stacks as (n, 2 d^2) real views of the same memory, real and
+    imaginary parts interleaved, so an inversion is two real products.
     """
 
     povm: np.ndarray
     dual_frame: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.povm)
+        object.__setattr__(self, "_povm_real", self.povm.reshape(n, -1).view(float))
+        object.__setattr__(self, "_dual_real", self.dual_frame.reshape(n, -1).view(float))
 
     @classmethod
     def build(cls, povm: np.ndarray) -> "Tomographer":
@@ -93,28 +103,32 @@ class Tomographer:
         """rho = sum_k p_k D_k and its residual ||Tr(F_j rho) - p_j||.
 
         The residual equals ||G G^+ p - p||, the part of p no operator
-        reproduces; above ``residual_tol`` the inversion is refused.
+        reproduces; above ``residual_tol`` the inversion is refused.  Both
+        are real products: the entries of rho, real and imaginary parts
+        interleaved, are p times the real dual rows, and for Hermitian F_j
+        Tr(F_j rho) is the real dot of those with row j of the real POVM.
+        A Hermitian dual frame makes rho exactly Hermitian.
         """
         p = np.asarray(probabilities, dtype=float)
         if p.shape != (len(self.povm),):
             raise ValueError(
                 f"expected {len(self.povm)} probabilities, got shape {p.shape}"
             )
-        if not abs(p.sum() - 1.0) <= PROB_SUM_TOL:
-            raise ValueError(f"probabilities sum to {p.sum()}, expected 1")
-        n, d, _ = self.povm.shape
-        rho = (p @ self.dual_frame.reshape(n, d * d)).reshape(d, d)
-        fitted = (self.povm.reshape(n, d * d) @ rho.T.reshape(d * d)).real  # Tr(F_j rho)
-        r = fitted - p
+        total = sum(p.tolist())  # a Python sum overflows to inf without a warning
+        if not abs(total - 1.0) <= PROB_SUM_TOL:
+            raise ValueError(f"probabilities sum to {total}, expected 1")
+        x = p @ self._dual_real
+        r = self._povm_real @ x - p
         residual = math.sqrt(r @ r)  # bitwise np.linalg.norm of a real vector
         if not residual <= residual_tol:
             raise InconsistentProbabilitiesError(residual, residual_tol)
-        return 0.5 * (rho + rho.conj().T), residual
+        d = self.povm.shape[1]
+        return x.view(complex).reshape(d, d), residual
 
     def reconstruct(self, probabilities: np.ndarray) -> np.ndarray:
         """Invert a probability vector to the unique matching operator.
 
-        The result is Hermitized but not forced positive; consistent
+        The result is Hermitian but not forced positive; consistent
         probabilities of a valid state return that state exactly (to
         rounding).  A residual above RESIDUAL_TOL is refused.
         """
@@ -126,15 +140,19 @@ def _build_tomographer(shape: tuple[int, ...], data: bytes) -> Tomographer | int
     """The Tomographer of a validated stack given by content, or its rank if below d^2.
 
     One SVD F = U S V^dagger of the (n, d^2) stack: the rank counts the singular
-    values above RANK_CUTOFF * s_max; at full rank the dual frame is U S^-1 V^dagger.
+    values above RANK_CUTOFF * s_max; at full rank the dual frame is U S^-1 V^dagger,
+    made exactly Hermitian here, once, as (D + D^dagger) / 2.
     """
     f = np.frombuffer(data, dtype=complex).reshape(shape)  # read-only view
     n, d, _ = shape
     u, s, vh = np.linalg.svd(f.reshape(n, d * d), full_matrices=False)
-    rank = int(np.sum(s > RANK_CUTOFF * s[0]))
+    values = s.tolist()
+    cutoff = RANK_CUTOFF * values[0]
+    rank = sum(v > cutoff for v in values)
     if rank < d * d:
         return rank
     dual = ((u / s) @ vh).reshape(shape)
+    dual = 0.5 * (dual + dual.conj().swapaxes(1, 2))
     dual.setflags(write=False)
     return Tomographer(povm=f, dual_frame=dual)
 
@@ -170,16 +188,18 @@ def _project(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
     ``np.cumsum(mu) - 1`` does; grouping it as -1 + mu_1 + ... changes
     theta in its last bit on many spectra.
     """
+    mus = evals.tolist()
     theta = None
     total = 0.0
-    for k, mu in enumerate(reversed(evals.tolist()), 1):
+    for k, mu in enumerate(reversed(mus), 1):
         total += mu
         excess = total - 1.0
         if mu * k > excess:
             theta = excess / k
     if theta is None:  # k = 1 qualifies unless mu_1 is not finite or |mu_1| > 2^53
-        raise ValueError(f"estimate spectrum {evals.tolist()} has no simplex threshold")
-    return (evecs * np.maximum(evals - theta, 0.0)) @ evecs.conj().T
+        raise ValueError(f"estimate spectrum {mus} has no simplex threshold")
+    # max(0.0, x) keeps +0.0 for x = -0.0, as np.maximum(x, 0.0) does
+    return (evecs * [max(0.0, mu - theta) for mu in mus]) @ evecs.conj().T
 
 
 def reconstruct_from_probabilities(
@@ -220,11 +240,12 @@ def reconstruct_from_counts(
     Feeds counts/total to reconstruct_from_probabilities.
     """
     counts = np.asarray(counts)
-    if not (counts >= 0).all():
+    values = counts.ravel().tolist()
+    if not all(c >= 0 for c in values):  # NaN is not
         raise ValueError("counts must be nonnegative")
     # a Python sum overflows to inf without numpy's warning; refused before
     # dividing, so an infinite total never reaches a NaN
-    total = sum(counts.ravel().tolist())
+    total = sum(values)
     if not 0 < total < math.inf:
         raise ValueError(f"counts must have a positive finite total, got {total}")
     return reconstruct_from_probabilities(

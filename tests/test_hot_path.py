@@ -4,18 +4,27 @@ The path runs on 2x2 operators, where numpy's generic contractions
 (``einsum``, ``tensordot``, ``cross``) cost more than the arithmetic.  Each
 call below runs with those three replaced by a function that raises, so a
 generic contraction cannot come back unnoticed.  ``outcome_probabilities``
-is left out: its summation order fixes the sampled counts.
+is left out: its summation order fixes the sampled counts.  The POVM and
+Tomographer memos are emptied first, so the check and the SVD of each
+POVM run under the guard whatever ran before.
 """
 
 import numpy as np
 import pytest
 
-from mapproc.processor import OutcomePartition, induced_instrument, post_measurement_state
+from mapproc.processor import (
+    OutcomePartition,
+    _checked_povm,
+    induced_instrument,
+    post_measurement_state,
+)
 from mapproc.qid import pauli_measurement_program, qid_povm, qid_unitary, sic_program
 from mapproc.sampling import random_density_operator
 from mapproc.tomography import (
     Tomographer,
     UnderdeterminedPovmError,
+    _build_tomographer,
+    reconstruct_from_counts,
     reconstruct_from_probabilities,
 )
 
@@ -47,6 +56,8 @@ def test_hot_path_runs_without_generic_contractions(monkeypatch, axis):
         program, partition = pauli_measurement_program(axis)
     rho = random_density_operator(2, np.random.default_rng(axis or 0))
 
+    _checked_povm.cache_clear()
+    _build_tomographer.cache_clear()
     refuse_generic_contractions(monkeypatch)
     state = program.program_state()
     report = qid_povm(program)
@@ -59,6 +70,8 @@ def test_hot_path_runs_without_generic_contractions(monkeypatch, axis):
         assert np.max(np.abs(estimate - rho)) < 1e-12
         projected, _ = reconstruct_from_probabilities(p, report.elements, project=True)
         assert np.max(np.abs(projected - rho)) < 1e-12
+        counted, _ = reconstruct_from_counts(np.round(p * 1e6), report.elements, project=True)
+        assert np.max(np.abs(counted - rho)) < 1e-5
     else:
         assert not report.informationally_complete
         with pytest.raises(UnderdeterminedPovmError):

@@ -22,6 +22,10 @@ from mapproc.sampling import haar_unitary, random_density_operator, random_pure_
 from mapproc.vnmeas import SlotAssignment, VonNeumannMeasurement
 
 
+def unbounded(element):
+    return f"element {element} has an entry not finite or above 1 in modulus"
+
+
 def dilated_probabilities(proc, program, rho, partition):
     """Independent oracle: Tr[(I (x) Q_a) G (rho (x) xi) G^dagger]."""
     xi = sum(
@@ -100,8 +104,9 @@ class TestValidation:
         with pytest.raises(ValueError):  # InvalidPovmError is a ValueError
             build()
 
-    # amplitudes and gate entries this large overflow in a norm or product;
-    # warnings are errors here, so they must be refused before either
+    # amplitudes, gate and POVM entries this large overflow in a norm,
+    # product or sum; warnings are errors here, so they must be refused first
+    # (0 <= F <= I bounds every POVM entry by 1)
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "build, message",
@@ -113,8 +118,15 @@ class TestValidation:
                 lambda: Processor(data_dim=1, program_dim=2, gate=np.full((2, 2), 1e200)),
                 "must be unitary",
             ),
+            (lambda: validate_povm([np.diag([np.inf, 0.0]), np.eye(2)]), unbounded(0)),
+            (lambda: validate_povm([np.diag([1e308, 0.0])] * 2), unbounded(0)),
+            (lambda: validate_povm([np.eye(2) / 2, np.full((2, 2), 1e200 + 1e200j)]), unbounded(1)),
+            (lambda: validate_povm([np.eye(2) / 2, np.diag([np.nan, 0.5])]), unbounded(1)),
         ],
-        ids=["qid-program", "qid-program-complex", "qid-program-inf", "gate"],
+        ids=[
+            "qid-program", "qid-program-complex", "qid-program-inf", "gate",
+            "povm-inf", "povm-huge", "povm-huge-complex", "povm-nan",
+        ],
     )
     def test_huge_finite_input_is_refused_without_warnings(self, build, message):
         with pytest.raises(ValueError, match=message):
@@ -248,6 +260,18 @@ class TestOutcomeProbabilities:
         assert f is validate_povm(np.array(sic_elements))
         with pytest.raises(ValueError, match="read-only"):
             f[0, 0, 0] = 0.0
+
+    @pytest.mark.parametrize(
+        "rho, shape",
+        [(np.eye(3) / 3, r"\(3, 3\)"), (np.ones(2) / 2, r"\(2,\)"), (0.5, r"\(\)")],
+        ids=["qutrit", "vector", "scalar"],
+    )
+    def test_state_shape_must_match_the_elements(self, sic_elements, rho, shape):
+        message = r"state shape " + shape + r" does not match POVM element shape \(2, 2\)"
+        with pytest.raises(ValueError, match=message):
+            outcome_probabilities(rho, sic_elements)
+        with pytest.raises(ValueError, match=message):
+            sample_outcomes(rho, sic_elements, 10, seed=0)
 
     def test_agrees_with_dilated_computation(self, qid_proc):
         rng = np.random.default_rng(17)

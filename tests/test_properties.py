@@ -5,10 +5,11 @@ library result against a direct loop over its elements.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mapproc.processor import (
+    InvalidPovmError,
     OutcomePartition,
     Processor,
     ProgramState,
@@ -394,9 +395,70 @@ def test_reported_residual_is_bitwise_the_numpy_norm(d, seed):
     p = p + 0.01 * (noise - noise.mean())
     _, diagnostics = reconstruct_from_probabilities(p, povm, residual_tol=1.0)
     n = len(povm)
-    rho = (p @ Tomographer.build(povm).dual_frame.reshape(n, d * d)).reshape(d, d)
-    fitted = (povm.reshape(n, d * d) @ rho.T.reshape(d * d)).real
+    tom = Tomographer.build(povm)
+    # rho and Tr(F_j rho) as real products: real and imaginary parts interleaved
+    x = p @ tom.dual_frame.reshape(n, d * d).view(float)
+    fitted = tom.povm.reshape(n, d * d).view(float) @ x
     assert diagnostics.residual == np.linalg.norm(fitted - p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_dims, st.integers(min_value=0, max_value=4), seeds)
+def test_every_estimate_is_exactly_hermitian(d, extra, seed):
+    # the dual frame is made Hermitian once at build; rho then needs no
+    # Hermitian step of its own, on exact and on noisy probabilities
+    rng = np.random.default_rng(seed)
+    povm = random_ic_povm(d, rng, extra=extra)
+    tom = Tomographer.build(povm)
+    assert np.array_equal(tom.dual_frame, tom.dual_frame.conj().swapaxes(1, 2))
+    for _ in range(10):
+        p = np.einsum("ab,jba->j", random_density_operator(d, rng), povm).real
+        noise = rng.normal(size=len(povm))
+        rho = tom.reconstruct(p)
+        assert np.array_equal(rho, rho.conj().T)
+        rho, _ = reconstruct_from_probabilities(
+            p + 0.01 * (noise - noise.mean()), povm, residual_tol=1.0
+        )
+        assert np.array_equal(rho, rho.conj().T)
+
+
+def per_element_povm_rule(f):
+    """The refusal, if any, of checking element by element, then the sum."""
+    for i, e in enumerate(f):
+        if not np.abs(e - e.conj().T).max() <= ATOL:
+            return f"element {i} is not Hermitian"
+        if np.linalg.eigvalsh(e).min() < -ATOL:
+            return f"element {i} is not positive semidefinite"
+    if not np.abs(f.sum(axis=0) - np.eye(f.shape[1])).max() <= ATOL:
+        return "elements do not sum to the identity"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_dims, seeds)
+def test_whole_stack_povm_check_refuses_as_the_per_element_rule(d, seed):
+    # defects of 1e-6 to 1e-13 put at random indices straddle ATOL = 1e-10
+    rng = np.random.default_rng(seed)
+    f = random_ic_povm(d, rng)
+    for _ in range(int(rng.integers(0, 4))):
+        i, eps = int(rng.integers(len(f))), 10.0 ** -rng.uniform(6, 13)
+        kind = rng.integers(3)
+        if kind == 0:  # not Hermitian
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            f[i] = f[i] + eps * g / np.abs(g).max()
+        elif kind == 1:  # not PSD: lower the least eigenvalue to about -eps
+            evals, evecs = np.linalg.eigh(f[i])
+            v = evecs[:, 0]
+            f[i] = f[i] - (evals[0] + eps) * np.outer(v, v.conj())
+        else:  # the sum is off the identity
+            f[i] = f[i] * (1 + eps)
+    assume(np.abs(f).max() <= 1)
+    try:
+        validate_povm(f)
+        refusal = None
+    except InvalidPovmError as exc:
+        refusal = str(exc)
+    assert refusal == per_element_povm_rule(f)
 
 
 @SETTINGS

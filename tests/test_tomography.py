@@ -53,6 +53,15 @@ class TestGramMatrix:
             with pytest.raises(ValueError, match="Hermitian"):
                 gram_matrix([np.array(element, dtype=complex)])
 
+    @pytest.mark.parametrize(
+        "povm, shape",
+        [(np.ones((2, 2, 3)), r"\(2, 2, 3\)"), (np.eye(2), r"\(2, 2\)"), ([], r"\(0,\)")],
+        ids=["non-square", "one-operator", "empty"],
+    )
+    def test_rejects_a_stack_of_the_wrong_shape(self, povm, shape):
+        with pytest.raises(ValueError, match=r"expected an \(n, d, d\) stack.*got shape " + shape):
+            gram_matrix(povm)
+
 
 class TestInformationalCompleteness:
     def test_sic_is_complete(self, sic_elements):
@@ -162,9 +171,12 @@ class TestTomographer:
         stack = np.array(sic_elements)
         tom = Tomographer.build(stack)
         assert Tomographer.build(list(stack)) is tom
-        for array in (tom.povm, tom.dual_frame):
+        # the (n, 2 d^2) real views share the stacks' memory and stay read-only
+        for array in (tom.povm, tom.dual_frame, tom._povm_real, tom._dual_real):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
+        assert np.shares_memory(tom._povm_real, tom.povm)
+        assert np.shares_memory(tom._dual_real, tom.dual_frame)
 
 
 class TestReconstructFromCounts:
