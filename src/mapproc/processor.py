@@ -65,12 +65,17 @@ class Processor:
     gate: np.ndarray
 
     def __post_init__(self):
-        dim = self.data_dim * self.program_dim
+        d, dp = _index(self.data_dim, "data_dim"), _index(self.program_dim, "program_dim")
+        if d < 1 or dp < 1:
+            raise ValueError(f"data_dim and program_dim must be at least 1, got {d} and {dp}")
+        dim = d * dp
         gate = np.asarray(self.gate, dtype=complex)
         if gate.shape != (dim, dim):
             raise ValueError(f"gate shape {gate.shape} does not match data*program = {dim}")
         if not is_unitary(gate):
             raise ValueError("processor gate must be unitary")
+        object.__setattr__(self, "data_dim", d)
+        object.__setattr__(self, "program_dim", dp)
         object.__setattr__(self, "gate", _freeze(gate))
 
 
@@ -215,7 +220,10 @@ def induced_instrument(
     ops = kraus_operators(proc, program)
     grouped = ops[:, partition._order]
     branches = tuple(grouped[:, a:b].reshape(-1, d, d) for a, b in partition._spans)
-    elements = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=0)  # [k] = sum_c A_ck^dag A_ck
+    # stacking the c components of outcome k as rows makes sum_c A_ck^dag A_ck
+    # one product; the view needs no copy for a pure program (c = 1)
+    stacked = ops.swapaxes(0, 1).reshape(n, -1, d)
+    elements = stacked.conj().swapaxes(1, 2) @ stacked
     povm = (partition._membership @ elements.reshape(n, d * d)).reshape(-1, d, d)
     return InducedInstrument(branches=branches, povm=povm)
 
@@ -235,6 +243,25 @@ def _shape(element) -> tuple[int, ...] | None:
         return None
 
 
+def _stack_defect(povm) -> str:
+    """Why ``povm``, which does not stack to (n, d, d) with n, d >= 1, is not a POVM."""
+    try:
+        n = len(povm)
+        first = _shape(povm[0]) if n else None
+    except (TypeError, KeyError):  # a scalar, a 0-d array or a mapping
+        return f"expected a sequence of (d, d) operators, got {povm!r}"
+    if n == 0:
+        return "empty POVM"
+    if not first or first[0] == 0:
+        return "element 0 is not a (d, d) operator with d >= 1"
+    d = first[0]
+    i = next((i for i, e in enumerate(povm) if _shape(e) != (d, d)), None)
+    if i is None:
+        return "elements must be numeric (d, d) operators"
+    shape = _shape(povm[i])
+    return f"element {i} has shape {'ragged' if shape is None else shape}, expected ({d}, {d})"
+
+
 def validate_povm(povm: np.ndarray) -> np.ndarray:
     """Return the elements as one read-only (n, d, d) stack if they form a POVM.
 
@@ -248,27 +275,11 @@ def validate_povm(povm: np.ndarray) -> np.ndarray:
     POVM skip the checks and share the returned array.
     """
     try:
-        n = len(povm)
-    except TypeError:  # a scalar or a 0-d array
-        raise InvalidPovmError(f"expected a sequence of (d, d) operators, got {povm!r}") from None
-    if n == 0:
-        raise InvalidPovmError("empty POVM")
-    first = _shape(povm[0])
-    if not first or first[0] == 0:
-        raise InvalidPovmError("element 0 is not a (d, d) operator with d >= 1")
-    d = first[0]
-    try:
         f = np.asarray(povm, dtype=complex)
-    except ValueError:  # elements of different shapes do not stack
-        f = np.empty(0)
-    if f.shape[1:] != (d, d):
-        i = next((i for i, e in enumerate(povm) if _shape(e) != (d, d)), None)
-        if i is None:
-            raise InvalidPovmError("elements must be numeric (d, d) operators")
-        shape = _shape(povm[i])
-        raise InvalidPovmError(
-            f"element {i} has shape {'ragged' if shape is None else shape}, expected ({d}, {d})"
-        )
+    except (TypeError, ValueError):  # elements that are not numbers or do not stack
+        f = None
+    if f is None or f.ndim != 3 or f.shape[1] != f.shape[2] or f.size == 0:
+        raise InvalidPovmError(_stack_defect(povm))
     return _checked_povm(f.shape, f.tobytes())
 
 
@@ -338,7 +349,7 @@ def post_measurement_state(
     a, b = partition._spans[outcome]
     branch = ops[:, partition._order[a:b]].reshape(-1, d, d)
     out = (branch @ rho @ branch.conj().swapaxes(-1, -2)).sum(axis=0)
-    p = np.trace(out).real  # Tr(sum B rho B^dagger) = Tr(rho F_b)
+    p = out.trace().real  # Tr(sum B rho B^dagger) = Tr(rho F_b)
     if not p > PROB_FLOOR:
         raise ImpossibleOutcomeError(outcome, p)
     out = out / p

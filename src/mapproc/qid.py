@@ -75,10 +75,13 @@ class QidPovmReport:
     """The four-outcome POVM a QID program realizes.
 
     ``program_operator`` is A = (1/2) sum alpha_j sigma_j; ``elements`` is
-    the (4, 2, 2) stack of sigma_k (A^dagger A) sigma_k.  ``anchor_bloch``
-    is the Bloch vector of 4*elements[0] - I; the POVM spans the qubit
-    operator space exactly when none of its components vanishes.  The
-    arrays are read-only; ``informationally_complete`` is the rank test.
+    the (4, 2, 2) stack of sigma_k (A^dagger A) sigma_k.  In closed form,
+    elements[0] = (I + b.sigma)/4 and elements[k] = sigma_k elements[0]
+    sigma_k, where b = ``anchor_bloch`` = 2 Re(conj(alpha_0) alpha_vec)
+    + i conj(alpha_vec) x alpha_vec has |b| <= 1, since 4 A^dagger A is
+    positive with trace 2.  The POVM spans the qubit operator space exactly
+    when no component of b vanishes.  The arrays are read-only;
+    ``informationally_complete`` is the rank test.
     """
 
     program_operator: np.ndarray
@@ -102,13 +105,21 @@ class QidPovmReport:
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
+# sigma_k M sigma_k permutes and signs the entries of M: entry [k, i, j]
+# is _SIGNS[k, i, j] * M.ravel()[_SOURCES[k, i, j]]
+_SOURCES = np.array([[0, 1, 2, 3], [3, 2, 1, 0], [3, 2, 1, 0], [0, 1, 2, 3]]).reshape(4, 2, 2)
+_SIGNS = np.array(
+    [[1, 1, 1, 1], [1, 1, 1, 1], [1, -1, -1, 1], [1, -1, -1, 1]], dtype=complex
+).reshape(4, 2, 2)
+
+
 def qid_povm(program: QidProgram) -> QidPovmReport:
     """POVM induced by a QID program under the finest outcome partition."""
     alpha = program.amplitudes
     a_op = 0.5 * (alpha @ _PAULI.reshape(4, 4)).reshape(2, 2)
-    # each entry is one signed product; + 0.0 turns the -0.0 a BLAS product
-    # can leave into the +0.0 a summation gives, so exported bytes stay stable
-    elements = _PAULI @ (dag(a_op) @ a_op) @ _PAULI + 0.0
+    # the same bits as _PAULI @ M @ _PAULI + 0.0: + 0.0 turns a flipped
+    # -0.0 into the +0.0 a summation gives, so exported bytes stay stable
+    elements = (dag(a_op) @ a_op).ravel()[_SOURCES] * _SIGNS + 0.0
     vec, cvec = alpha[1:], alpha[1:].conj()
     cross = cvec[_NEXT] * vec[_PREV] - cvec[_PREV] * vec[_NEXT]  # conj(vec) x vec
     anchor = (alpha[0] * cvec + alpha[0].conjugate() * vec + 1j * cross).real
@@ -140,9 +151,10 @@ def unitary_program(mu: np.ndarray) -> QidProgram:
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (3,):
         raise ValueError(f"rotation vector needs 3 components, got shape {mu.shape}")
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(mu))
-    if not np.isfinite(norm):
+    # np.linalg.norm computes sqrt(mu.dot(mu)); vdot makes the same product
+    # but raises no overflow warning, so huge entries reach the refusal
+    norm = math.sqrt(np.vdot(mu, mu))
+    if not math.isfinite(norm):
         raise ValueError(f"rotation vector {mu.tolist()} has no finite norm")
     amps = np.zeros(4, dtype=complex)
     amps[0] = np.cos(norm)

@@ -240,6 +240,8 @@ def reconstruct_from_counts(
     Feeds counts/total to reconstruct_from_probabilities.
     """
     counts = np.asarray(counts)
+    if counts.dtype.kind not in "biuf":  # strings, objects and complex numbers are no counts
+        raise ValueError(f"counts must be real numbers, got entries of type {counts.dtype}")
     values = counts.ravel().tolist()
     if not all(c >= 0 for c in values):  # NaN is not
         raise ValueError("counts must be nonnegative")

@@ -51,6 +51,8 @@ class IsometryViolationError(InfeasibleError):
 
 def _rank_one_pvm_defect(projs: np.ndarray) -> str | None:
     """Why the (n, d, d) stack is not d orthogonal rank-1 projectors summing to I, or None."""
+    if projs.ndim != 3:
+        return f"projectors must be (d, d) operators, got an array of shape {projs.shape}"
     d = projs.shape[1]
     if len(projs) != d:
         return f"need {d} projectors on dimension {d}, got {len(projs)}"

@@ -6,7 +6,9 @@ call below runs with those three replaced by a function that raises, so a
 generic contraction cannot come back unnoticed.  ``outcome_probabilities``
 is left out: its summation order fixes the sampled counts.  The POVM and
 Tomographer memos are emptied first, so the check and the SVD of each
-POVM run under the guard whatever ran before.
+POVM run under the guard whatever ran before.  The cases cover an
+informationally complete POVM (the SIC), the three Pauli pairings and a
+unitary program, whose rank-1 stack takes the refusal path.
 """
 
 import numpy as np
@@ -18,7 +20,13 @@ from mapproc.processor import (
     induced_instrument,
     post_measurement_state,
 )
-from mapproc.qid import pauli_measurement_program, qid_povm, qid_unitary, sic_program
+from mapproc.qid import (
+    pauli_measurement_program,
+    qid_povm,
+    qid_unitary,
+    sic_program,
+    unitary_program,
+)
 from mapproc.sampling import random_density_operator
 from mapproc.tomography import (
     Tomographer,
@@ -47,24 +55,28 @@ def test_the_guard_refuses_each_contraction(monkeypatch):
             getattr(np, name)(np.ones(3), np.ones(3))
 
 
-@pytest.mark.parametrize("axis", [None, 1, 2, 3], ids=["sic", "pauli-x", "pauli-y", "pauli-z"])
-def test_hot_path_runs_without_generic_contractions(monkeypatch, axis):
+@pytest.mark.parametrize(
+    "case", ["sic", 1, 2, 3, "unitary"], ids=["sic", "pauli-x", "pauli-y", "pauli-z", "unitary"]
+)
+def test_hot_path_runs_without_generic_contractions(monkeypatch, case):
     proc = qid_unitary()  # built before the patch: its gate is assembled by einsum
-    if axis is None:
-        program, partition = sic_program(), OutcomePartition.finest(4)
-    else:
-        program, partition = pauli_measurement_program(axis)
-    rho = random_density_operator(2, np.random.default_rng(axis or 0))
+    rho = random_density_operator(2, np.random.default_rng(case if case in (1, 2, 3) else 0))
 
     _checked_povm.cache_clear()
     _build_tomographer.cache_clear()
     refuse_generic_contractions(monkeypatch)
+    if case == "sic":
+        program, partition = sic_program(), OutcomePartition.finest(4)
+    elif case == "unitary":  # every element is I/4: a rank-1 stack
+        program, partition = unitary_program([0.3, -0.2, 0.9]), OutcomePartition.finest(4)
+    else:
+        program, partition = pauli_measurement_program(case)
     state = program.program_state()
     report = qid_povm(program)
     inst = induced_instrument(proc, state, partition)
     posts = [post_measurement_state(proc, state, rho, b, partition) for b in range(len(partition))]
     p = np.array([np.vdot(f, rho).real for f in report.elements])
-    if axis is None:
+    if case == "sic":
         assert report.informationally_complete
         estimate = Tomographer.build(report.elements).reconstruct(p)
         assert np.max(np.abs(estimate - rho)) < 1e-12
@@ -76,5 +88,9 @@ def test_hot_path_runs_without_generic_contractions(monkeypatch, axis):
         assert not report.informationally_complete
         with pytest.raises(UnderdeterminedPovmError):
             Tomographer.build(report.elements)
+        if case == "unitary":
+            assert np.max(np.abs(report.elements - np.eye(2) / 4)) < 1e-12
+            with pytest.raises(UnderdeterminedPovmError, match="rank-1 operator subspace"):
+                reconstruct_from_probabilities(p, report.elements)
     assert np.max(np.abs(inst.povm.sum(axis=0) - np.eye(2))) < 1e-12
     assert all(abs(np.trace(post) - 1) < 1e-12 for post in posts)

@@ -17,7 +17,7 @@ from mapproc.processor import (
     validate_povm,
 )
 from mapproc.qcore import dag, pauli
-from mapproc.qid import QidProgram, pauli_measurement_program, sic_program
+from mapproc.qid import QidProgram, pauli_measurement_program, sic_program, unitary_program
 from mapproc.sampling import haar_unitary, random_density_operator, random_pure_state
 from mapproc.vnmeas import SlotAssignment, VonNeumannMeasurement
 
@@ -49,6 +49,27 @@ class TestValidation:
     def test_gate_shape_must_match(self):
         with pytest.raises(ValueError, match="shape"):
             Processor(data_dim=2, program_dim=2, gate=np.eye(8))
+
+    @pytest.mark.parametrize(
+        "dims, gate, message",
+        [
+            ((True, 4), np.eye(4), "data_dim must be an integer, got True"),
+            ((2.0, 2), np.eye(4), "data_dim must be an integer, got 2.0"),
+            ((2, "2"), np.eye(4), "program_dim must be an integer, got '2'"),
+            ((-2, -2), np.eye(4), "data_dim and program_dim must be at least 1, got -2 and -2"),
+            ((0, 2), np.eye(0), "data_dim and program_dim must be at least 1, got 0 and 2"),
+            ((2, 0), np.eye(0), "data_dim and program_dim must be at least 1, got 2 and 0"),
+        ],
+        ids=["bool", "float", "str", "negative", "zero-data", "zero-program"],
+    )
+    def test_dimensions_must_be_positive_integers(self, dims, gate, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Processor(*dims, gate)
+
+    def test_numpy_integer_dimensions_are_stored_as_ints(self):
+        proc = Processor(data_dim=np.int64(2), program_dim=np.int32(2), gate=np.eye(4))
+        assert (proc.data_dim, proc.program_dim) == (2, 2)
+        assert type(proc.data_dim) is int and type(proc.program_dim) is int
 
     def test_program_state_weights_must_sum_to_one(self):
         e = np.eye(2, dtype=complex)
@@ -114,6 +135,8 @@ class TestValidation:
             (lambda: QidProgram(amplitudes=[1e200, 1e200, 0, 0]), "must be normalized"),
             (lambda: QidProgram(amplitudes=[1e308 + 1e308j, 0, 0, 0]), "must be normalized"),
             (lambda: QidProgram(amplitudes=[0, 0, np.inf, 0]), "must be normalized"),
+            (lambda: unitary_program([1e200, 0, 0]), "has no finite norm"),
+            (lambda: unitary_program([np.nan, 0, 0]), "has no finite norm"),
             (
                 lambda: Processor(data_dim=1, program_dim=2, gate=np.full((2, 2), 1e200)),
                 "must be unitary",
@@ -124,7 +147,8 @@ class TestValidation:
             (lambda: validate_povm([np.eye(2) / 2, np.diag([np.nan, 0.5])]), unbounded(1)),
         ],
         ids=[
-            "qid-program", "qid-program-complex", "qid-program-inf", "gate",
+            "qid-program", "qid-program-complex", "qid-program-inf", "rotation", "rotation-nan",
+            "gate",
             "povm-inf", "povm-huge", "povm-huge-complex", "povm-nan",
         ],
     )
@@ -253,6 +277,34 @@ class TestOutcomeProbabilities:
     @pytest.mark.parametrize("povm", [5, np.array(1.0)], ids=["int", "0-d-array"])
     def test_non_sequence_is_not_a_povm(self, povm):
         with pytest.raises(InvalidPovmError, match="expected a sequence"):
+            validate_povm(povm)
+
+    # input that does not stack to (n, d, d) with n, d >= 1 never reaches the
+    # numerical checks; each refusal names what is wrong with it
+    @pytest.mark.parametrize(
+        "povm, message",
+        [
+            ([[[1, 0], [0]]], "element 0 is not a (d, d) operator with d >= 1"),
+            ([np.eye(2) / 2, [[0.5, 0], [0]]], "element 1 has shape ragged, expected (2, 2)"),
+            ([], "empty POVM"),
+            (np.zeros((0, 2, 2)), "empty POVM"),
+            (5, "expected a sequence of (d, d) operators, got 5"),
+            ({"a": 1}, "expected a sequence of (d, d) operators, got {'a': 1}"),
+            ([1.0], "element 0 is not a (d, d) operator with d >= 1"),
+            (np.eye(2), "element 0 has shape (2,), expected (2, 2)"),
+            (np.zeros((1, 1, 2, 2)), "element 0 has shape (1, 2, 2), expected (1, 1)"),
+            (np.zeros((1, 0, 0)), "element 0 is not a (d, d) operator with d >= 1"),
+            (np.zeros((2, 2, 3)), "element 0 has shape (2, 3), expected (2, 2)"),
+            ([np.eye(2) / 2, np.eye(3) / 2], "element 1 has shape (3, 3), expected (2, 2)"),
+            ([[["a", "b"], ["c", "d"]]], "elements must be numeric (d, d) operators"),
+        ],
+        ids=[
+            "ragged-first", "ragged-later", "empty", "empty-stack", "scalar", "mapping", "1-d",
+            "2-d", "4-d", "zero-dim", "not-square", "not-stacking", "strings",
+        ],
+    )
+    def test_malformed_input_is_named(self, povm, message):
+        with pytest.raises(InvalidPovmError, match=re.escape(message) + "$"):
             validate_povm(povm)
 
     def test_validated_stack_is_read_only(self, sic_elements):

@@ -19,8 +19,8 @@ from mapproc.processor import (
     post_measurement_state,
     validate_povm,
 )
-from mapproc.qcore import ATOL, dag, is_unitary, pauli
-from mapproc.qid import QidProgram, qid_povm, qid_unitary
+from mapproc.qcore import _PAULI, ATOL, dag, is_unitary, pauli
+from mapproc.qid import QidProgram, qid_povm, qid_unitary, unitary_program
 from mapproc.sampling import (
     haar_unitary,
     random_density_operator,
@@ -295,6 +295,82 @@ def test_qid_povm_is_the_induced_povm_of_the_qid_gate(seed):
     elements = qid_povm(program).elements
     oracle = induced_povm(QID, program.program_state(), OutcomePartition.finest(4))
     assert np.max(np.abs(elements - oracle)) < 1e-12
+
+
+def special_amplitudes(kind, rng):
+    """Random unit amplitudes: complex, real, imaginary, or complex with zeros."""
+    amps = random_complex_amplitudes(rng)
+    if kind == "real":
+        amps = amps.real + 0j
+    elif kind == "imaginary":
+        amps = 1j * amps.imag
+    elif kind == "zeros":
+        amps[rng.choice(4, size=int(rng.integers(1, 4)), replace=False)] = 0
+    return amps / np.linalg.norm(amps)
+
+
+amplitude_kinds = st.sampled_from(["complex", "real", "imaginary", "zeros"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(amplitude_kinds, seeds)
+def test_qid_elements_are_bitwise_the_pauli_conjugation(kind, seed):
+    # the elements are gathered entries of M = A^dagger A with signs; the
+    # replaced formula is two stacked products with the Pauli matrices
+    report = qid_povm(QidProgram(amplitudes=special_amplitudes(kind, np.random.default_rng(seed))))
+    a = report.program_operator
+    reference = _PAULI @ (dag(a) @ a) @ _PAULI + 0.0
+    assert report.elements.tobytes() == reference.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds, st.integers(min_value=-6, max_value=6), st.integers(min_value=0, max_value=3))
+def test_unitary_program_is_bitwise_the_numpy_norm_form(seed, scale, zeros):
+    mu = np.random.default_rng(seed).normal(size=3) * 10.0**scale
+    mu[:zeros] = 0.0
+    norm = float(np.linalg.norm(mu))
+    amps = np.zeros(4, dtype=complex)
+    amps[0] = np.cos(norm)
+    if norm > 0.0:
+        amps[1:] = 1j * np.sin(norm) * mu / norm
+    reference = QidProgram(amplitudes=amps).amplitudes
+    assert unitary_program(mu).amplitudes.tobytes() == reference.tobytes()
+
+
+@SETTINGS
+@given(small_dims, small_dims, st.booleans(), seeds)
+def test_induced_povm_is_the_summed_products_of_the_kraus_operators(d, dp, pure, seed):
+    # the replaced formula: the batched A_ck^dagger A_ck summed over components c;
+    # one component gives the same bits, a mixture sums in another order
+    rng = np.random.default_rng(seed)
+    proc = random_processor(d, dp, rng)
+    if pure:
+        program = ProgramState.pure(random_pure_state(dp, rng))
+    else:
+        program = random_mixed_program(dp, rng)
+    partition = random_scattered_partition(dp, rng)
+    ops = kraus_operators(proc, program)
+    elements = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=0)
+    reference = (partition._membership @ elements.reshape(dp, d * d)).reshape(-1, d, d)
+    povm = induced_instrument(proc, program, partition).povm
+    if pure:
+        assert povm.tobytes() == reference.tobytes()
+    else:
+        assert np.max(np.abs(povm - reference)) <= 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(amplitude_kinds, seeds)
+def test_qid_povm_is_a_function_of_its_anchor_bloch_vector(kind, seed):
+    # F_0 = (I + b.sigma)/4, F_k = sigma_k F_0 sigma_k and |b| <= 1
+    report = qid_povm(QidProgram(amplitudes=special_amplitudes(kind, np.random.default_rng(seed))))
+    b = report.anchor_bloch
+    first = (pauli(0) + sum(b[j - 1] * pauli(j) for j in (1, 2, 3))) / 4
+    assert np.max(np.abs(report.elements[0] - first)) <= ATOL
+    for k in range(4):
+        conjugated = pauli(k) @ report.elements[0] @ pauli(k)
+        assert np.max(np.abs(report.elements[k] - conjugated)) <= ATOL
+    assert np.linalg.norm(b) <= 1 + ATOL
 
 
 @SETTINGS

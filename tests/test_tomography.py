@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -216,6 +218,22 @@ class TestReconstructFromCounts:
             reconstruct_from_counts(np.array([-1, 1, 0, 0]), sic_elements)
         with pytest.raises(ValueError, match="positive finite total"):
             reconstruct_from_counts(np.zeros(4, dtype=int), sic_elements)
+
+    @pytest.mark.parametrize(
+        "counts, dtype",
+        [(["a"] * 4, "<U1"), ([1, 2, 3, None], "object"), ([1j, 1, 1, 1], "complex128")],
+        ids=["str", "object", "complex"],
+    )
+    def test_counts_must_be_real_numbers(self, sic_elements, counts, dtype):
+        message = f"counts must be real numbers, got entries of type {dtype}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            reconstruct_from_counts(counts, sic_elements)
+
+    def test_integer_total_is_exact(self, sic_elements):
+        # 2^64 overflows int64, but the Python sum of the counts is exact
+        counts = np.full(4, 2**62, dtype=np.int64)
+        state, _ = reconstruct_from_counts(counts, sic_elements)
+        assert np.max(np.abs(state - np.eye(2) / 2)) < 1e-12
 
     @pytest.mark.filterwarnings("error")
     def test_infinite_total_is_refused_before_dividing(self, sic_elements):
