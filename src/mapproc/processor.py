@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import ATOL, _index, _is_hermitian, dag, is_unitary
+from .qcore import ATOL, _index, _is_hermitian, _operator_stack, dag, is_unitary
 from .sampling import as_generator
 
 PROB_FLOOR = 1e-12
@@ -235,33 +235,6 @@ def induced_povm(
     return induced_instrument(proc, program, partition).povm
 
 
-def _shape(element) -> tuple[int, ...] | None:
-    """np.shape of one element, or None for a ragged nested sequence."""
-    try:
-        return np.shape(element)
-    except ValueError:
-        return None
-
-
-def _stack_defect(povm) -> str:
-    """Why ``povm``, which does not stack to (n, d, d) with n, d >= 1, is not a POVM."""
-    try:
-        n = len(povm)
-        first = _shape(povm[0]) if n else None
-    except (TypeError, KeyError):  # a scalar, a 0-d array or a mapping
-        return f"expected a sequence of (d, d) operators, got {povm!r}"
-    if n == 0:
-        return "empty POVM"
-    if not first or first[0] == 0:
-        return "element 0 is not a (d, d) operator with d >= 1"
-    d = first[0]
-    i = next((i for i, e in enumerate(povm) if _shape(e) != (d, d)), None)
-    if i is None:
-        return "elements must be numeric (d, d) operators"
-    shape = _shape(povm[i])
-    return f"element {i} has shape {'ragged' if shape is None else shape}, expected ({d}, {d})"
-
-
 def validate_povm(povm: np.ndarray) -> np.ndarray:
     """Return the elements as one read-only (n, d, d) stack if they form a POVM.
 
@@ -275,11 +248,9 @@ def validate_povm(povm: np.ndarray) -> np.ndarray:
     POVM skip the checks and share the returned array.
     """
     try:
-        f = np.asarray(povm, dtype=complex)
-    except (TypeError, ValueError):  # elements that are not numbers or do not stack
-        f = None
-    if f is None or f.ndim != 3 or f.shape[1] != f.shape[2] or f.size == 0:
-        raise InvalidPovmError(_stack_defect(povm))
+        f = _operator_stack(povm)
+    except ValueError as exc:
+        raise InvalidPovmError(str(exc)) from None
     return _checked_povm(f.shape, f.tobytes())
 
 

@@ -43,6 +43,44 @@ def _index(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _shape(element) -> tuple[int, ...] | None:
+    """np.shape of one element, or None for a ragged nested sequence."""
+    try:
+        return np.shape(element)
+    except ValueError:
+        return None
+
+
+def _stack_defect(ops) -> str:
+    """Why ``ops``, which does not read as an (n, d, d) stack with n, d >= 1, is not one."""
+    try:
+        n = len(ops)
+        first = _shape(ops[0]) if n else None
+    except (TypeError, KeyError):  # a scalar, a 0-d array or a mapping
+        return f"expected a sequence of (d, d) operators, got {ops!r}"
+    if n == 0:
+        return "expected at least one (d, d) operator"
+    if not first or first[0] == 0:
+        return "element 0 is not a (d, d) operator with d >= 1"
+    d = first[0]
+    i = next((i for i, e in enumerate(ops) if _shape(e) != (d, d)), None)
+    if i is None:
+        return "elements must be (d, d) operators of numbers in the float range"
+    shape = _shape(ops[i])
+    return f"element {i} has shape {'ragged' if shape is None else shape}, expected ({d}, {d})"
+
+
+def _operator_stack(ops) -> np.ndarray:
+    """``ops`` as one complex (n, d, d) array, n, d >= 1; otherwise ValueError naming the defect."""
+    try:
+        f = np.asarray(ops, dtype=complex)
+    except (TypeError, ValueError, OverflowError):  # entries that are no numbers, or no stack
+        f = None
+    if f is None or f.ndim != 3 or f.shape[1] != f.shape[2] or f.size == 0:
+        raise ValueError(_stack_defect(ops))
+    return f
+
+
 def pauli(k: int) -> np.ndarray:
     """Return the k-th Pauli matrix; index 0 is the 2x2 identity."""
     k = _index(k, "Pauli index")

@@ -3,9 +3,9 @@
 A complex number is a two-element [re, im] array.  Matrices are row-major:
 {"rows": n, "cols": m, "data": [[re, im], ...]}.  A pure state is
 {"dim": n, "amp": [[re, im], ...]}.  Every JSON number is read by one
-number reader and every JSON integer by one integer reader.  Decoders
-raise ValueError on any malformed document so callers can map that to a
-clean exit.
+number reader, ``_real``, and every JSON integer by the package's one
+integer reader, ``qcore._index``.  Decoders raise ValueError on any
+malformed document so callers can map that to a clean exit.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .processor import STATE_TOL, OutcomePartition, Processor
-from .qcore import ATOL, is_density_operator
+from .qcore import ATOL, _index, is_density_operator
 
 if TYPE_CHECKING:
     from .qid import QidPovmReport, QidProgram
@@ -43,16 +43,9 @@ def _real(x) -> float:
     return value
 
 
-def _integer(x, what: str) -> int:
-    """A JSON integer; booleans and floats are refused."""
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"{what} must be an integer, got {x!r}")
-    return x
-
-
 def _dimension(obj: dict, key: str) -> int:
     """obj[key] as a positive JSON integer."""
-    value = _integer(obj.get(key), key)
+    value = _index(obj.get(key), key)
     if value <= 0:
         raise ValueError(f"{key} must be positive, got {value}")
     return value
@@ -75,7 +68,7 @@ def decode_index_lists(obj) -> tuple[tuple[int, ...], ...]:
     """A JSON list of integer lists, such as outcome pairs or slot maps."""
     if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
         raise ValueError("expected a list of integer lists")
-    return tuple(tuple(_integer(k, "index") for k in row) for row in obj)
+    return tuple(tuple(_index(k, "index") for k in row) for row in obj)
 
 
 def encode_operator(m: np.ndarray) -> dict:

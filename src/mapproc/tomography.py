@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import ATOL, InfeasibleError, _is_hermitian
+from .qcore import ATOL, InfeasibleError, _is_hermitian, _operator_stack
 from .processor import _POVM_MEMO_SIZE, validate_povm
 
 # Singular values of the stacked POVM below RANK_CUTOFF times the largest
@@ -51,9 +51,7 @@ class InconsistentProbabilitiesError(InfeasibleError):
 
 def gram_matrix(povm: np.ndarray) -> np.ndarray:
     """Real symmetric matrix of pairwise overlaps Tr(F_j F_k) of an (n, d, d) stack."""
-    f = np.asarray(povm, dtype=complex)
-    if f.ndim != 3 or f.shape[1] != f.shape[2]:
-        raise ValueError(f"expected an (n, d, d) stack of operators, got shape {f.shape}")
+    f = _operator_stack(povm)
     skew = ~_is_hermitian(f, ATOL)
     if skew.any():
         raise ValueError(f"POVM element {int(np.argmax(skew))} is not Hermitian")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import ATOL, InfeasibleError, _index, _is_hermitian, dag
+from .qcore import ATOL, InfeasibleError, _index, _is_hermitian, _operator_stack, _shape, dag
 from .processor import Processor, _branches, _freeze
 
 # A post-measurement state matches its projector within POSTULATE_ATOL;
@@ -49,15 +49,20 @@ class IsometryViolationError(InfeasibleError):
         self.slots = slots
 
 
+def _refuse_huge_entries(a: np.ndarray) -> None:
+    """ValueError naming the first a[k] with an entry not finite or above 1 + ATOL in modulus."""
+    # unit vectors and projectors keep their entries in the unit disc; refusing
+    # larger ones before any product keeps huge finite ones from overflowing
+    bad = np.flatnonzero(~(np.abs(a) <= 1 + ATOL).all(axis=tuple(range(1, a.ndim))))
+    if bad.size:
+        raise ValueError(f"element {bad[0]} has an entry not finite or above 1 in modulus")
+
+
 def _rank_one_pvm_defect(projs: np.ndarray) -> str | None:
     """Why the (n, d, d) stack is not d orthogonal rank-1 projectors summing to I, or None."""
-    if projs.ndim != 3:
-        return f"projectors must be (d, d) operators, got an array of shape {projs.shape}"
     d = projs.shape[1]
     if len(projs) != d:
         return f"need {d} projectors on dimension {d}, got {len(projs)}"
-    if projs.shape != (d, d, d):
-        return "projectors must share one dimension"
     idempotency = np.abs(projs @ projs - projs).max(axis=(1, 2))
     trace = np.abs(np.trace(projs, axis1=1, axis2=2).real - 1.0)
     bad = np.flatnonzero(~(_is_hermitian(projs, ATOL) & (idempotency <= ATOL) & (trace <= ATOL)))
@@ -77,18 +82,14 @@ class VonNeumannMeasurement:
     """Ordered complete family of d mutually orthogonal rank-1 projectors.
 
     ``projectors`` is held as one read-only (d, d, d) stack; any sequence
-    of (d, d) operators is accepted.
+    of (d, d) operators is accepted, read by ``qcore._operator_stack``.
     """
 
     projectors: np.ndarray
 
     def __post_init__(self):
-        if len(self.projectors) == 0:
-            raise ValueError("measurement needs at least one projector")
-        try:
-            projs = np.asarray(self.projectors, dtype=complex)
-        except ValueError as exc:  # the projectors do not stack
-            raise ValueError("projectors must share one dimension") from exc
+        projs = _operator_stack(self.projectors)
+        _refuse_huge_entries(projs)
         defect = _rank_one_pvm_defect(projs)
         if defect is not None:
             raise ValueError(defect)
@@ -98,6 +99,7 @@ class VonNeumannMeasurement:
     def from_basis(cls, vectors: np.ndarray) -> "VonNeumannMeasurement":
         """Measurement whose k-th projector is |v_k><v_k| for the rows v_k of ``vectors``."""
         vs = np.asarray(vectors, dtype=complex)
+        _refuse_huge_entries(vs)
         return cls(projectors=vs[..., :, None] * vs[..., None, :].conj())
 
     @property
@@ -134,14 +136,10 @@ def kraus_compatibility(ops_a: np.ndarray, ops_b: np.ndarray) -> tuple[np.ndarra
     multiple k*I of the identity, with k the overlap of their program
     states.  Returns (S, k), with k None when S is not scalar within ATOL.
     """
-    if len(ops_a) != len(ops_b):
+    a, b = _operator_stack(ops_a), _operator_stack(ops_b)
+    if len(a) != len(b):
         raise ValueError("families must pair outcomes one-to-one")
-    try:
-        a = np.asarray(ops_a, dtype=complex)
-        b = np.asarray(ops_b, dtype=complex)
-    except ValueError as exc:  # a family does not stack
-        raise ValueError("paired operators must share one dimension") from exc
-    if a.ndim != 3 or a.shape != b.shape or a.shape[1] != a.shape[2]:
+    if a.shape != b.shape:
         raise ValueError("paired operators must share one dimension")
     d = a.shape[1]
     s, k, bad = _pair_sums(a.reshape(-1, d), b.reshape(-1, d), d)
@@ -165,8 +163,7 @@ def coprogram_condition(
     explicit pairing (with repetitions and weights) expresses realizations
     that spread one measurement over several processor outcomes.
     """
-    if m1.dim != m2.dim:
-        raise ValueError("measurements must share one dimension")
+    _shared_dim([m1, m2])
     n1, n2 = len(m1.projectors), len(m2.projectors)
     if pairing is None:
         if n1 != n2:
@@ -177,9 +174,11 @@ def coprogram_condition(
         raise ValueError("weights must match the pairing length")
     if not np.isfinite(w).all():
         raise ValueError(f"weights must be finite, got {w[~np.isfinite(w)][0]}")
-    flat = [_index(x, "pairing index") for x in np.ravel(np.array(pairing, dtype=object))]
-    pairs = np.array(flat, dtype=int).reshape(len(pairing), 2)
-    i, j = pairs.T
+    for t, row in enumerate(pairing):
+        if _shape(row) != (2,):
+            raise ValueError(f"pairing row {t} is not an (i, j) pair")
+    pairs = [[_index(x, "pairing index") for x in row] for row in pairing]
+    i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
     outside = (i < 0) | (i >= n1) | (j < 0) | (j >= n2)
     if outside.any():
         t = int(np.argmax(outside))

@@ -579,15 +579,48 @@ _HUGE = {
 )
 def test_non_integer_index_or_non_finite_flag_exits_2(tmp_path, capsys, argv):
     # warnings are errors here, so a numpy warning on the way also fails
-    docs = {**DOCUMENTS, **_HUGE}
-    code, out = run(tmp_path, *[
-        write_json(tmp_path, f"{arg[0]}.json", docs[arg[0]]) if isinstance(arg, tuple) else arg
-        for arg in argv
-    ])
+    code, out = run_with_documents(tmp_path, argv)
     assert code == 2
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def run_with_documents(tmp_path, argv):
+    """``run`` with each (name,) in argv replaced by a file holding that document."""
+    docs = {**DOCUMENTS, **_HUGE}
+    return run(tmp_path, *[
+        write_json(tmp_path, f"{arg[0]}.json", docs[arg[0]]) if isinstance(arg, tuple) else arg
+        for arg in argv
+    ])
+
+
+_UNBOUNDED = "element 0 has an entry not finite or above 1 in modulus"
+
+
+# a pairing row that is not a pair, an empty pairing and a measurement entry
+# that would overflow are each refused in words that name them
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["vn-check", ("measurements",), "--pairing", "[[0,1,2]]"],
+         "pairing row 0 is not an (i, j) pair"),
+        (["vn-check", ("measurements",), "--pairing", "[[0,0],[1]]"],
+         "pairing row 1 is not an (i, j) pair"),
+        (["vn-check", ("measurements",), "--pairing", "[]"],
+         "expected at least one (d, d) operator"),
+        (["vn-synth", ("huge-projector",)], _UNBOUNDED),
+        (["vn-synth", ("huge-amplitude",)], _UNBOUNDED),
+        (["vn-check", ("huge-projector",)], _UNBOUNDED),
+    ],
+    ids=["three-indices", "one-index", "empty-pairing", "huge-projector", "huge-amplitude",
+         "vn-check-huge-projector"],
+)
+def test_refusal_names_the_input(tmp_path, capsys, argv, message):
+    code, out = run_with_documents(tmp_path, argv)
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def skeleton(doc):

@@ -19,7 +19,19 @@ from mapproc.processor import (
 from mapproc.qcore import dag, pauli
 from mapproc.qid import QidProgram, pauli_measurement_program, sic_program, unitary_program
 from mapproc.sampling import haar_unitary, random_density_operator, random_pure_state
-from mapproc.vnmeas import SlotAssignment, VonNeumannMeasurement
+from mapproc.tomography import gram_matrix
+from mapproc.vnmeas import SlotAssignment, VonNeumannMeasurement, kraus_compatibility
+
+
+NOT_FLOATS = "elements must be (d, d) operators of numbers in the float range"
+
+# every public function that reads an (n, d, d) operator stack
+STACK_READERS = {
+    "VonNeumannMeasurement": VonNeumannMeasurement,
+    "kraus_compatibility-first": lambda ops: kraus_compatibility(ops, ops),
+    "kraus_compatibility-second": lambda ops: kraus_compatibility(np.eye(2)[None], ops),
+    "gram_matrix": gram_matrix,
+}
 
 
 def unbounded(element):
@@ -145,11 +157,15 @@ class TestValidation:
             (lambda: validate_povm([np.diag([1e308, 0.0])] * 2), unbounded(0)),
             (lambda: validate_povm([np.eye(2) / 2, np.full((2, 2), 1e200 + 1e200j)]), unbounded(1)),
             (lambda: validate_povm([np.eye(2) / 2, np.diag([np.nan, 0.5])]), unbounded(1)),
+            (lambda: VonNeumannMeasurement([np.diag([1e200, 0.0]), np.eye(2)]), unbounded(0)),
+            (lambda: VonNeumannMeasurement([np.eye(2), np.diag([np.inf, 0.0])]), unbounded(1)),
+            (lambda: VonNeumannMeasurement.from_basis([[1.0, 0.0], [0.0, 1e200]]), unbounded(1)),
         ],
         ids=[
             "qid-program", "qid-program-complex", "qid-program-inf", "rotation", "rotation-nan",
             "gate",
             "povm-inf", "povm-huge", "povm-huge-complex", "povm-nan",
+            "measurement-huge", "measurement-inf", "basis-huge",
         ],
     )
     def test_huge_finite_input_is_refused_without_warnings(self, build, message):
@@ -279,16 +295,20 @@ class TestOutcomeProbabilities:
         with pytest.raises(InvalidPovmError, match="expected a sequence"):
             validate_povm(povm)
 
-    # input that does not stack to (n, d, d) with n, d >= 1 never reaches the
-    # numerical checks; each refusal names what is wrong with it
+    # input that does not read as an (n, d, d) stack with n, d >= 1 never
+    # reaches a numerical check; every operator-stack reader refuses it in
+    # the same words, naming what is wrong with it, and validate_povm raises
+    # its InvalidPovmError; warnings are errors here
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "povm, message",
         [
             ([[[1, 0], [0]]], "element 0 is not a (d, d) operator with d >= 1"),
             ([np.eye(2) / 2, [[0.5, 0], [0]]], "element 1 has shape ragged, expected (2, 2)"),
-            ([], "empty POVM"),
-            (np.zeros((0, 2, 2)), "empty POVM"),
+            ([], "expected at least one (d, d) operator"),
+            (np.zeros((0, 2, 2)), "expected at least one (d, d) operator"),
             (5, "expected a sequence of (d, d) operators, got 5"),
+            (5.0, "expected a sequence of (d, d) operators, got 5.0"),
             ({"a": 1}, "expected a sequence of (d, d) operators, got {'a': 1}"),
             ([1.0], "element 0 is not a (d, d) operator with d >= 1"),
             (np.eye(2), "element 0 has shape (2,), expected (2, 2)"),
@@ -296,16 +316,24 @@ class TestOutcomeProbabilities:
             (np.zeros((1, 0, 0)), "element 0 is not a (d, d) operator with d >= 1"),
             (np.zeros((2, 2, 3)), "element 0 has shape (2, 3), expected (2, 2)"),
             ([np.eye(2) / 2, np.eye(3) / 2], "element 1 has shape (3, 3), expected (2, 2)"),
-            ([[["a", "b"], ["c", "d"]]], "elements must be numeric (d, d) operators"),
+            ([[["a", "b"], ["c", "d"]]], NOT_FLOATS),
+            ([[[10**400, 0], [0, 1]]], NOT_FLOATS),
         ],
         ids=[
-            "ragged-first", "ragged-later", "empty", "empty-stack", "scalar", "mapping", "1-d",
-            "2-d", "4-d", "zero-dim", "not-square", "not-stacking", "strings",
+            "ragged-first", "ragged-later", "empty", "empty-stack", "scalar", "float", "mapping",
+            "1-d", "2-d", "4-d", "zero-dim", "not-square", "not-stacking", "strings",
+            "int-overflow",
         ],
     )
     def test_malformed_input_is_named(self, povm, message):
         with pytest.raises(InvalidPovmError, match=re.escape(message) + "$"):
             validate_povm(povm)
+        messages = {}
+        for name, read in STACK_READERS.items():
+            with pytest.raises(ValueError) as caught:
+                read(povm)
+            messages[name] = str(caught.value)
+        assert messages == dict.fromkeys(STACK_READERS, message)
 
     def test_validated_stack_is_read_only(self, sic_elements):
         f = validate_povm(sic_elements)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jsonfuzz import mutants
@@ -125,9 +125,31 @@ def test_every_decoder_has_a_valid_document():
         getattr(serialize, name)(doc)
 
 
+class _Draws:
+    """Stands in for ``st.data()`` in an explicit example: every draw is ``doc``."""
+
+    def __init__(self, doc):
+        self.doc = doc
+
+    def draw(self, strategy):
+        return self.doc
+
+
+# an entry this large overflowed in the products of VonNeumannMeasurement
+# and from_basis, so numpy warned before any refusal
+_HUGE_PROJECTORS = {"dim": 2, "projectors": [
+    serialize.encode_operator(np.diag([1e200, 0])), serialize.encode_operator(np.diag([0, 1])),
+]}
+_HUGE_BASIS = {"dim": 2, "basis": [serialize.encode_state(np.array([1e200, 0])), _MINUS]}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(VALID_DOCUMENTS))
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
+@example(data=_Draws(_HUGE_PROJECTORS))
+@example(data=_Draws(_HUGE_BASIS))
+@example(data=_Draws({"measurements": [_HUGE_PROJECTORS, _HUGE_BASIS]}))
 def test_decoders_raise_only_value_error(name, data):
     doc = data.draw(mutants(VALID_DOCUMENTS[name]))
     try:

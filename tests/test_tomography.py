@@ -55,15 +55,6 @@ class TestGramMatrix:
             with pytest.raises(ValueError, match="Hermitian"):
                 gram_matrix([np.array(element, dtype=complex)])
 
-    @pytest.mark.parametrize(
-        "povm, shape",
-        [(np.ones((2, 2, 3)), r"\(2, 2, 3\)"), (np.eye(2), r"\(2, 2\)"), ([], r"\(0,\)")],
-        ids=["non-square", "one-operator", "empty"],
-    )
-    def test_rejects_a_stack_of_the_wrong_shape(self, povm, shape):
-        with pytest.raises(ValueError, match=r"expected an \(n, d, d\) stack.*got shape " + shape):
-            gram_matrix(povm)
-
 
 class TestInformationalCompleteness:
     def test_sic_is_complete(self, sic_elements):

@@ -66,16 +66,6 @@ class TestVonNeumannMeasurement:
         with pytest.raises(ValueError, match="identity"):
             VonNeumannMeasurement(projectors=(E0, E0))
 
-    @pytest.mark.parametrize(
-        "projectors, shape",
-        [([1.0], (1,)), (np.eye(2), (2, 2)), (np.zeros((1, 1, 2, 2)), (1, 1, 2, 2))],
-        ids=["1-d", "2-d", "4-d"],
-    )
-    def test_rejects_an_array_that_is_no_operator_stack(self, projectors, shape):
-        message = f"projectors must be (d, d) operators, got an array of shape {shape}"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            VonNeumannMeasurement(projectors=projectors)
-
     def test_from_basis(self):
         m = VonNeumannMeasurement.from_basis([np.array([0, 1]), np.array([1, 0])])
         assert np.allclose(m.projectors[0], E1)
