@@ -55,6 +55,19 @@ class TestGramMatrix:
             with pytest.raises(ValueError, match="Hermitian"):
                 gram_matrix([np.array(element, dtype=complex)])
 
+    @pytest.mark.parametrize(
+        "povm, message",
+        [
+            (np.ones((2, 2, 3)), "element 0 has shape (2, 3), expected (2, 2)"),
+            (np.eye(2), "element 0 has shape (2,), expected (2, 2)"),
+            ([], "expected at least one (d, d) operator"),
+        ],
+        ids=["non-square", "one-operator", "empty"],
+    )
+    def test_rejects_a_stack_of_the_wrong_shape(self, povm, message):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            gram_matrix(povm)
+
 
 class TestInformationalCompleteness:
     def test_sic_is_complete(self, sic_elements):

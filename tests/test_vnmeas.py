@@ -66,6 +66,19 @@ class TestVonNeumannMeasurement:
         with pytest.raises(ValueError, match="identity"):
             VonNeumannMeasurement(projectors=(E0, E0))
 
+    @pytest.mark.parametrize(
+        "projectors, message",
+        [
+            ([1.0], "element 0 is not a (d, d) operator with d >= 1"),
+            (np.eye(2), "element 0 has shape (2,), expected (2, 2)"),
+            (np.zeros((1, 1, 2, 2)), "element 0 has shape (1, 2, 2), expected (1, 1)"),
+        ],
+        ids=["1-d", "2-d", "4-d"],
+    )
+    def test_rejects_an_array_that_is_no_operator_stack(self, projectors, message):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            VonNeumannMeasurement(projectors=projectors)
+
     def test_from_basis(self):
         m = VonNeumannMeasurement.from_basis([np.array([0, 1]), np.array([1, 0])])
         assert np.allclose(m.projectors[0], E1)
