@@ -27,7 +27,7 @@ from . import __version__, serialize
 from .qcore import InfeasibleError
 
 if TYPE_CHECKING:
-    from .qid import QidProgram
+    from .qid import QidPovmReport
 
 
 def _load_json(path: str):
@@ -63,23 +63,22 @@ def _emit_json(args, payload: dict, inputs: list[str]) -> None:
     _write_text(args, json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
-def _resolve_program(args) -> tuple[QidProgram, list[str]]:
+def _qid_report(args) -> tuple[QidPovmReport, list[str]]:
     from . import qid
 
     if args.sic:
         if args.program is not None:
             raise ValueError("give either a program file or --sic, not both")
-        return qid.sic_program(), []
+        return qid.qid_povm(qid.sic_program()), []
     if args.program is None:
         raise ValueError("a program file or --sic is required")
-    return serialize.decode_qid_program(_load_json(args.program)), [args.program]
+    program = serialize.decode_qid_program(_load_json(args.program))
+    return qid.qid_povm(program), [args.program]
 
 
 def _cmd_qid_povm(args) -> int:
-    from . import qid
-
-    program, inputs = _resolve_program(args)
-    _emit_json(args, serialize.encode_qid_povm_report(qid.qid_povm(program)), inputs)
+    report, inputs = _qid_report(args)
+    _emit_json(args, serialize.encode_qid_povm_report(report), inputs)
     return 0
 
 
@@ -164,10 +163,7 @@ def _cmd_vn_relaxed(args) -> int:
 
 
 def _cmd_bloch_export(args) -> int:
-    from . import qid
-
-    program, inputs = _resolve_program(args)
-    report = qid.qid_povm(program)
+    report, inputs = _qid_report(args)
     manifest = _manifest(args, inputs)
     lines = [f"# manifest: {json.dumps(manifest)}", "label,x,y,z"]
     for label, x, y, z in report.bloch_points():

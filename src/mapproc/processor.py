@@ -16,8 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import ATOL, _index, _is_hermitian, _operator_stack, dag, is_unitary
-from .sampling import as_generator
+from .qcore import ATOL, _count, _index, _is_hermitian, _operator_stack, dag, is_unitary
 
 PROB_FLOOR = 1e-12
 # A state, typed or rounded by hand, passes within STATE_TOL: its outcome
@@ -164,6 +163,9 @@ class OutcomePartition:
 
     @classmethod
     def finest(cls, n: int) -> "OutcomePartition":
+        n = _count(n, "outcome count")
+        if n < 1:
+            raise ValueError(f"outcome count must be at least 1, got {n}")
         return cls(blocks=tuple((k,) for k in range(n)))
 
     @property
@@ -330,7 +332,7 @@ def post_measurement_state(
 def sample_outcomes(
     rho: np.ndarray, povm: np.ndarray, n: int, seed: int | np.random.Generator
 ) -> np.ndarray:
-    """Multinomial counts of ``n`` shots, a nonnegative integer; deterministic for a fixed seed.
+    """Multinomial counts of ``n`` shots, 0 <= n < 2**63; deterministic for a fixed seed.
 
     Raises ValueError naming the outcome probabilities p_k = Tr(rho F_k)
     unless they form a distribution within STATE_TOL: no p_k below
@@ -340,7 +342,7 @@ def sample_outcomes(
     POVM, is sampled.  Check ``rho`` with ``is_density_operator`` first
     when it may not be a state, as ``simulate`` does.
     """
-    n = _index(n, "sample count")
+    n = _count(n, "sample count")
     if n < 0:
         raise ValueError("sample count must be nonnegative")
     p = outcome_probabilities(rho, povm)
@@ -354,4 +356,4 @@ def sample_outcomes(
     p = p / p.sum()
     if n == 0:
         return np.zeros(len(povm), dtype=np.int64)
-    return as_generator(seed).multinomial(n, p)
+    return np.random.default_rng(seed).multinomial(n, p)

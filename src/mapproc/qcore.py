@@ -17,6 +17,8 @@ import numpy as np
 # package is a named module constant; the README's "Numerical notes" table
 # lists each one with its value and what it decides.
 ATOL = 1e-10
+# relative cutoff on the stacked POVM's singular values: decides informational completeness
+RANK_CUTOFF = 1e-9
 
 # sigma_0 = I, sigma_x, sigma_y, sigma_z as one (4, 2, 2) stack
 _PAULI = np.array(
@@ -41,6 +43,14 @@ def _index(value, name: str) -> int:
         except TypeError:
             pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _count(value, name: str) -> int:
+    """``value`` read by _index; 2**63 or more, a count numpy cannot take, raises ValueError."""
+    n = _index(value, name)
+    if n >= 2**63:
+        raise ValueError(f"{name} must be below 2**63")
+    return n
 
 
 def _shape(element) -> tuple[int, ...] | None:

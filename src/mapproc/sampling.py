@@ -9,15 +9,9 @@ from __future__ import annotations
 import numpy as np
 
 
-def as_generator(seed: int | np.random.Generator) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def haar_unitary(dim: int, seed: int | np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diag(r)
@@ -25,14 +19,14 @@ def haar_unitary(dim: int, seed: int | np.random.Generator) -> np.ndarray:
 
 
 def random_pure_state(dim: int, seed: int | np.random.Generator) -> np.ndarray:
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
 
 
 def random_density_operator(dim: int, seed: int | np.random.Generator) -> np.ndarray:
     """Full-rank random density operator (normalized Ginibre G G^dagger)."""
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real

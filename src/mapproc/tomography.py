@@ -15,12 +15,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import ATOL, InfeasibleError, _is_hermitian, _operator_stack
+from .qcore import ATOL, RANK_CUTOFF, InfeasibleError, _is_hermitian, _operator_stack
 from .processor import _POVM_MEMO_SIZE, validate_povm
 
-# Singular values of the stacked POVM below RANK_CUTOFF times the largest
-# one count as zero; this one cutoff decides informational completeness.
-RANK_CUTOFF = 1e-9
 PROB_SUM_TOL = 1e-6
 RESIDUAL_TOL = 1e-6
 

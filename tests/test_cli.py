@@ -171,6 +171,15 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "not a density operator" in err and err.count("\n") == 1
 
+    def test_count_numpy_cannot_take_exits_2_naming_the_count(self, tmp_path, capsys):
+        code, out = run(
+            tmp_path, "simulate", mixed_state_file(tmp_path), sic_povm_file(tmp_path),
+            "--n", str(2**63),
+        )
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: sample count must be below 2**63\n"
+
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -46,8 +46,9 @@ EXPORTS = {
 }
 SUBMODULES = ("processor", "qcore", "qid", "sampling", "tomography", "vnmeas")
 
-TOMOGRAPHY_PATH = {"processor", "qcore", "qid", "sampling", "tomography"}
-SIMULATE = {"cli", "serialize", "processor", "qcore", "sampling"}
+QID_POVM = {"processor", "qcore", "qid"}
+TOMOGRAPHY_PATH = QID_POVM | {"tomography"}
+SIMULATE = {"cli", "serialize", "processor", "qcore"}
 
 
 def loaded_after(code: str, cwd: Path | None = None) -> set[str]:
@@ -69,6 +70,10 @@ def loaded_after(code: str, cwd: Path | None = None) -> set[str]:
 
 def test_import_loads_no_submodule():
     assert loaded_after("import mapproc") == set()
+
+
+def test_qid_povm_loads_neither_tomography_nor_sampling():
+    assert loaded_after("import mapproc\nmapproc.qid_povm(mapproc.sic_program())") == QID_POVM
 
 
 def test_tomography_path_never_loads_vnmeas():
@@ -101,8 +106,10 @@ def documents(tmp_path):
     (["simulate", "state.json", "povm.json", "--n", "10"], SIMULATE),
     (["reconstruct", "counts.json", "povm.json"], SIMULATE | {"tomography"}),
     (["vn-synth", "meas.json"], SIMULATE | {"vnmeas"}),
-    (["qid-povm", "--sic"], SIMULATE | {"qid", "tomography"}),
-], ids=["simulate", "reconstruct", "vn-synth", "qid-povm"])
+    (["qid-povm", "--sic"], SIMULATE | {"qid"}),
+    (["qid-program", "--sic"], SIMULATE | {"qid"}),
+    (["bloch-export", "--sic"], SIMULATE | {"qid"}),
+], ids=["simulate", "reconstruct", "vn-synth", "qid-povm", "qid-program", "bloch-export"])
 def test_each_subcommand_loads_only_what_it_runs(documents, argv, modules):
     code = f"""
 import mapproc.cli
@@ -144,4 +151,4 @@ assert "qid_povm" not in vars(mapproc)
 mapproc.qid_povm
 assert vars(mapproc)["qid_povm"] is mapproc.qid.qid_povm
 """
-        assert loaded_after(code) == TOMOGRAPHY_PATH
+        assert loaded_after(code) == QID_POVM

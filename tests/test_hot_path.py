@@ -9,6 +9,11 @@ Tomographer memos are emptied first, so the check and the SVD of each
 POVM run under the guard whatever ran before.  The cases cover an
 informationally complete POVM (the SIC), the three Pauli pairings and a
 unitary program, whose rank-1 stack takes the refusal path.
+
+``qid_povm`` reads informational completeness from the anchor Bloch
+vector, so it checks no POVM and runs no decomposition: in the same five
+cases it runs with ``np.linalg.svd``, ``eigvalsh`` and ``eigh`` replaced
+by a function that raises, after the memos are emptied.
 """
 
 import numpy as np
@@ -32,6 +37,7 @@ from mapproc.tomography import (
     Tomographer,
     UnderdeterminedPovmError,
     _build_tomographer,
+    is_informationally_complete,
     reconstruct_from_counts,
     reconstruct_from_probabilities,
 )
@@ -94,3 +100,32 @@ def test_hot_path_runs_without_generic_contractions(monkeypatch, case):
                 reconstruct_from_probabilities(p, report.elements)
     assert np.max(np.abs(inst.povm.sum(axis=0) - np.eye(2))) < 1e-12
     assert all(abs(np.trace(post) - 1) < 1e-12 for post in posts)
+
+
+DECOMPOSITIONS = ("svd", "eigvalsh", "eigh")
+
+
+def _refuse_decomposition(*args, **kwargs):
+    raise AssertionError("linear-algebra decomposition under the guard")
+
+
+@pytest.mark.parametrize(
+    "case", ["sic", 1, 2, 3, "unitary"], ids=["sic", "pauli-x", "pauli-y", "pauli-z", "unitary"]
+)
+def test_qid_povm_runs_no_decomposition(monkeypatch, case):
+    if case == "sic":
+        program = sic_program()
+    elif case == "unitary":
+        program = unitary_program([0.3, -0.2, 0.9])
+    else:
+        program, _ = pauli_measurement_program(case)
+
+    _checked_povm.cache_clear()
+    _build_tomographer.cache_clear()
+    for name in DECOMPOSITIONS:
+        monkeypatch.setattr(np.linalg, name, _refuse_decomposition)
+    report = qid_povm(program)
+    assert report.informationally_complete == (case == "sic")
+    # the POVM check and the SVD rank test, which qid_povm does not run, meet the guard
+    with pytest.raises(AssertionError, match="decomposition"):
+        is_informationally_complete(report.elements)

@@ -1,4 +1,5 @@
 import re
+import signal
 
 import numpy as np
 import pytest
@@ -118,6 +119,39 @@ class TestValidation:
     def test_partition_index_must_be_an_integer(self, blocks):
         with pytest.raises(ValueError, match="outcome index must be an integer"):
             OutcomePartition(blocks=blocks)
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (True, "outcome count must be an integer, got True"),
+            (2.0, "outcome count must be an integer, got 2.0"),
+            (0, "outcome count must be at least 1, got 0"),
+            (-1, "outcome count must be at least 1, got -1"),
+        ],
+        ids=["bool", "float", "zero", "negative"],
+    )
+    def test_finest_count_is_read_and_bounded(self, n, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            OutcomePartition.finest(n)
+
+    @pytest.mark.parametrize("n", [2**63, 10**400], ids=["int64-overflow", "huge"])
+    def test_finest_refuses_a_huge_count_before_any_loop(self, n):
+        # a loop over range(n) would not end; the timer turns one into a failure
+        def expire(signum, frame):
+            raise AssertionError(f"finest({n}) did not return within 1 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            with pytest.raises(ValueError, match=re.escape("outcome count must be below 2**63")):
+                OutcomePartition.finest(n)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_finest_partition_has_one_block_per_outcome(self):
+        assert OutcomePartition.finest(np.int64(3)).blocks == ((0,), (1,), (2,))
+        assert OutcomePartition.finest(1).num_indices == 1
 
     # each check compares a defect with a tolerance; NaN compares False
     # both ways, so every check must be phrased to pass only when within it
@@ -461,6 +495,22 @@ class TestSampling:
         message = re.escape(f"sample count must be an integer, got {n!r}")
         with pytest.raises(ValueError, match=message):
             sample_outcomes(np.eye(2) / 2, sic_elements, n, seed=7)
+
+    @pytest.mark.parametrize("n", [2**63, 10**400], ids=["int64-overflow", "huge"])
+    def test_count_numpy_cannot_take_is_refused_before_the_probabilities(self, n):
+        # the POVM is not one: a refusal after the probabilities would name it instead
+        with pytest.raises(ValueError, match=re.escape("sample count must be below 2**63")):
+            sample_outcomes(np.eye(2) / 2, [np.eye(2)] * 4, n, seed=7)
+
+    def test_largest_int64_count_is_sampled(self, sic_elements):
+        counts = sample_outcomes(np.eye(2) / 2, sic_elements, 2**63 - 1, seed=7)
+        assert sum(counts.tolist()) == 2**63 - 1
+
+    def test_generator_seed_is_used_as_given(self, sic_elements):
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        first = sample_outcomes(np.eye(2) / 2, sic_elements, 1000, seed=rng)
+        assert np.array_equal(first, twin.multinomial(1000, [0.25] * 4))
+        assert not np.array_equal(sample_outcomes(np.eye(2) / 2, sic_elements, 1000, rng), first)
 
     def test_numpy_integer_count(self, sic_elements):
         counts = sample_outcomes(np.eye(2) / 2, sic_elements, np.int64(50), seed=7)

@@ -19,8 +19,16 @@ from mapproc.processor import (
     post_measurement_state,
     validate_povm,
 )
-from mapproc.qcore import _PAULI, ATOL, dag, is_unitary, pauli
-from mapproc.qid import QidProgram, qid_povm, qid_unitary, unitary_program
+from mapproc.qcore import _PAULI, ATOL, RANK_CUTOFF, dag, is_unitary, pauli
+from mapproc.qid import (
+    _FLIPS,
+    QidProgram,
+    pauli_measurement_program,
+    qid_povm,
+    qid_unitary,
+    sic_program,
+    unitary_program,
+)
 from mapproc.sampling import (
     haar_unitary,
     random_density_operator,
@@ -310,6 +318,68 @@ def special_amplitudes(kind, rng):
 
 
 amplitude_kinds = st.sampled_from(["complex", "real", "imaginary", "zeros"])
+
+
+def qid_program(kind, rng):
+    """A seeded QID program: special amplitudes, or one of the named program families.
+
+    ``shrunk`` scales one real amplitude by 10^-u, u in [0, 13], so min |b_i|
+    falls on every scale from 1 down to far below RANK_CUTOFF.
+    """
+    if kind == "unitary":
+        return unitary_program(rng.normal(size=3))
+    if kind == "pauli":
+        return pauli_measurement_program(int(rng.integers(1, 4)))[0]
+    if kind == "sic":
+        return sic_program()
+    if kind == "shrunk":
+        amps = rng.normal(size=4)
+        amps[rng.integers(4)] *= 10.0 ** -rng.uniform(0, 13)
+        phase = np.exp(2j * np.pi * rng.random())
+        return QidProgram(amplitudes=phase * amps / np.linalg.norm(amps))
+    return QidProgram(amplitudes=special_amplitudes(kind, rng))
+
+
+program_kinds = st.sampled_from(
+    ["complex", "real", "imaginary", "zeros", "shrunk", "unitary", "pauli", "sic"]
+)
+# The SVD fixes each singular value to about 1e-16 s_max, 1e-7 of the cutoff
+# relatively, so only for min |b_i| within this relative band of RANK_CUTOFF
+# may its rank test fall on the other side of the exact one.
+CUTOFF_BAND = 1e-3
+
+
+@settings(max_examples=300, deadline=None)
+@given(program_kinds, seeds)
+def test_qid_completeness_is_the_svd_rank_test_outside_the_cutoff_band(kind, seed):
+    report = qid_povm(qid_program(kind, np.random.default_rng(seed)))
+    smallest = np.abs(report.anchor_bloch).min()
+    if abs(smallest / RANK_CUTOFF - 1.0) > CUTOFF_BAND:
+        assert report.informationally_complete == is_informationally_complete(report.elements)
+
+
+@settings(max_examples=300, deadline=None)
+@given(program_kinds, seeds)
+def test_every_qid_report_holds_a_povm(kind, seed):
+    elements = qid_povm(qid_program(kind, np.random.default_rng(seed))).elements
+    assert validate_povm(elements).tobytes() == elements.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(program_kinds, seeds)
+def test_qid_dual_frame_is_the_closed_form(kind, seed):
+    # F_k = (I + sum_i s_ki b_i sigma_i)/4 with s_k = _FLIPS[k]; the columns of
+    # _FLIPS sum to 0 and are orthogonal with squared norm 4, so the duals
+    # D_k = (I + sum_i s_ki sigma_i / b_i)/2 give sum_k Tr(rho F_k) D_k = rho
+    report = qid_povm(qid_program(kind, np.random.default_rng(seed)))
+    if not report.informationally_complete:
+        return
+    b = report.anchor_bloch
+    closed = (np.eye(2) + np.einsum("ki,iab->kab", _FLIPS / b, _PAULI[1:])) / 2
+    dual = Tomographer.build(report.elements).dual_frame
+    # the SVD's relative error is about 1e-16 times the condition number 1/min |b_i|
+    condition = 1.0 / np.abs(b).min()
+    assert np.abs(dual - closed).max() <= 1e-13 * condition * np.abs(closed).max()
 
 
 @settings(max_examples=200, deadline=None)

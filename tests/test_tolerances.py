@@ -24,9 +24,9 @@ MODULES = [importlib.import_module(f"mapproc.{m.name}") for m in pkgutil.iter_mo
 
 TOLERANCES = {
     "qcore.ATOL": 1e-10,
+    "qcore.RANK_CUTOFF": 1e-9,
     "processor.PROB_FLOOR": 1e-12,
     "processor.STATE_TOL": 1e-8,
-    "tomography.RANK_CUTOFF": 1e-9,
     "tomography.PROB_SUM_TOL": 1e-6,
     "tomography.RESIDUAL_TOL": 1e-6,
     "vnmeas.POSTULATE_ATOL": 1e-8,
