@@ -78,6 +78,9 @@ class Processor:
         object.__setattr__(self, "gate", _freeze(gate))
 
 
+_UNIT_WEIGHT = _freeze((1.0,), float)
+
+
 @dataclass(frozen=True, eq=False)
 class ProgramState:
     """Program-register state as a convex mixture of pure states.
@@ -117,7 +120,21 @@ class ProgramState:
 
     @classmethod
     def pure(cls, state: np.ndarray) -> "ProgramState":
-        return cls(weights=(1.0,), vectors=(state,))
+        """The one-row state of weight 1, built directly: the same checks and bits as a mixture."""
+        vectors = _freeze((state,))
+        if vectors.ndim != 2:
+            raise ValueError("program state needs (c,) weights and (c, dp) vectors, c > 0")
+        v = vectors[0]
+        if not abs(math.sqrt(np.vdot(v, v).real) - 1.0) <= ATOL:
+            raise ValueError("program component states must be normalized")
+        # the mixture's sqrt(1.0) * v: a complex product that also sets the sign of zeros
+        rows = vectors * 1.0
+        rows.setflags(write=False)
+        program = object.__new__(cls)
+        object.__setattr__(program, "weights", _UNIT_WEIGHT)
+        object.__setattr__(program, "vectors", vectors)
+        object.__setattr__(program, "_rows", rows)
+        return program
 
     @property
     def dim(self) -> int:
@@ -334,6 +351,9 @@ def sample_outcomes(
 ) -> np.ndarray:
     """Multinomial counts of ``n`` shots, 0 <= n < 2**63; deterministic for a fixed seed.
 
+    ``seed`` is a Generator, used as given, or an integer >= 0.  It is read
+    with ``n``, before the probabilities, so n = 0 refuses a bad seed too.
+
     Raises ValueError naming the outcome probabilities p_k = Tr(rho F_k)
     unless they form a distribution within STATE_TOL: no p_k below
     -STATE_TOL and |sum p - 1| <= STATE_TOL.  Only p is checked, not
@@ -345,6 +365,10 @@ def sample_outcomes(
     n = _count(n, "sample count")
     if n < 0:
         raise ValueError("sample count must be nonnegative")
+    if not isinstance(seed, np.random.Generator):
+        seed = _index(seed, "seed")
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed}")
     p = outcome_probabilities(rho, povm)
     # scalar checks on a few floats beat array reductions; a NaN fails the sum
     probs = p.tolist()

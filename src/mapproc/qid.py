@@ -100,10 +100,6 @@ class QidPovmReport:
         return [(f"F{k}", x, y, z) for k, (x, y, z) in enumerate(points.tolist())]
 
 
-# cyclic successors of the Bloch axes: (a x b)_i = a_next b_prev - a_prev b_next
-_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
-
-
 # sigma_k M sigma_k permutes and signs the entries of M: entry [k, i, j]
 # is _SIGNS[k, i, j] * M.ravel()[_SOURCES[k, i, j]]
 _SOURCES = np.array([[0, 1, 2, 3], [3, 2, 1, 0], [3, 2, 1, 0], [0, 1, 2, 3]]).reshape(4, 2, 2)
@@ -119,16 +115,23 @@ def qid_povm(program: QidProgram) -> QidPovmReport:
     # the same bits as _PAULI @ M @ _PAULI + 0.0: + 0.0 turns a flipped
     # -0.0 into the +0.0 a summation gives, so exported bytes stay stable
     elements = (dag(a_op) @ a_op).ravel()[_SOURCES] * _SIGNS + 0.0
-    vec, cvec = alpha[1:], alpha[1:].conj()
-    cross = cvec[_NEXT] * vec[_PREV] - cvec[_PREV] * vec[_NEXT]  # conj(vec) x vec
-    anchor = (alpha[0] * cvec + alpha[0].conjugate() * vec + 1j * cross).real
+    # b_i = 2 Re(conj(a0) a_i) + i (conj(a_vec) x a_vec)_i on four Python complex
+    # scalars; numpy calls on 3-element arrays cost more than the arithmetic
+    a0, a1, a2, a3 = alpha.tolist()
+    c0, c1, c2, c3 = a0.conjugate(), a1.conjugate(), a2.conjugate(), a3.conjugate()
+    b = [
+        (a0 * c1 + c0 * a1 + 1j * (c2 * a3 - c3 * a2)).real,
+        (a0 * c2 + c0 * a2 + 1j * (c3 * a1 - c1 * a3)).real,
+        (a0 * c3 + c0 * a3 + 1j * (c1 * a2 - c2 * a1)).real,
+    ]
+    anchor = np.array(b)
     for array in (a_op, elements, anchor):
         array.setflags(write=False)
     return QidPovmReport(
         program_operator=a_op,
         elements=elements,
         anchor_bloch=anchor,
-        informationally_complete=min(map(abs, anchor.tolist())) > RANK_CUTOFF,
+        informationally_complete=min(map(abs, b)) > RANK_CUTOFF,
     )
 
 

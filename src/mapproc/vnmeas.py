@@ -98,7 +98,12 @@ class VonNeumannMeasurement:
     @classmethod
     def from_basis(cls, vectors: np.ndarray) -> "VonNeumannMeasurement":
         """Measurement whose k-th projector is |v_k><v_k| for the rows v_k of ``vectors``."""
-        vs = np.asarray(vectors, dtype=complex)
+        try:
+            vs = np.asarray(vectors, dtype=complex)
+        except (TypeError, ValueError, OverflowError):  # entries that are no numbers, or ragged
+            raise ValueError("basis vectors must be equal-length rows of numbers") from None
+        if vs.ndim == 0:
+            raise ValueError(f"expected a sequence of basis vectors, got {vectors!r}")
         _refuse_huge_entries(vs)
         return cls(projectors=vs[..., :, None] * vs[..., None, :].conj())
 
@@ -169,8 +174,17 @@ def coprogram_condition(
         if n1 != n2:
             raise ValueError("index pairing needs equal outcome counts")
         pairing = [(j, j) for j in range(n1)]
-    w = np.ones(len(pairing)) if weights is None else np.asarray(weights, dtype=float)
-    if len(w) != len(pairing):
+    try:
+        m = len(pairing)
+    except TypeError:  # a scalar or a 0-d array
+        raise ValueError(f"pairing must be a sequence of (i, j) pairs, got {pairing!r}") from None
+    try:
+        w = np.ones(m) if weights is None else np.asarray(weights, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # entries that are no real numbers
+        w = None
+    if w is None or w.ndim != 1:
+        raise ValueError(f"weights must be a sequence of real numbers, got {weights!r}")
+    if len(w) != m:
         raise ValueError("weights must match the pairing length")
     if not np.isfinite(w).all():
         raise ValueError(f"weights must be finite, got {w[~np.isfinite(w)][0]}")

@@ -180,6 +180,17 @@ class TestSimulate:
         assert not out.exists()
         assert capsys.readouterr().err == "error: sample count must be below 2**63\n"
 
+    @pytest.mark.parametrize("n", ["0", "10"], ids=["zero", "ten"])
+    def test_negative_seed_exits_2_naming_the_seed(self, tmp_path, capsys, n):
+        # --n 0 used to write an artifact recording seed -1, --n 10 to print numpy's message
+        code, out = run(
+            tmp_path, "simulate", mixed_state_file(tmp_path), sic_povm_file(tmp_path),
+            "--n", n, "--seed", "-1",
+        )
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -14,6 +14,11 @@ unitary program, whose rank-1 stack takes the refusal path.
 vector, so it checks no POVM and runs no decomposition: in the same five
 cases it runs with ``np.linalg.svd``, ``eigvalsh`` and ``eigh`` replaced
 by a function that raises, after the memos are emptied.
+
+``ProgramState.pure`` builds its one row directly, without the mixture
+constructor's per-row loop: in the same five cases the program state is
+built, and its instrument and post-measurement states formed, with
+``ProgramState.__post_init__`` replaced by a function that raises.
 """
 
 import numpy as np
@@ -21,6 +26,7 @@ import pytest
 
 from mapproc.processor import (
     OutcomePartition,
+    ProgramState,
     _checked_povm,
     induced_instrument,
     post_measurement_state,
@@ -129,3 +135,33 @@ def test_qid_povm_runs_no_decomposition(monkeypatch, case):
     # the POVM check and the SVD rank test, which qid_povm does not run, meet the guard
     with pytest.raises(AssertionError, match="decomposition"):
         is_informationally_complete(report.elements)
+
+
+def _refuse_mixture(*args, **kwargs):
+    raise AssertionError("mixture constructor under the guard")
+
+
+@pytest.mark.parametrize(
+    "case", ["sic", 1, 2, 3, "unitary"], ids=["sic", "pauli-x", "pauli-y", "pauli-z", "unitary"]
+)
+def test_pure_program_state_skips_the_mixture_constructor(monkeypatch, case):
+    proc = qid_unitary()
+    if case == "sic":
+        program, partition = sic_program(), OutcomePartition.finest(4)
+    elif case == "unitary":
+        program, partition = unitary_program([0.3, -0.2, 0.9]), OutcomePartition.finest(4)
+    else:
+        program, partition = pauli_measurement_program(case)
+    expected = ProgramState(weights=(1.0,), vectors=(program.state_vector(),))
+
+    monkeypatch.setattr(ProgramState, "__post_init__", _refuse_mixture)
+    state = program.program_state()
+    inst = induced_instrument(proc, state, partition)
+    rho = np.eye(2) / 2
+    posts = [post_measurement_state(proc, state, rho, b, partition) for b in range(len(partition))]
+    assert state._rows.tobytes() == expected._rows.tobytes()
+    assert inst.povm.tobytes() == induced_instrument(proc, expected, partition).povm.tobytes()
+    assert all(abs(np.trace(post) - 1) < 1e-12 for post in posts)
+    # a mixture, even of one row, still runs the generic constructor and meets the guard
+    with pytest.raises(AssertionError, match="mixture constructor"):
+        ProgramState(weights=(1.0,), vectors=(program.state_vector(),))

@@ -512,6 +512,23 @@ class TestSampling:
         assert np.array_equal(first, twin.multinomial(1000, [0.25] * 4))
         assert not np.array_equal(sample_outcomes(np.eye(2) / 2, sic_elements, 1000, rng), first)
 
+    @pytest.mark.parametrize("n", [0, 10], ids=["zero", "ten"])
+    def test_negative_seed_is_refused_for_every_count(self, sic_elements, n):
+        # n = 0 used to return zeros before the seed was read
+        with pytest.raises(ValueError, match=re.escape("seed must be nonnegative, got -1") + "$"):
+            sample_outcomes(np.eye(2) / 2, sic_elements, n, seed=-1)
+
+    @pytest.mark.parametrize("n", [0, 10], ids=["zero", "ten"])
+    @pytest.mark.parametrize("seed", [True, 2.0, "7"], ids=["bool", "float", "str"])
+    def test_non_integer_seed_is_refused_for_every_count(self, sic_elements, seed, n):
+        message = re.escape(f"seed must be an integer, got {seed!r}") + "$"
+        with pytest.raises(ValueError, match=message):
+            sample_outcomes(np.eye(2) / 2, sic_elements, n, seed=seed)
+
+    def test_numpy_integer_seed_is_read(self, sic_elements):
+        counts = sample_outcomes(np.eye(2) / 2, sic_elements, 50, seed=np.int64(7))
+        assert np.array_equal(counts, sample_outcomes(np.eye(2) / 2, sic_elements, 50, seed=7))
+
     def test_numpy_integer_count(self, sic_elements):
         counts = sample_outcomes(np.eye(2) / 2, sic_elements, np.int64(50), seed=7)
         assert np.array_equal(counts, sample_outcomes(np.eye(2) / 2, sic_elements, 50, seed=7))

@@ -5,6 +5,7 @@ library result against a direct loop over its elements.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -356,6 +357,70 @@ def test_qid_completeness_is_the_svd_rank_test_outside_the_cutoff_band(kind, see
     smallest = np.abs(report.anchor_bloch).min()
     if abs(smallest / RANK_CUTOFF - 1.0) > CUTOFF_BAND:
         assert report.informationally_complete == is_informationally_complete(report.elements)
+
+
+# the numpy expression qid_povm evaluated b with before it used four Python complex
+# scalars: cyclic successors and predecessors of the Bloch axes gather conj(vec) x vec
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def numpy_anchor(alpha):
+    vec, cvec = alpha[1:], alpha[1:].conj()
+    cross = cvec[_NEXT] * vec[_PREV] - cvec[_PREV] * vec[_NEXT]
+    return (alpha[0] * cvec + alpha[0].conjugate() * vec + 1j * cross).real
+
+
+@settings(max_examples=300, deadline=None)
+@given(program_kinds, seeds)
+def test_qid_anchor_is_the_numpy_expression(kind, seed):
+    # numpy's complex products may round differently from Python's, by at
+    # most one ulp of 1 (the largest seen over 200,000 complex programs);
+    # when every product has a zero real or imaginary part, both round alike
+    program = qid_program(kind, np.random.default_rng(seed))
+    anchor, oracle = qid_povm(program).anchor_bloch, numpy_anchor(program.amplitudes)
+    assert np.abs(anchor - oracle).max() <= np.finfo(float).eps
+    if kind in ("real", "imaginary", "unitary", "pauli", "sic"):
+        assert anchor.tobytes() == oracle.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(program_kinds, seeds)
+def test_qid_completeness_is_the_numpy_anchor_rule_outside_the_cutoff_band(kind, seed):
+    program = qid_program(kind, np.random.default_rng(seed))
+    smallest = np.abs(numpy_anchor(program.amplitudes)).min()
+    if abs(smallest / RANK_CUTOFF - 1.0) > CUTOFF_BAND:
+        assert qid_povm(program).informationally_complete == (smallest > RANK_CUTOFF)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=8), seeds)
+def test_pure_program_state_is_bitwise_the_one_row_mixture(dp, seed):
+    # -0.0 - 0.3j comes out of the mixture's product with sqrt(1.0) as +0.0 - 0.3j
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=dp) + 1j * rng.normal(size=dp)
+    special = rng.choice(dp, size=int(rng.integers(0, dp + 1)), replace=False)
+    for n, k in enumerate(special):  # the first keeps the vector nonzero
+        v[k] = complex(-0.0, -0.3) if n == 0 or rng.random() < 0.5 else complex(-0.0, 0.0)
+    v = v / np.linalg.norm(v)
+    pure, mixture = ProgramState.pure(v), ProgramState(weights=(1.0,), vectors=(v,))
+    for name in ("weights", "vectors", "_rows"):
+        a, b = getattr(pure, name), getattr(mixture, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert not a.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "state",
+    [np.eye(2) + 0j, np.zeros(0, dtype=complex), np.array([1.0, 1.0]), 0.5],
+    ids=["2-d", "empty", "unnormalized", "scalar"],
+)
+def test_pure_program_state_refuses_what_the_mixture_refuses(state):
+    with pytest.raises(ValueError) as mixture:
+        ProgramState(weights=(1.0,), vectors=(state,))
+    with pytest.raises(ValueError) as pure:
+        ProgramState.pure(state)
+    assert type(pure.value) is type(mixture.value)
+    assert str(pure.value) == str(mixture.value)
 
 
 @settings(max_examples=300, deadline=None)

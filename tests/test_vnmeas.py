@@ -79,6 +79,19 @@ class TestVonNeumannMeasurement:
         with pytest.raises(ValueError, match=re.escape(message) + "$"):
             VonNeumannMeasurement(projectors=projectors)
 
+    @pytest.mark.parametrize(
+        "vectors, message",
+        [
+            (0.5, "expected a sequence of basis vectors, got 0.5"),
+            ({"a": 1}, "basis vectors must be equal-length rows of numbers"),
+        ],
+        ids=["scalar", "mapping"],
+    )
+    def test_from_basis_refuses_input_that_is_no_basis(self, vectors, message):
+        # these leaked IndexError and TypeError from the outer product and np.asarray
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            VonNeumannMeasurement.from_basis(vectors)
+
     def test_from_basis(self):
         m = VonNeumannMeasurement.from_basis([np.array([0, 1]), np.array([1, 0])])
         assert np.allclose(m.projectors[0], E1)
@@ -147,6 +160,19 @@ class TestCoprogramCondition:
     def test_weights_must_be_finite(self, bad):
         with pytest.raises(ValueError, match=f"weights must be finite, got {bad}"):
             coprogram_condition(SZ, SZ, weights=[bad, 1.0])
+
+    @pytest.mark.parametrize(
+        "pairing, weights, message",
+        [
+            (5, None, "pairing must be a sequence of (i, j) pairs, got 5"),
+            ([[0, 0], [1, 1]], 0.5, "weights must be a sequence of real numbers, got 0.5"),
+        ],
+        ids=["pairing", "weights"],
+    )
+    def test_scalar_pairing_or_weights_are_refused(self, pairing, weights, message):
+        # both leaked TypeError from len()
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            coprogram_condition(SZ, SZ, pairing=pairing, weights=weights)
 
     def test_dimension_mismatch(self):
         m3 = random_measurement(3, np.random.default_rng(0))
