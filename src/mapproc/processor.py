@@ -16,7 +16,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import ATOL, _count, _index, _is_hermitian, _operator_stack, dag, is_unitary
+from .qcore import (
+    ATOL, _array, _count, _index, _index_rows, _is_hermitian, _operator_stack, dag, is_unitary
+)
 
 PROB_FLOOR = 1e-12
 # A state, typed or rounded by hand, passes within STATE_TOL: its outcome
@@ -67,10 +69,7 @@ class Processor:
         d, dp = _index(self.data_dim, "data_dim"), _index(self.program_dim, "program_dim")
         if d < 1 or dp < 1:
             raise ValueError(f"data_dim and program_dim must be at least 1, got {d} and {dp}")
-        dim = d * dp
-        gate = np.asarray(self.gate, dtype=complex)
-        if gate.shape != (dim, dim):
-            raise ValueError(f"gate shape {gate.shape} does not match data*program = {dim}")
+        gate = _array(self.gate, complex, (d * dp, d * dp), "gate")
         if not is_unitary(gate):
             raise ValueError("processor gate must be unitary")
         object.__setattr__(self, "data_dim", d)
@@ -98,9 +97,8 @@ class ProgramState:
     vectors: np.ndarray
 
     def __post_init__(self):
-        weights, vectors = _freeze(self.weights, float), _freeze(self.vectors)
-        if weights.ndim != 1 or vectors.ndim != 2 or not 0 < len(weights) == len(vectors):
-            raise ValueError("program state needs (c,) weights and (c, dp) vectors, c > 0")
+        weights = _freeze(_array(self.weights, float, (None,), "program weights"), float)
+        vectors = _freeze(_array(self.vectors, complex, (len(weights), None), "program vectors"))
         total = 0.0  # scalar checks per row beat array reductions on so few rows
         scales = []
         for w, v in zip(weights.tolist(), vectors):
@@ -121,9 +119,9 @@ class ProgramState:
     @classmethod
     def pure(cls, state: np.ndarray) -> "ProgramState":
         """The one-row state of weight 1, built directly: the same checks and bits as a mixture."""
-        vectors = _freeze((state,))
-        if vectors.ndim != 2:
-            raise ValueError("program state needs (c,) weights and (c, dp) vectors, c > 0")
+        # a tuple always converts to a new array, so freezing it copies nothing
+        vectors = _array((state,), complex, (1, None), "program vectors")
+        vectors.setflags(write=False)
         v = vectors[0]
         if not abs(math.sqrt(np.vdot(v, v).real) - 1.0) <= ATOL:
             raise ValueError("program component states must be normalized")
@@ -155,7 +153,7 @@ class OutcomePartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        blocks = tuple(tuple(_index(k, "outcome index") for k in b) for b in self.blocks)
+        blocks = _index_rows(self.blocks, "blocks", "outcome index")
         seen: set[int] = set()
         for b in blocks:
             for k in b:
@@ -164,18 +162,19 @@ class OutcomePartition:
                 seen.add(k)
         if seen != set(range(len(seen))):
             raise ValueError("blocks must cover a contiguous index range 0..n-1")
-        object.__setattr__(self, "blocks", blocks)
-        order: list[int] = []
-        spans = []
-        for b in blocks:
-            spans.append((len(order), len(order) + len(b)))
-            order.extend(b)
-        membership = np.array([[k in b for k in range(len(order))] for b in blocks], dtype=complex)
-        membership.setflags(write=False)
-        order = np.array(order, dtype=np.intp)
+        self._store(np.zeros((len(blocks), len(seen)), dtype=complex), blocks)
+
+    def _store(self, membership: np.ndarray, blocks: tuple) -> None:
+        """Keep ``blocks`` and their tables, setting the 0/1 entries of the zero ``membership``."""
+        sizes = [len(b) for b in blocks]
+        order = np.array([k for b in blocks for k in b], dtype=np.intp)
+        membership[np.repeat(np.arange(len(blocks)), sizes), order] = 1.0
+        ends = np.cumsum(sizes).tolist()
         order.setflags(write=False)
+        membership.setflags(write=False)
+        object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_spans", tuple(spans))
+        object.__setattr__(self, "_spans", tuple(zip([0, *ends], ends)))
         object.__setattr__(self, "_membership", membership)
 
     @classmethod
@@ -183,7 +182,10 @@ class OutcomePartition:
         n = _count(n, "outcome count")
         if n < 1:
             raise ValueError(f"outcome count must be at least 1, got {n}")
-        return cls(blocks=tuple((k,) for k in range(n)))
+        partition = object.__new__(cls)
+        # the table is allocated before the loop over n, so a count beyond memory fails at once
+        partition._store(np.zeros((n, n), dtype=complex), tuple(zip(range(n))))
+        return partition
 
     @property
     def num_indices(self) -> int:
@@ -304,11 +306,7 @@ def _checked_povm(shape: tuple[int, ...], data: bytes) -> np.ndarray:
 def outcome_probabilities(rho: np.ndarray, povm: np.ndarray) -> np.ndarray:
     """p_a = Tr(rho F_a) for each POVM element, unclamped."""
     f = validate_povm(povm)
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != f.shape[1:]:
-        raise ValueError(
-            f"state shape {rho.shape} does not match POVM element shape {f.shape[1:]}"
-        )
+    rho = _array(rho, complex, f.shape[1:], "state")
     return np.einsum("ij,kji->k", rho, f).real
 
 
@@ -332,10 +330,8 @@ def post_measurement_state(
     ops = kraus_operators(proc, program)
     if outcome < 0 or outcome >= len(partition):
         raise ValueError(f"outcome {outcome} outside 0..{len(partition) - 1}")
-    rho = np.asarray(rho, dtype=complex)
     d = proc.data_dim
-    if rho.shape != (d, d):
-        raise ValueError(f"state shape {rho.shape} does not match data_dim {d}")
+    rho = _array(rho, complex, (d, d), "state")
     a, b = partition._spans[outcome]
     branch = ops[:, partition._order[a:b]].reshape(-1, d, d)
     out = (branch @ rho @ branch.conj().swapaxes(-1, -2)).sum(axis=0)
@@ -378,6 +374,4 @@ def sample_outcomes(
         )
     p = np.maximum(p, 0.0)
     p = p / p.sum()
-    if n == 0:
-        return np.zeros(len(povm), dtype=np.int64)
     return np.random.default_rng(seed).multinomial(n, p)

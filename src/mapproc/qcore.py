@@ -8,6 +8,7 @@ Subsystem ordering is data-first everywhere: in a product basis vector
 from __future__ import annotations
 
 import operator
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +36,11 @@ class InfeasibleError(ValueError):
     """
 
 
+def _brief(value) -> str:
+    """repr(value) on one line: a message quoting a numpy array stays one line."""
+    return " ".join(repr(value).split())
+
+
 def _index(value, name: str) -> int:
     """``value`` as a Python int; booleans and non-integers raise ValueError."""
     if not isinstance(value, (bool, np.bool_)):
@@ -42,7 +48,16 @@ def _index(value, name: str) -> int:
             return operator.index(value)
         except TypeError:
             pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+    raise ValueError(f"{name} must be an integer, got {_brief(value)}")
+
+
+def _index_rows(rows, name: str, index_name: str) -> tuple[tuple[int, ...], ...]:
+    """``rows``, a sequence of integer sequences, as int tuples read by _index; else ValueError."""
+    try:
+        return tuple(tuple(_index(k, index_name) for k in row) for row in rows)
+    except TypeError:  # rows, or a row, that is no sequence
+        got = _brief(rows)
+        raise ValueError(f"{name} must be a sequence of integer sequences, got {got}") from None
 
 
 def _count(value, name: str) -> int:
@@ -64,31 +79,58 @@ def _shape(element) -> tuple[int, ...] | None:
 def _stack_defect(ops) -> str:
     """Why ``ops``, which does not read as an (n, d, d) stack with n, d >= 1, is not one."""
     try:
-        n = len(ops)
-        first = _shape(ops[0]) if n else None
+        shapes = [_shape(ops[i]) for i in range(len(ops))]
     except (TypeError, KeyError):  # a scalar, a 0-d array or a mapping
-        return f"expected a sequence of (d, d) operators, got {ops!r}"
-    if n == 0:
+        return f"expected a sequence of (d, d) operators, got {_brief(ops)}"
+    if not shapes:
         return "expected at least one (d, d) operator"
-    if not first or first[0] == 0:
+    d = shapes[0][0] if shapes[0] else 0  # 0 for a ragged or a 0-d element too
+    if not d:
         return "element 0 is not a (d, d) operator with d >= 1"
-    d = first[0]
-    i = next((i for i, e in enumerate(ops) if _shape(e) != (d, d)), None)
+    i = next((i for i, s in enumerate(shapes) if s != (d, d)), None)
     if i is None:
         return "elements must be (d, d) operators of numbers in the float range"
-    shape = _shape(ops[i])
-    return f"element {i} has shape {'ragged' if shape is None else shape}, expected ({d}, {d})"
+    shape = "ragged" if shapes[i] is None else shapes[i]
+    return f"element {i} has shape {shape}, expected ({d}, {d})"
+
+
+@lru_cache(maxsize=64)
+def _fits(shape: tuple[int | None, ...], got: tuple[int, ...]) -> bool:
+    """``got`` fits ``shape``, in which None matches any length >= 1 (cached: few pairs occur)."""
+    return len(got) == len(shape) and all(n and s in (None, n) for s, n in zip(shape, got))
+
+
+def _array(obj, dtype, shape: tuple[int | None, ...], name: str) -> np.ndarray:
+    """``obj`` as one ``dtype`` array of ``shape`` (None: any length >= 1); else ValueError."""
+    try:
+        a = np.asarray(obj, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):  # entries that are no numbers, or ragged
+        got = "no rectangular array of numbers in the float range"
+    else:
+        got = a.shape
+        if got == shape or _fits(shape, got):
+            return a
+    spec = str(shape).replace("None", "n") + (" with n >= 1" if None in shape else "")
+    raise ValueError(f"{name} must have shape {spec}, got {got}")
 
 
 def _operator_stack(ops) -> np.ndarray:
     """``ops`` as one complex (n, d, d) array, n, d >= 1; otherwise ValueError naming the defect."""
     try:
-        f = np.asarray(ops, dtype=complex)
-    except (TypeError, ValueError, OverflowError):  # entries that are no numbers, or no stack
+        f = _array(ops, complex, (None, None, None), "operators")
+    except ValueError:
         f = None
-    if f is None or f.ndim != 3 or f.shape[1] != f.shape[2] or f.size == 0:
+    if f is None or f.shape[1] != f.shape[2]:
         raise ValueError(_stack_defect(ops))
     return f
+
+
+def _square(m, name: str) -> np.ndarray:
+    """``m`` as one complex (n, n) array, n >= 1; otherwise ValueError naming it."""
+    m = _array(m, complex, (None, None), name)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
+    return m
 
 
 def pauli(k: int) -> np.ndarray:
@@ -111,31 +153,30 @@ def _is_hermitian(m: np.ndarray, tol: float) -> np.ndarray:
 
 def is_unitary(m: np.ndarray) -> bool:
     """True when m^dagger m equals the identity within ATOL (max-norm)."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"is_unitary expects a square matrix, got shape {m.shape}")
+    m = _square(m, "operator")
     # entries of a unitary lie in the unit disc; refusing larger ones first
     # keeps huge finite entries from overflowing in the product
-    if not np.abs(m).max() <= 1 + ATOL:
-        return False
-    return bool(np.max(np.abs(dag(m) @ m - np.eye(m.shape[0]))) <= ATOL)
+    return bool(
+        np.abs(m).max() <= 1 + ATOL and np.abs(dag(m) @ m - np.eye(len(m))).max() <= ATOL
+    )
 
 
 def is_density_operator(m: np.ndarray, tol: float = ATOL) -> bool:
-    """Hermitian, unit trace, and no eigenvalue below -tol."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    """Hermitian, unit trace, and no eigenvalue below -tol; False for what is no square matrix."""
+    try:
+        m = _square(m, "operator")
+    except ValueError:
         return False
     # |m_ij| <= sqrt(m_ii m_jj) <= 1 for a state; refusing larger entries
     # first keeps huge finite ones from overflowing in the checks
-    if not np.abs(m).max() <= 1 + tol or not _is_hermitian(m, tol):
-        return False
-    if abs(np.trace(m).real - 1.0) > tol:
-        return False
-    return bool(np.linalg.eigvalsh(m).min() >= -tol)
+    return bool(
+        np.abs(m).max() <= 1 + tol and _is_hermitian(m, tol)
+        and abs(np.trace(m).real - 1.0) <= tol and np.linalg.eigvalsh(m).min() >= -tol
+    )
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Half the trace norm of a - b (both Hermitian)."""
-    evals = np.linalg.eigvalsh(np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex))
+    a = _square(a, "operand a")
+    evals = np.linalg.eigvalsh(a - _array(b, complex, a.shape, "operand b"))
     return 0.5 * float(np.sum(np.abs(evals)))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import _PAULI, ATOL, RANK_CUTOFF, _index, dag
+from .qcore import _PAULI, ATOL, RANK_CUTOFF, _array, _index, dag
 from .processor import OutcomePartition, Processor, ProgramState
 
 DATA_DIM = 2
@@ -43,9 +43,7 @@ class QidProgram:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (4,):
-            raise ValueError(f"QID program needs 4 amplitudes, got shape {amps.shape}")
+        amps = _array(self.amplitudes, complex, (4,), "QID program amplitudes")
         # a normalized vector has no amplitude above 1; refusing larger ones
         # first keeps huge finite amplitudes from overflowing in the norm
         if not max(np.abs(amps).tolist()) <= 1 + ATOL:
@@ -137,11 +135,7 @@ def qid_povm(program: QidProgram) -> QidPovmReport:
 
 def sic_program() -> QidProgram:
     """Program whose POVM is the symmetric informationally complete tetrahedron."""
-    return QidProgram(
-        amplitudes=np.array(
-            [1 / np.sqrt(2), 1 / np.sqrt(6), 1 / np.sqrt(6), 1 / np.sqrt(6)], dtype=complex
-        )
-    )
+    return QidProgram(amplitudes=[1 / np.sqrt(2), 1 / np.sqrt(6), 1 / np.sqrt(6), 1 / np.sqrt(6)])
 
 
 def unitary_program(mu: np.ndarray) -> QidProgram:
@@ -150,9 +144,7 @@ def unitary_program(mu: np.ndarray) -> QidProgram:
     Amplitudes are alpha_0 = cos|mu| and alpha_vec = i sin|mu| mu/|mu|
     (zero vector part when mu = 0, the identity channel).
     """
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (3,):
-        raise ValueError(f"rotation vector needs 3 components, got shape {mu.shape}")
+    mu = _array(mu, float, (3,), "rotation vector")
     # np.linalg.norm computes sqrt(mu.dot(mu)); vdot makes the same product
     # but raises no overflow warning, so huge entries reach the refusal
     norm = math.sqrt(np.vdot(mu, mu))
@@ -190,18 +182,11 @@ def pauli_measurement_program(axis: int) -> tuple[QidProgram, OutcomePartition]:
 
 # --- circuit realization ------------------------------------------------
 
-_QUBITS = 3  # 0 = data, 1 and 2 = program register
-
-
 def _cnot(control: int, target: int) -> np.ndarray:
-    m = np.zeros((8, 8), dtype=complex)
-    for b in range(8):
-        bits = [(b >> (_QUBITS - 1 - q)) & 1 for q in range(_QUBITS)]
-        if bits[control]:
-            bits[target] ^= 1
-        b2 = sum(bit << (_QUBITS - 1 - q) for q, bit in enumerate(bits))
-        m[b2, b] = 1.0
-    return m
+    """CNOT on three qubits, 0 = data and 1, 2 = program register, qubit 0 the slow bit."""
+    b = np.arange(8)
+    # flipping the target bit where the control bit is set is its own inverse
+    return np.eye(8, dtype=complex)[b ^ (((b >> (2 - control)) & 1) << (2 - target))]
 
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)

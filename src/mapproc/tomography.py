@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import ATOL, RANK_CUTOFF, InfeasibleError, _is_hermitian, _operator_stack
+from .qcore import ATOL, RANK_CUTOFF, InfeasibleError, _array, _is_hermitian, _operator_stack
 from .processor import _POVM_MEMO_SIZE, validate_povm
 
 PROB_SUM_TOL = 1e-6
@@ -104,11 +104,7 @@ class Tomographer:
         Tr(F_j rho) is the real dot of those with row j of the real POVM.
         A Hermitian dual frame makes rho exactly Hermitian.
         """
-        p = np.asarray(probabilities, dtype=float)
-        if p.shape != (len(self.povm),):
-            raise ValueError(
-                f"expected {len(self.povm)} probabilities, got shape {p.shape}"
-            )
+        p = _array(probabilities, float, (len(self.povm),), "probabilities")
         total = sum(p.tolist())  # a Python sum overflows to inf without a warning
         if not abs(total - 1.0) <= PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, expected 1")
@@ -234,10 +230,10 @@ def reconstruct_from_counts(
 
     Feeds counts/total to reconstruct_from_probabilities.
     """
-    counts = np.asarray(counts)
+    counts = _array(counts, None, (None,), "counts")
     if counts.dtype.kind not in "biuf":  # strings, objects and complex numbers are no counts
         raise ValueError(f"counts must be real numbers, got entries of type {counts.dtype}")
-    values = counts.ravel().tolist()
+    values = counts.tolist()
     if not all(c >= 0 for c in values):  # NaN is not
         raise ValueError("counts must be nonnegative")
     # a Python sum overflows to inf without numpy's warning; refused before

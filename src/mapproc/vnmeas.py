@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import ATOL, InfeasibleError, _index, _is_hermitian, _operator_stack, _shape, dag
+from .qcore import ATOL, InfeasibleError, _array, _index_rows, _is_hermitian, _operator_stack, dag
 from .processor import Processor, _branches, _freeze
 
 # A post-measurement state matches its projector within POSTULATE_ATOL;
@@ -28,8 +28,11 @@ REALIZED_ATOL = 10 * ATOL
 
 def _shared_dim(measurements: list[VonNeumannMeasurement]) -> int:
     """The one dimension of a nonempty measurement list; ValueError otherwise."""
-    if not measurements:
-        raise ValueError("need at least one measurement")
+    if not isinstance(measurements, (list, tuple)) or not measurements:
+        raise ValueError("measurements must be a nonempty list of VonNeumannMeasurement")
+    bad = [i for i, m in enumerate(measurements) if not isinstance(m, VonNeumannMeasurement)]
+    if bad:
+        raise ValueError(f"measurement {bad[0]} is not a VonNeumannMeasurement")
     d = measurements[0].dim
     if any(m.dim != d for m in measurements):
         raise ValueError("measurements must share one dimension")
@@ -49,17 +52,13 @@ class IsometryViolationError(InfeasibleError):
         self.slots = slots
 
 
-def _refuse_huge_entries(a: np.ndarray) -> None:
-    """ValueError naming the first a[k] with an entry not finite or above 1 + ATOL in modulus."""
-    # unit vectors and projectors keep their entries in the unit disc; refusing
-    # larger ones before any product keeps huge finite ones from overflowing
-    bad = np.flatnonzero(~(np.abs(a) <= 1 + ATOL).all(axis=tuple(range(1, a.ndim))))
-    if bad.size:
-        raise ValueError(f"element {bad[0]} has an entry not finite or above 1 in modulus")
-
-
 def _rank_one_pvm_defect(projs: np.ndarray) -> str | None:
     """Why the (n, d, d) stack is not d orthogonal rank-1 projectors summing to I, or None."""
+    # projectors keep their entries in the unit disc; refusing larger ones
+    # before any product keeps huge finite ones from overflowing
+    bad = np.flatnonzero(~(np.abs(projs) <= 1 + ATOL).all(axis=(1, 2)))
+    if bad.size:
+        return f"element {bad[0]} has an entry not finite or above 1 in modulus"
     d = projs.shape[1]
     if len(projs) != d:
         return f"need {d} projectors on dimension {d}, got {len(projs)}"
@@ -89,7 +88,6 @@ class VonNeumannMeasurement:
 
     def __post_init__(self):
         projs = _operator_stack(self.projectors)
-        _refuse_huge_entries(projs)
         defect = _rank_one_pvm_defect(projs)
         if defect is not None:
             raise ValueError(defect)
@@ -98,14 +96,11 @@ class VonNeumannMeasurement:
     @classmethod
     def from_basis(cls, vectors: np.ndarray) -> "VonNeumannMeasurement":
         """Measurement whose k-th projector is |v_k><v_k| for the rows v_k of ``vectors``."""
-        try:
-            vs = np.asarray(vectors, dtype=complex)
-        except (TypeError, ValueError, OverflowError):  # entries that are no numbers, or ragged
-            raise ValueError("basis vectors must be equal-length rows of numbers") from None
-        if vs.ndim == 0:
-            raise ValueError(f"expected a sequence of basis vectors, got {vectors!r}")
-        _refuse_huge_entries(vs)
-        return cls(projectors=vs[..., :, None] * vs[..., None, :].conj())
+        vs = _array(vectors, complex, (None, None), "basis")
+        # an entry above 1 in modulus, or its overflow, is refused in its projector
+        with np.errstate(over="ignore", invalid="ignore"):
+            projs = vs[:, :, None] * vs[:, None, :].conj()
+        return cls(projectors=projs)
 
     @property
     def dim(self) -> int:
@@ -168,32 +163,18 @@ def coprogram_condition(
     explicit pairing (with repetitions and weights) expresses realizations
     that spread one measurement over several processor outcomes.
     """
-    _shared_dim([m1, m2])
-    n1, n2 = len(m1.projectors), len(m2.projectors)
+    d = _shared_dim([m1, m2])  # a measurement on dimension d has d outcomes
     if pairing is None:
-        if n1 != n2:
-            raise ValueError("index pairing needs equal outcome counts")
-        pairing = [(j, j) for j in range(n1)]
-    try:
-        m = len(pairing)
-    except TypeError:  # a scalar or a 0-d array
-        raise ValueError(f"pairing must be a sequence of (i, j) pairs, got {pairing!r}") from None
-    try:
-        w = np.ones(m) if weights is None else np.asarray(weights, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # entries that are no real numbers
-        w = None
-    if w is None or w.ndim != 1:
-        raise ValueError(f"weights must be a sequence of real numbers, got {weights!r}")
-    if len(w) != m:
-        raise ValueError("weights must match the pairing length")
+        pairing = [(j, j) for j in range(d)]
+    pairs = _index_rows(pairing, "pairing", "pairing index")
+    for t, row in enumerate(pairs):
+        if len(row) != 2:
+            raise ValueError(f"pairing row {t} is not an (i, j) pair")
+    w = np.ones(len(pairs)) if weights is None else _array(weights, float, (len(pairs),), "weights")
     if not np.isfinite(w).all():
         raise ValueError(f"weights must be finite, got {w[~np.isfinite(w)][0]}")
-    for t, row in enumerate(pairing):
-        if _shape(row) != (2,):
-            raise ValueError(f"pairing row {t} is not an (i, j) pair")
-    pairs = [[_index(x, "pairing index") for x in row] for row in pairing]
     i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
-    outside = (i < 0) | (i >= n1) | (j < 0) | (j >= n2)
+    outside = (i < 0) | (i >= d) | (j < 0) | (j >= d)
     if outside.any():
         t = int(np.argmax(outside))
         raise ValueError(f"pairing ({i[t]}, {j[t]}) outside the outcome ranges")
@@ -213,7 +194,7 @@ class SlotAssignment:
     slot_maps: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        maps = tuple(tuple(_index(s, "slot index") for s in m) for m in self.slot_maps)
+        maps = _index_rows(self.slot_maps, "slot maps", "slot index")
         if not maps:
             raise ValueError("need at least one slot map")
         for m in maps:
@@ -442,8 +423,8 @@ def verify_projection_postulate(
     else:
         raise ValueError("measurement is not realized by this report")
     ops = _branches(report.processor, record.program_state[None])[0]
-    rhos = np.asarray(samples, dtype=complex)
-    return not len(rhos) or _post_states_match(ops, record.slot_map, measurement.projectors, rhos)
+    rhos = _array(samples, complex, (None, measurement.dim, measurement.dim), "samples")
+    return _post_states_match(ops, record.slot_map, measurement.projectors, rhos)
 
 
 @dataclass(frozen=True)
@@ -465,7 +446,7 @@ def feasibility_table_check(columns: list[VonNeumannMeasurement]) -> list[Feasib
     the necessary conditions; it is not a sufficiency certificate.  More
     than d columns raise InfeasibleError.
     """
-    if not columns:
+    if isinstance(columns, (list, tuple)) and not columns:
         return []
     d = _shared_dim(columns)
     if len(columns) > d:

@@ -571,6 +571,7 @@ _HUGE = {
         serialize.encode_operator(np.diag([1e300, 0])), serialize.encode_operator(np.diag([0, 1])),
     ]}]},
     "two-z": {"measurements": [_SZ, _SZ]},
+    "empty-basis": {"measurements": [_SX, {"dim": 2, "basis": []}]},
 }
 
 
@@ -618,8 +619,8 @@ def run_with_documents(tmp_path, argv):
 _UNBOUNDED = "element 0 has an entry not finite or above 1 in modulus"
 
 
-# a pairing row that is not a pair, an empty pairing and a measurement entry
-# that would overflow are each refused in words that name them
+# a pairing row that is not a pair, an empty pairing, an empty basis and a
+# measurement entry that would overflow are each refused in words that name them
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "argv, message",
@@ -633,9 +634,10 @@ _UNBOUNDED = "element 0 has an entry not finite or above 1 in modulus"
         (["vn-synth", ("huge-projector",)], _UNBOUNDED),
         (["vn-synth", ("huge-amplitude",)], _UNBOUNDED),
         (["vn-check", ("huge-projector",)], _UNBOUNDED),
+        (["vn-synth", ("empty-basis",)], "basis must have shape (n, n) with n >= 1, got (0,)"),
     ],
     ids=["three-indices", "one-index", "empty-pairing", "huge-projector", "huge-amplitude",
-         "vn-check-huge-projector"],
+         "vn-check-huge-projector", "empty-basis"],
 )
 def test_refusal_names_the_input(tmp_path, capsys, argv, message):
     code, out = run_with_documents(tmp_path, argv)

@@ -1,0 +1,216 @@
+"""One input contract for the whole public surface.
+
+Every name ``mapproc`` exports is either listed in ``CONTRACT`` with the
+argument positions that take an array, an integer or a list, or excluded by
+name in ``EXCLUDED`` as an error or result type; a new public name without a
+row fails ``test_every_export_has_a_row``.  Typed arguments (a ``Processor``,
+a ``ProgramState``, a partition, a report, a measurement passed alone) are not
+positions: they are built by constructors that are positions themselves.
+
+Each position is fed every value of ``JUNK`` with its other arguments valid.
+A call may return, or raise ValueError (InvalidPovmError and InfeasibleError
+are ValueErrors) with a one-line message that matches the position's pattern,
+which names the argument.  Any other exception, any warning (warnings are
+errors here) and a call that runs past ``LIMIT`` seconds fail.
+"""
+
+import re
+import warnings
+
+import numpy as np
+import pytest
+
+import mapproc as mp
+from mapproc.processor import _checked_povm
+from mapproc.tomography import _build_tomographer
+from timelimit import time_limit
+
+LIMIT = 2.0
+
+JUNK = {
+    "float": 5.0,
+    "mapping": {"a": 1},
+    "string": "x",
+    "none": None,
+    "flat-list": [1, 0],
+    "ragged-list": [[1, 0], [1]],
+    "huge-int": 10**400,
+    "nans": np.full((2, 2), np.nan),
+    "huge-entries": [1e200, 0, 0],
+    "bool": True,
+    "empty": [],
+    "nested-empty": [[[]]],
+    "4-d": np.zeros((1, 1, 2, 2)),
+}
+
+SIC = mp.qid_povm(mp.sic_program()).elements
+RHO = np.eye(2) / 2
+PROC = mp.qid_unitary()
+PROGRAM = mp.sic_program().program_state()
+PARTITION = mp.OutcomePartition.finest(4)
+SZ = mp.VonNeumannMeasurement.from_basis(np.eye(2))
+SX = mp.VonNeumannMeasurement.from_basis(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+REPORT = mp.build_orthogonal_processor(mp.pad_with_zero_slots([SZ]), [SZ])
+TOMOGRAPHER = mp.Tomographer.build(SIC)
+
+# the words an operator-stack refusal names its input with
+STACK = r"\(d, d\) operator|^element \d"
+MEASUREMENTS = r"measurement"
+
+# name: ((label, pattern, call, valid value), ...)
+CONTRACT = {
+    "OutcomePartition": (
+        ("blocks", r"^blocks|^outcome index", lambda x: mp.OutcomePartition(blocks=x), [[0, 1]]),
+        ("finest", r"^outcome count", mp.OutcomePartition.finest, 4),
+    ),
+    "Processor": (
+        # a huge dimension is read; the gate then has the wrong shape for it
+        ("data_dim", r"^data_dim|^gate must have shape",
+         lambda x: mp.Processor(data_dim=x, program_dim=4, gate=PROC.gate), 2),
+        ("program_dim", r"^program_dim|^gate must have shape",
+         lambda x: mp.Processor(data_dim=2, program_dim=x, gate=PROC.gate), 4),
+        ("gate", r"^gate|^processor gate",
+         lambda x: mp.Processor(data_dim=1, program_dim=2, gate=x), np.eye(2)),
+    ),
+    "ProgramState": (
+        # weights that do not match the rows of the vectors name both
+        ("weights", r"^program (weights|vectors)|^component weight",
+         lambda x: mp.ProgramState(weights=x, vectors=PROGRAM.vectors), [1.0]),
+        ("vectors", r"^program (vectors|component states)",
+         lambda x: mp.ProgramState(weights=[1.0], vectors=x), PROGRAM.vectors),
+        ("pure", r"^program (vectors|component states)", mp.ProgramState.pure, [1, 0]),
+    ),
+    "induced_instrument": (),
+    "induced_povm": (),
+    "kraus_operators": (),
+    "outcome_probabilities": (
+        ("rho", r"^state", lambda x: mp.outcome_probabilities(x, SIC), RHO),
+        ("povm", STACK, lambda x: mp.outcome_probabilities(RHO, x), SIC),
+    ),
+    "post_measurement_state": (
+        # a NaN state gives a NaN probability, which is no possible outcome
+        ("rho", r"^state|^outcome 0 is impossible",
+         lambda x: mp.post_measurement_state(PROC, PROGRAM, x, 0, PARTITION), RHO),
+        ("outcome", r"^outcome",
+         lambda x: mp.post_measurement_state(PROC, PROGRAM, RHO, x, PARTITION), 0),
+    ),
+    "sample_outcomes": (
+        ("rho", r"^state|rho is not a state", lambda x: mp.sample_outcomes(x, SIC, 10, 0), RHO),
+        ("povm", STACK, lambda x: mp.sample_outcomes(RHO, x, 10, 0), SIC),
+        ("n", r"^sample count", lambda x: mp.sample_outcomes(RHO, SIC, x, 0), 10),
+        ("seed", r"^seed", lambda x: mp.sample_outcomes(RHO, SIC, 10, x), 0),
+    ),
+    "is_density_operator": (("m", r"^operator", mp.is_density_operator, RHO),),
+    "is_unitary": (("m", r"^operator", mp.is_unitary, np.eye(2)),),
+    "pauli": (("k", r"^Pauli index", mp.pauli, 1),),
+    "trace_distance": (
+        ("a", r"^operand a", lambda x: mp.trace_distance(x, RHO), RHO),
+        ("b", r"^operand b", lambda x: mp.trace_distance(RHO, x), RHO),
+    ),
+    "QidProgram": (("amplitudes", r"^QID program amplitudes", mp.QidProgram, [1, 0, 0, 0]),),
+    "pauli_measurement_program": (("axis", r"^axis", mp.pauli_measurement_program, 1),),
+    "qid_circuit_search": (),
+    "qid_povm": (),
+    "qid_unitary": (),
+    "sic_program": (),
+    "unitary_program": (("mu", r"^rotation vector", mp.unitary_program, [0.1, 0.2, 0.3]),),
+    "Tomographer": (
+        ("build", STACK, mp.Tomographer.build, SIC),
+        ("reconstruct", r"^probabilities", TOMOGRAPHER.reconstruct, [0.25] * 4),
+    ),
+    "gram_matrix": (("povm", STACK, mp.gram_matrix, SIC),),
+    "is_informationally_complete": (("povm", STACK, mp.is_informationally_complete, SIC),),
+    "reconstruct": (
+        ("probabilities", r"^probabilities", lambda x: mp.reconstruct(x, SIC), [0.25] * 4),
+        ("povm", STACK, lambda x: mp.reconstruct([0.25] * 4, x), SIC),
+    ),
+    "reconstruct_from_counts": (
+        # counts of the wrong length reach the inversion as probabilities
+        ("counts", r"^counts|^probabilities",
+         lambda x: mp.reconstruct_from_counts(x, SIC), [1, 1, 1, 1]),
+        ("povm", STACK, lambda x: mp.reconstruct_from_counts([1, 1, 1, 1], x), SIC),
+    ),
+    "SlotAssignment": (
+        ("slot_maps", r"^slot|slot map", lambda x: mp.SlotAssignment(slot_maps=x), [[0, 1]]),
+    ),
+    "VonNeumannMeasurement": (
+        ("projectors", STACK, mp.VonNeumannMeasurement, SZ.projectors),
+        ("from_basis", r"^basis|^element \d", mp.VonNeumannMeasurement.from_basis, np.eye(2)),
+    ),
+    "build_orthogonal_processor": (
+        ("measurements", MEASUREMENTS,
+         lambda x: mp.build_orthogonal_processor(mp.pad_with_zero_slots([SZ]), x), [SZ]),
+    ),
+    "coprogram_condition": (
+        # an empty pairing pairs no operators
+        ("pairing", r"^pairing|^expected at least one \(d, d\) operator",
+         lambda x: mp.coprogram_condition(SX, SZ, pairing=x), [[0, 0], [1, 1]]),
+        ("weights", r"^weights", lambda x: mp.coprogram_condition(SX, SZ, weights=x), [1, 1]),
+    ),
+    "feasibility_table_check": (("columns", MEASUREMENTS, mp.feasibility_table_check, [SX]),),
+    "kraus_compatibility": (
+        ("ops_a", STACK, lambda x: mp.kraus_compatibility(x, SZ.projectors), SX.projectors),
+        ("ops_b", STACK, lambda x: mp.kraus_compatibility(SX.projectors, x), SX.projectors),
+    ),
+    "pad_with_zero_slots": (("measurements", MEASUREMENTS, mp.pad_with_zero_slots, [SZ]),),
+    "relaxed_pvm_processor": (("pvms", MEASUREMENTS, mp.relaxed_pvm_processor, [SZ, SX]),),
+    "verify_projection_postulate": (
+        ("samples", r"^samples",
+         lambda x: mp.verify_projection_postulate(REPORT, SZ, x), [RHO]),
+    ),
+}
+
+EXCLUDED = {
+    "ImpossibleOutcomeError": "error type",
+    "InconsistentProbabilitiesError": "error type",
+    "InfeasibleError": "error type",
+    "InvalidPovmError": "error type",
+    "IsometryViolationError": "error type",
+    "UnderdeterminedPovmError": "error type",
+    "InducedInstrument": "result type of induced_instrument",
+    "QidCircuit": "result type of qid_circuit_search",
+    "QidPovmReport": "result type of qid_povm",
+    "SynthesisReport": "result type of build_orthogonal_processor and relaxed_pvm_processor",
+}
+
+POSITIONS = [
+    pytest.param(call, pattern, valid, id=f"{name}-{label}")
+    for name, rows in CONTRACT.items()
+    for label, pattern, call, valid in rows
+]
+
+
+def test_every_export_has_a_row():
+    assert not set(CONTRACT) & set(EXCLUDED)
+    assert set(CONTRACT) | set(EXCLUDED) == set(mp._MODULE_OF)
+
+
+def outcome(call, value):
+    """None for a return, the ValueError raised, or a description of any other exception."""
+    try:
+        with warnings.catch_warnings(), time_limit(LIMIT, "the call"):
+            warnings.simplefilter("error")
+            call(value)
+    except ValueError as exc:
+        return exc
+    except Exception as exc:  # any other exception, a warning included, breaks the contract
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+@pytest.mark.parametrize("call, pattern, valid", POSITIONS)
+def test_junk_is_refused_in_one_line_naming_the_argument(call, pattern, valid):
+    # empty the POVM memos, so every POVM check runs here under the warnings filter
+    _checked_povm.cache_clear()
+    _build_tomographer.cache_clear()
+    assert outcome(call, valid) is None, "the valid value is refused"
+    broken = {}
+    for label, value in JUNK.items():
+        result = outcome(call, value)
+        if isinstance(result, ValueError):
+            message = str(result)
+            if "\n" in message or not re.search(pattern, message):
+                broken[label] = f"ValueError: {message}"
+        elif result is not None:
+            broken[label] = result
+    assert not broken, broken

@@ -1,5 +1,4 @@
 import re
-import signal
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from mapproc.qid import QidProgram, pauli_measurement_program, sic_program, unit
 from mapproc.sampling import haar_unitary, random_density_operator, random_pure_state
 from mapproc.tomography import gram_matrix
 from mapproc.vnmeas import SlotAssignment, VonNeumannMeasurement, kraus_compatibility
+from timelimit import time_limit
 
 
 NOT_FLOATS = "elements must be (d, d) operators of numbers in the float range"
@@ -137,17 +137,33 @@ class TestValidation:
     @pytest.mark.parametrize("n", [2**63, 10**400], ids=["int64-overflow", "huge"])
     def test_finest_refuses_a_huge_count_before_any_loop(self, n):
         # a loop over range(n) would not end; the timer turns one into a failure
-        def expire(signum, frame):
-            raise AssertionError(f"finest({n}) did not return within 1 s")
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.setitimer(signal.ITIMER_REAL, 1.0)
-        try:
+        with time_limit(1.0, f"finest({n})"):
             with pytest.raises(ValueError, match=re.escape("outcome count must be below 2**63")):
                 OutcomePartition.finest(n)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
+
+    def test_finest_allocates_before_any_loop(self):
+        # the (n, n) membership is allocated first, so numpy refuses a count
+        # beyond memory at once instead of after a loop over range(n)
+        with time_limit(1.0, "finest(2**62)"):
+            with pytest.raises(ValueError, match="array is too big"):
+                OutcomePartition.finest(2**62)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_membership_is_bitwise_the_block_test(self, seed):
+        # the index assignment against the quadratic [[k in b for k in range(n)] ...] table
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        cuts = np.sort(rng.choice(np.arange(1, n + 1), size=int(rng.integers(0, n)), replace=False))
+        blocks = [tuple(b.tolist()) for b in np.split(rng.permutation(n), cuts)]
+        partition = OutcomePartition(blocks=blocks)
+        old = np.array([[k in b for k in range(n)] for b in blocks], dtype=complex)
+        assert partition._membership.shape == old.shape
+        assert partition._membership.tobytes() == old.tobytes()
+        assert not partition._membership.flags.writeable
+        finest = OutcomePartition.finest(n)
+        assert finest == OutcomePartition(blocks=[(k,) for k in range(n)])
+        assert finest._membership.tobytes() == np.eye(n, dtype=complex).tobytes()
+        assert finest._spans == tuple((k, k + 1) for k in range(n))
 
     def test_finest_partition_has_one_block_per_outcome(self):
         assert OutcomePartition.finest(np.int64(3)).blocks == ((0,), (1,), (2,))
@@ -381,7 +397,7 @@ class TestOutcomeProbabilities:
         ids=["qutrit", "vector", "scalar"],
     )
     def test_state_shape_must_match_the_elements(self, sic_elements, rho, shape):
-        message = r"state shape " + shape + r" does not match POVM element shape \(2, 2\)"
+        message = r"state must have shape \(2, 2\), got " + shape + "$"
         with pytest.raises(ValueError, match=message):
             outcome_probabilities(rho, sic_elements)
         with pytest.raises(ValueError, match=message):
@@ -466,7 +482,7 @@ class TestPostMeasurementState:
 
     def test_state_shape_must_match_data_dim(self, qid_proc):
         program, partition = pauli_measurement_program(1)
-        with pytest.raises(ValueError, match="does not match data_dim 2"):
+        with pytest.raises(ValueError, match=re.escape("state must have shape (2, 2), got (4, 4)")):
             post_measurement_state(
                 qid_proc, program.program_state(), np.eye(4) / 4, 0, partition
             )

@@ -410,17 +410,26 @@ def test_pure_program_state_is_bitwise_the_one_row_mixture(dp, seed):
 
 
 @pytest.mark.parametrize(
-    "state",
-    [np.eye(2) + 0j, np.zeros(0, dtype=complex), np.array([1.0, 1.0]), 0.5],
+    "state, message",
+    [
+        (np.eye(2) + 0j, "program vectors must have shape (1, n) with n >= 1, got (1, 2, 2)"),
+        # an empty vector is a shape defect, refused before the norm check
+        (
+            np.zeros(0, dtype=complex),
+            "program vectors must have shape (1, n) with n >= 1, got (1, 0)",
+        ),
+        (np.array([1.0, 1.0]), "program component states must be normalized"),
+        (0.5, "program vectors must have shape (1, n) with n >= 1, got (1,)"),
+    ],
     ids=["2-d", "empty", "unnormalized", "scalar"],
 )
-def test_pure_program_state_refuses_what_the_mixture_refuses(state):
+def test_pure_program_state_refuses_what_the_mixture_refuses(state, message):
     with pytest.raises(ValueError) as mixture:
         ProgramState(weights=(1.0,), vectors=(state,))
     with pytest.raises(ValueError) as pure:
         ProgramState.pure(state)
     assert type(pure.value) is type(mixture.value)
-    assert str(pure.value) == str(mixture.value)
+    assert str(pure.value) == str(mixture.value) == message
 
 
 @settings(max_examples=300, deadline=None)

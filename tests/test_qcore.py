@@ -60,11 +60,13 @@ class TestStructureChecks:
         assert np.allclose(evals, [0.0, 0.5], atol=1e-12)
 
     def test_non_square_raises(self):
-        with pytest.raises(ValueError):
+        message = "operator must be a square matrix, got shape (2, 3)"
+        with pytest.raises(ValueError, match=re.escape(message)):
             is_unitary(np.ones((2, 3)))
 
     def test_vector_is_not_a_square_matrix(self):
-        with pytest.raises(ValueError, match="expects a square matrix"):
+        message = "operator must have shape (n, n) with n >= 1, got (3,)"
+        with pytest.raises(ValueError, match=re.escape(message)):
             is_unitary(np.ones(3))
 
     def test_vector_is_not_a_density_operator(self):

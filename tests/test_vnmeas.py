@@ -82,13 +82,20 @@ class TestVonNeumannMeasurement:
     @pytest.mark.parametrize(
         "vectors, message",
         [
-            (0.5, "expected a sequence of basis vectors, got 0.5"),
-            ({"a": 1}, "basis vectors must be equal-length rows of numbers"),
+            (0.5, "basis must have shape (n, n) with n >= 1, got ()"),
+            (
+                {"a": 1},
+                "basis must have shape (n, n) with n >= 1, "
+                "got no rectangular array of numbers in the float range",
+            ),
+            ([1, 0], "basis must have shape (n, n) with n >= 1, got (2,)"),
+            ([], "basis must have shape (n, n) with n >= 1, got (0,)"),
         ],
-        ids=["scalar", "mapping"],
+        ids=["scalar", "mapping", "one-vector", "empty"],
     )
     def test_from_basis_refuses_input_that_is_no_basis(self, vectors, message):
-        # these leaked IndexError and TypeError from the outer product and np.asarray
+        # the basis is read as one (d, d) array and named with its shape, not as
+        # the (d, d) operators of the outer products the caller never passed
         with pytest.raises(ValueError, match=re.escape(message) + "$"):
             VonNeumannMeasurement.from_basis(vectors)
 
@@ -164,8 +171,8 @@ class TestCoprogramCondition:
     @pytest.mark.parametrize(
         "pairing, weights, message",
         [
-            (5, None, "pairing must be a sequence of (i, j) pairs, got 5"),
-            ([[0, 0], [1, 1]], 0.5, "weights must be a sequence of real numbers, got 0.5"),
+            (5, None, "pairing must be a sequence of integer sequences, got 5"),
+            ([[0, 0], [1, 1]], 0.5, "weights must have shape (2,), got ()"),
         ],
         ids=["pairing", "weights"],
     )
@@ -200,6 +207,24 @@ class TestKrausCompatibility:
 
 
 class TestPadding:
+    # these leaked AttributeError, KeyError or TypeError from the first .dim
+    @pytest.mark.parametrize(
+        "call", [pad_with_zero_slots, relaxed_pvm_processor, feasibility_table_check],
+        ids=["pad", "relaxed", "feasibility"],
+    )
+    @pytest.mark.parametrize(
+        "measurements, message",
+        [
+            ([SZ, E0], "measurement 1 is not a VonNeumannMeasurement"),
+            ({"a": 1}, "measurements must be a nonempty list of VonNeumannMeasurement"),
+            (SZ, "measurements must be a nonempty list of VonNeumannMeasurement"),
+        ],
+        ids=["array-element", "mapping", "one-measurement"],
+    )
+    def test_a_list_that_holds_no_measurements_is_named(self, call, measurements, message):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            call(measurements)
+
     def test_single_measurement(self):
         assign = pad_with_zero_slots([SZ])
         assert assign.program_dim == 2
