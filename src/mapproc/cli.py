@@ -132,7 +132,7 @@ def _cmd_vn_check(args) -> int:
         raise ValueError(f"vn-check needs exactly 2 measurements, got {len(ms)}")
     pairing = weights = None
     if args.pairing is not None:
-        pairing = serialize.decode_index_lists(json.loads(args.pairing))
+        pairing = json.loads(args.pairing)
     if args.weights is not None:
         weights = serialize.decode_numbers(json.loads(args.weights))
     s, k = vnmeas.coprogram_condition(ms[0], ms[1], pairing=pairing, weights=weights)
@@ -147,7 +147,7 @@ def _cmd_vn_synth(args) -> int:
     if args.slots is None:
         assign = vnmeas.pad_with_zero_slots(ms)
     else:
-        assign = vnmeas.SlotAssignment(serialize.decode_index_lists(json.loads(args.slots)))
+        assign = vnmeas.SlotAssignment(json.loads(args.slots))
     report = vnmeas.build_orthogonal_processor(assign, ms)
     _emit_json(args, serialize.encode_synthesis_report(report), [args.measurements])
     return 0

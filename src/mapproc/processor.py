@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .qcore import (
-    ATOL, _array, _count, _index, _index_rows, _is_hermitian, _operator_stack, dag, is_unitary
+    _COUNT_MAX, ATOL, _array, _index, _index_rows, _is_hermitian, _operator_stack, dag, is_unitary
 )
 
 PROB_FLOOR = 1e-12
@@ -66,9 +66,7 @@ class Processor:
     gate: np.ndarray
 
     def __post_init__(self):
-        d, dp = _index(self.data_dim, "data_dim"), _index(self.program_dim, "program_dim")
-        if d < 1 or dp < 1:
-            raise ValueError(f"data_dim and program_dim must be at least 1, got {d} and {dp}")
+        d, dp = _index(self.data_dim, "data_dim", 1), _index(self.program_dim, "program_dim", 1)
         gate = _array(self.gate, complex, (d * dp, d * dp), "gate")
         if not is_unitary(gate):
             raise ValueError("processor gate must be unitary")
@@ -179,9 +177,7 @@ class OutcomePartition:
 
     @classmethod
     def finest(cls, n: int) -> "OutcomePartition":
-        n = _count(n, "outcome count")
-        if n < 1:
-            raise ValueError(f"outcome count must be at least 1, got {n}")
+        n = _index(n, "outcome count", 1, _COUNT_MAX)
         partition = object.__new__(cls)
         # the table is allocated before the loop over n, so a count beyond memory fails at once
         partition._store(np.zeros((n, n), dtype=complex), tuple(zip(range(n))))
@@ -324,12 +320,10 @@ def post_measurement_state(
     above PROB_FLOOR (a NaN probability included), since the conditional
     state is undefined there.
     """
-    outcome = _index(outcome, "outcome")
     if partition.num_indices != proc.program_dim:
         raise ValueError("partition does not cover the program outcomes")
+    outcome = _index(outcome, "outcome", 0, len(partition) - 1)
     ops = kraus_operators(proc, program)
-    if outcome < 0 or outcome >= len(partition):
-        raise ValueError(f"outcome {outcome} outside 0..{len(partition) - 1}")
     d = proc.data_dim
     rho = _array(rho, complex, (d, d), "state")
     a, b = partition._spans[outcome]
@@ -358,13 +352,9 @@ def sample_outcomes(
     POVM, is sampled.  Check ``rho`` with ``is_density_operator`` first
     when it may not be a state, as ``simulate`` does.
     """
-    n = _count(n, "sample count")
-    if n < 0:
-        raise ValueError("sample count must be nonnegative")
+    n = _index(n, "sample count", 0, _COUNT_MAX)
     if not isinstance(seed, np.random.Generator):
-        seed = _index(seed, "seed")
-        if seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {seed}")
+        seed = _index(seed, "seed", 0)
     p = outcome_probabilities(rho, povm)
     # scalar checks on a few floats beat array reductions; a NaN fails the sum
     probs = p.tolist()

@@ -7,6 +7,8 @@ Subsystem ordering is data-first everywhere: in a product basis vector
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from functools import lru_cache
 
@@ -20,6 +22,8 @@ import numpy as np
 ATOL = 1e-10
 # relative cutoff on the stacked POVM's singular values: decides informational completeness
 RANK_CUTOFF = 1e-9
+# the largest count numpy's sampler takes, and the bound of every count read
+_COUNT_MAX = 2**63 - 1
 
 # sigma_0 = I, sigma_x, sigma_y, sigma_z as one (4, 2, 2) stack
 _PAULI = np.array(
@@ -41,31 +45,52 @@ def _brief(value) -> str:
     return " ".join(repr(value).split())
 
 
-def _index(value, name: str) -> int:
-    """``value`` as a Python int; booleans and non-integers raise ValueError."""
+def _index(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """``value`` as a Python int in lo..hi (None: unbounded); else ValueError naming it.
+
+    Booleans and non-integers are refused, and a value out of range as
+    "<name> must be in lo..hi" (or "at least lo", "at most hi"), "got v".
+    """
     if not isinstance(value, (bool, np.bool_)):
         try:
-            return operator.index(value)
+            k = operator.index(value)
         except TypeError:
             pass
+        else:
+            if (lo is None or k >= lo) and (hi is None or k <= hi):
+                return k
+            bound = f"in {lo}..{hi}" if None not in (lo, hi) else (
+                f"at least {lo}" if hi is None else f"at most {hi}")
+            # str() of an int fails past 4300 digits
+            got = k if k.bit_length() <= 64 else f"an integer of {k.bit_length()} bits"
+            raise ValueError(f"{name} must be {bound}, got {got}")
     raise ValueError(f"{name} must be an integer, got {_brief(value)}")
 
 
-def _index_rows(rows, name: str, index_name: str) -> tuple[tuple[int, ...], ...]:
+def _index_rows(rows, name: str, index_name: str, lo=None, hi=None) -> tuple[tuple[int, ...], ...]:
     """``rows``, a sequence of integer sequences, as int tuples read by _index; else ValueError."""
     try:
-        return tuple(tuple(_index(k, index_name) for k in row) for row in rows)
+        return tuple(tuple(_index(k, index_name, lo, hi) for k in row) for row in rows)
     except TypeError:  # rows, or a row, that is no sequence
         got = _brief(rows)
         raise ValueError(f"{name} must be a sequence of integer sequences, got {got}") from None
 
 
-def _count(value, name: str) -> int:
-    """``value`` read by _index; 2**63 or more, a count numpy cannot take, raises ValueError."""
-    n = _index(value, name)
-    if n >= 2**63:
-        raise ValueError(f"{name} must be below 2**63")
-    return n
+def _real(value, name: str, lo: float | None = None) -> float:
+    """``value``, a finite real number of at least ``lo`` (None: unbounded), as a float."""
+    # a float skips the abstract-class check; booleans are no real numbers here
+    if type(value) is not float:
+        if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {_brief(value)}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValueError(f"{name} must be finite, got a number too large for a float") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if lo is not None and value < lo:
+        raise ValueError(f"{name} must be at least {lo}, got {value}")
+    return value
 
 
 def _shape(element) -> tuple[int, ...] | None:
@@ -135,10 +160,7 @@ def _square(m, name: str) -> np.ndarray:
 
 def pauli(k: int) -> np.ndarray:
     """Return the k-th Pauli matrix; index 0 is the 2x2 identity."""
-    k = _index(k, "Pauli index")
-    if not 0 <= k <= 3:
-        raise ValueError(f"Pauli index must be in 0..3, got {k}")
-    return _PAULI[k].copy()
+    return _PAULI[_index(k, "Pauli index", 0, 3)].copy()
 
 
 def dag(m: np.ndarray) -> np.ndarray:
@@ -163,6 +185,7 @@ def is_unitary(m: np.ndarray) -> bool:
 
 def is_density_operator(m: np.ndarray, tol: float = ATOL) -> bool:
     """Hermitian, unit trace, and no eigenvalue below -tol; False for what is no square matrix."""
+    tol = _real(tol, "tol", 0)
     try:
         m = _square(m, "operator")
     except ValueError:

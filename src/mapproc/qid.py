@@ -172,9 +172,7 @@ def pauli_measurement_program(axis: int) -> tuple[QidProgram, OutcomePartition]:
     paired with outcome ``axis``; the remaining two outcomes form the other
     block.
     """
-    axis = _index(axis, "axis")
-    if axis not in (1, 2, 3):
-        raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
+    axis = _index(axis, "axis", 1, 3)
     amps = np.zeros(4, dtype=complex)
     amps[0] = amps[axis] = 1 / np.sqrt(2)
     return QidProgram(amplitudes=amps), _PAULI_PAIRINGS[axis]

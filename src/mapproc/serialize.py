@@ -3,20 +3,19 @@
 A complex number is a two-element [re, im] array.  Matrices are row-major:
 {"rows": n, "cols": m, "data": [[re, im], ...]}.  A pure state is
 {"dim": n, "amp": [[re, im], ...]}.  Every JSON number is read by one
-number reader, ``_real``, and every JSON integer by the package's one
+number reader, ``qcore._real``, and every JSON integer by the package's one
 integer reader, ``qcore._index``.  Decoders raise ValueError on any
 malformed document so callers can map that to a clean exit.
 """
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .processor import STATE_TOL, OutcomePartition, Processor
-from .qcore import ATOL, _index, is_density_operator
+from .qcore import ATOL, _index, _real, is_density_operator
 
 if TYPE_CHECKING:
     from .qid import QidPovmReport, QidProgram
@@ -30,45 +29,17 @@ def _pairs(a) -> list[list[float]]:
     return np.stack((a.real, a.imag), -1).reshape(-1, 2).tolist()
 
 
-def _real(x) -> float:
-    """A finite JSON number as a float; booleans are refused."""
-    if not isinstance(x, (int, float)) or isinstance(x, bool):
-        raise ValueError(f"expected a number, got {x!r}")
-    try:
-        value = float(x)
-    except OverflowError as exc:
-        raise ValueError("number too large for a float") from exc
-    if not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {x!r}")
-    return value
-
-
-def _dimension(obj: dict, key: str) -> int:
-    """obj[key] as a positive JSON integer."""
-    value = _index(obj.get(key), key)
-    if value <= 0:
-        raise ValueError(f"{key} must be positive, got {value}")
-    return value
-
-
 def decode_complex(obj) -> complex:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise ValueError(f"complex value must be a [re, im] pair, got {obj!r}")
-    return complex(_real(obj[0]), _real(obj[1]))
+    return complex(_real(obj[0], "real part"), _real(obj[1], "imaginary part"))
 
 
 def decode_numbers(obj) -> np.ndarray:
     """A JSON list of finite numbers, such as the weights of a pairing."""
     if not isinstance(obj, list):
         raise ValueError("expected a list of numbers")
-    return np.array([_real(x) for x in obj], dtype=float)
-
-
-def decode_index_lists(obj) -> tuple[tuple[int, ...], ...]:
-    """A JSON list of integer lists, such as outcome pairs or slot maps."""
-    if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
-        raise ValueError("expected a list of integer lists")
-    return tuple(tuple(_index(k, "index") for k in row) for row in obj)
+    return np.array([_real(x, "list entry") for x in obj], dtype=float)
 
 
 def encode_operator(m: np.ndarray) -> dict:
@@ -85,7 +56,8 @@ def encode_operator(m: np.ndarray) -> dict:
 def decode_operator(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValueError("operator must be an object with rows/cols/data")
-    rows, cols, data = _dimension(obj, "rows"), _dimension(obj, "cols"), obj.get("data")
+    rows, cols = _index(obj.get("rows"), "rows", 1), _index(obj.get("cols"), "cols", 1)
+    data = obj.get("data")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ValueError(f"operator needs {rows * cols} entries, got {len(data) if isinstance(data, list) else 'non-list'}")
     return np.array([decode_complex(z) for z in data], dtype=complex).reshape(rows, cols)
@@ -114,7 +86,7 @@ def encode_state(v: np.ndarray) -> dict:
 def decode_state(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValueError("state must be an object with dim/amp")
-    dim, amp = _dimension(obj, "dim"), obj.get("amp")
+    dim, amp = _index(obj.get("dim"), "dim", 1), obj.get("amp")
     if not isinstance(amp, list) or len(amp) != dim:
         raise ValueError(f"state needs {dim} amplitudes")
     return np.array([decode_complex(z) for z in amp], dtype=complex)
@@ -136,9 +108,8 @@ def decode_processor(obj) -> Processor:
             "processor key program_basis is not read: the program is measured in the "
             "computational basis; for a basis B with rows |b_k>, use the gate (I (x) B.conj()) @ gate"
         )
-    data_dim, program_dim = _dimension(obj, "data_dim"), _dimension(obj, "program_dim")
     gate = decode_operator(obj.get("gate"))
-    return Processor(data_dim=data_dim, program_dim=program_dim, gate=gate)
+    return Processor(obj.get("data_dim"), obj.get("program_dim"), gate)  # it reads both dims
 
 
 def encode_partition(part: OutcomePartition) -> dict:
@@ -220,7 +191,7 @@ def decode_measurement(obj) -> VonNeumannMeasurement:
 
     if not isinstance(obj, dict):
         raise ValueError("measurement must be an object with a dim")
-    dim = _dimension(obj, "dim")
+    dim = _index(obj.get("dim"), "dim", 1)
     if isinstance(obj.get("projectors"), list):
         projs = [decode_operator(e) for e in obj["projectors"]]
         if any(p.shape != (dim, dim) for p in projs):

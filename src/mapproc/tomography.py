@@ -15,7 +15,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import ATOL, RANK_CUTOFF, InfeasibleError, _array, _is_hermitian, _operator_stack
+from .qcore import (
+    ATOL, RANK_CUTOFF, InfeasibleError, _array, _is_hermitian, _operator_stack, _real
+)
 from .processor import _POVM_MEMO_SIZE, validate_povm
 
 PROB_SUM_TOL = 1e-6
@@ -204,10 +206,9 @@ def reconstruct_from_probabilities(
     With ``project`` the estimate is replaced by the closest density
     operator (see project_to_state); the diagnostics always report the
     pre-projection spectrum and the inversion residual.  ``residual_tol``
-    must be finite and nonnegative.
+    must be a finite real number of at least 0.
     """
-    if not 0.0 <= residual_tol < np.inf:
-        raise ValueError(f"residual tolerance {residual_tol} is not a finite nonnegative number")
+    residual_tol = _real(residual_tol, "residual_tol", 0)
     estimate, residual = Tomographer.build(povm)._invert(probabilities, residual_tol)
     evals, evecs = np.linalg.eigh(estimate)
     diagnostics = ReconstructionDiagnostics(
@@ -230,10 +231,13 @@ def reconstruct_from_counts(
 
     Feeds counts/total to reconstruct_from_probabilities.
     """
-    counts = _array(counts, None, (None,), "counts")
-    if counts.dtype.kind not in "biuf":  # strings, objects and complex numbers are no counts
-        raise ValueError(f"counts must be real numbers, got entries of type {counts.dtype}")
-    values = counts.tolist()
+    array = _array(counts, None, (None,), "counts")
+    dtype = array.dtype
+    if array is not counts and any(isinstance(c, (bool, np.bool_)) for c in counts):
+        dtype = np.dtype(bool)  # numpy reads a list mixing booleans and numbers as numbers
+    if dtype.kind not in "iuf":  # booleans, strings, objects and complex numbers are no counts
+        raise ValueError(f"counts must be real numbers, got entries of type {dtype}")
+    values = array.tolist()
     if not all(c >= 0 for c in values):  # NaN is not
         raise ValueError("counts must be nonnegative")
     # a Python sum overflows to inf without numpy's warning; refused before
@@ -242,5 +246,5 @@ def reconstruct_from_counts(
     if not 0 < total < math.inf:
         raise ValueError(f"counts must have a positive finite total, got {total}")
     return reconstruct_from_probabilities(
-        counts / float(total), povm, project=project, residual_tol=residual_tol
+        array / float(total), povm, project=project, residual_tol=residual_tol
     )

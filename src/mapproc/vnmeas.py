@@ -166,7 +166,7 @@ def coprogram_condition(
     d = _shared_dim([m1, m2])  # a measurement on dimension d has d outcomes
     if pairing is None:
         pairing = [(j, j) for j in range(d)]
-    pairs = _index_rows(pairing, "pairing", "pairing index")
+    pairs = _index_rows(pairing, "pairing", "pairing index", 0, d - 1)
     for t, row in enumerate(pairs):
         if len(row) != 2:
             raise ValueError(f"pairing row {t} is not an (i, j) pair")
@@ -174,10 +174,6 @@ def coprogram_condition(
     if not np.isfinite(w).all():
         raise ValueError(f"weights must be finite, got {w[~np.isfinite(w)][0]}")
     i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
-    outside = (i < 0) | (i >= d) | (j < 0) | (j >= d)
-    if outside.any():
-        t = int(np.argmax(outside))
-        raise ValueError(f"pairing ({i[t]}, {j[t]}) outside the outcome ranges")
     return kraus_compatibility(m1.projectors[i], w[:, None, None] * m2.projectors[j])
 
 
@@ -194,14 +190,11 @@ class SlotAssignment:
     slot_maps: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        maps = _index_rows(self.slot_maps, "slot maps", "slot index")
+        maps = _index_rows(self.slot_maps, "slot maps", "slot index", 0)
         if not maps:
             raise ValueError("need at least one slot map")
-        for m in maps:
-            if len(set(m)) != len(m):
-                raise ValueError("slot maps must be injective")
-            if any(s < 0 for s in m):
-                raise ValueError("slot indices must be nonnegative")
+        if any(len(set(m)) != len(m) for m in maps):
+            raise ValueError("slot maps must be injective")
         object.__setattr__(self, "slot_maps", maps)
 
     @property

@@ -178,7 +178,8 @@ class TestSimulate:
         )
         assert code == 2
         assert not out.exists()
-        assert capsys.readouterr().err == "error: sample count must be below 2**63\n"
+        message = "sample count must be in 0..9223372036854775807, got 9223372036854775808"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("n", ["0", "10"], ids=["zero", "ten"])
     def test_negative_seed_exits_2_naming_the_seed(self, tmp_path, capsys, n):
@@ -189,7 +190,7 @@ class TestSimulate:
         )
         assert code == 2
         assert not out.exists()
-        assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+        assert capsys.readouterr().err == "error: seed must be at least 0, got -1\n"
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -266,7 +267,7 @@ class TestReconstruct:
         assert code == 2
         assert not out.exists()
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "residual tolerance" in err and tol.lstrip("-") in err
+        assert err.count("\n") == 1 and "residual_tol must be" in err and tol.lstrip("-") in err
 
     def test_pvm_input_exits_3_naming_rank(self, tmp_path, capsys):
         pvm = write_json(
@@ -571,6 +572,7 @@ _HUGE = {
         serialize.encode_operator(np.diag([1e300, 0])), serialize.encode_operator(np.diag([0, 1])),
     ]}]},
     "two-z": {"measurements": [_SZ, _SZ]},
+    "three-measurements": {"measurements": [_SX, _SZ, _SX]},
     "empty-basis": {"measurements": [_SX, {"dim": 2, "basis": []}]},
 }
 
@@ -619,14 +621,35 @@ def run_with_documents(tmp_path, argv):
 _UNBOUNDED = "element 0 has an entry not finite or above 1 in modulus"
 
 
-# a pairing row that is not a pair, an empty pairing, an empty basis and a
-# measurement entry that would overflow are each refused in words that name them
+# index lists that are no lists of integer lists, each refused by the reader
+# of the library argument it becomes
+_INDEX_LISTS = {
+    "fraction": ("[[0.9,0]]", "{index} must be an integer, got 0.9"),
+    "bool": ("[[true,0]]", "{index} must be an integer, got True"),
+    "flat": ("[0,1]", "{rows} must be a sequence of integer sequences, got [0, 1]"),
+    "string": ('"ab"', "{index} must be an integer, got 'a'"),
+    "object": ('{"a":[1]}', "{index} must be an integer, got 'a'"),
+}
+_INDEX_LIST_CASES = {
+    f"{flag[2:]}-{label}": (
+        [command, ("measurements",), flag, text], message.format(rows=rows, index=index)
+    )
+    for command, flag, rows, index in (("vn-check", "--pairing", "pairing", "pairing index"),
+                                       ("vn-synth", "--slots", "slot maps", "slot index"))
+    for label, (text, message) in _INDEX_LISTS.items()
+}
+
+
+# a pairing row that is not a pair, an empty pairing, an empty basis, a
+# measurement entry that would overflow and a wrong number of inputs are each
+# refused in words that name them
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "argv, message",
     [
+        # the range is read with each index, before the row's length
         (["vn-check", ("measurements",), "--pairing", "[[0,1,2]]"],
-         "pairing row 0 is not an (i, j) pair"),
+         "pairing index must be in 0..1, got 2"),
         (["vn-check", ("measurements",), "--pairing", "[[0,0],[1]]"],
          "pairing row 1 is not an (i, j) pair"),
         (["vn-check", ("measurements",), "--pairing", "[]"],
@@ -635,9 +658,15 @@ _UNBOUNDED = "element 0 has an entry not finite or above 1 in modulus"
         (["vn-synth", ("huge-amplitude",)], _UNBOUNDED),
         (["vn-check", ("huge-projector",)], _UNBOUNDED),
         (["vn-synth", ("empty-basis",)], "basis must have shape (n, n) with n >= 1, got (0,)"),
+        (["vn-check", ("three-measurements",)], "vn-check needs exactly 2 measurements, got 3"),
+        (["qid-povm", ("program",), "--sic"], "give either a program file or --sic, not both"),
+        (["qid-povm"], "a program file or --sic is required"),
+        (["bloch-export"], "a program file or --sic is required"),
+        *_INDEX_LIST_CASES.values(),
     ],
     ids=["three-indices", "one-index", "empty-pairing", "huge-projector", "huge-amplitude",
-         "vn-check-huge-projector", "empty-basis"],
+         "vn-check-huge-projector", "empty-basis", "vn-check-three", "program-and-sic",
+         "no-program", "bloch-export-no-program", *_INDEX_LIST_CASES],
 )
 def test_refusal_names_the_input(tmp_path, capsys, argv, message):
     code, out = run_with_documents(tmp_path, argv)

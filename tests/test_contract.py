@@ -1,7 +1,7 @@
 """One input contract for the whole public surface.
 
 Every name ``mapproc`` exports is either listed in ``CONTRACT`` with the
-argument positions that take an array, an integer or a list, or excluded by
+argument positions that take an array, an integer, a real number or a list, or excluded by
 name in ``EXCLUDED`` as an error or result type; a new public name without a
 row fails ``test_every_export_has_a_row``.  Typed arguments (a ``Processor``,
 a ``ProgramState``, a partition, a report, a measurement passed alone) are not
@@ -12,6 +12,12 @@ A call may return, or raise ValueError (InvalidPovmError and InfeasibleError
 are ValueErrors) with a one-line message that matches the position's pattern,
 which names the argument.  Any other exception, any warning (warnings are
 errors here) and a call that runs past ``LIMIT`` seconds fail.
+
+``RANGES`` is the contract's range column: every bounded integer or real
+argument with its range.  Each edge value is accepted, or refused for
+another reason, and each value just outside the range is refused with
+exactly "<name> must be in lo..hi" (or "at least lo", "at most hi"),
+"got v".
 """
 
 import re
@@ -22,7 +28,7 @@ import pytest
 
 import mapproc as mp
 from mapproc.processor import _checked_povm
-from mapproc.tomography import _build_tomographer
+from mapproc.tomography import _build_tomographer, reconstruct_from_probabilities
 from timelimit import time_limit
 
 LIMIT = 2.0
@@ -100,7 +106,10 @@ CONTRACT = {
         ("n", r"^sample count", lambda x: mp.sample_outcomes(RHO, SIC, x, 0), 10),
         ("seed", r"^seed", lambda x: mp.sample_outcomes(RHO, SIC, 10, x), 0),
     ),
-    "is_density_operator": (("m", r"^operator", mp.is_density_operator, RHO),),
+    "is_density_operator": (
+        ("m", r"^operator", mp.is_density_operator, RHO),
+        ("tol", r"^tol", lambda x: mp.is_density_operator(RHO, tol=x), 0.0),
+    ),
     "is_unitary": (("m", r"^operator", mp.is_unitary, np.eye(2)),),
     "pauli": (("k", r"^Pauli index", mp.pauli, 1),),
     "trace_distance": (
@@ -129,6 +138,8 @@ CONTRACT = {
         ("counts", r"^counts|^probabilities",
          lambda x: mp.reconstruct_from_counts(x, SIC), [1, 1, 1, 1]),
         ("povm", STACK, lambda x: mp.reconstruct_from_counts([1, 1, 1, 1], x), SIC),
+        ("residual_tol", r"^residual_tol",
+         lambda x: mp.reconstruct_from_counts([1, 1, 1, 1], SIC, residual_tol=x), 1.0),
     ),
     "SlotAssignment": (
         ("slot_maps", r"^slot|slot map", lambda x: mp.SlotAssignment(slot_maps=x), [[0, 1]]),
@@ -214,3 +225,67 @@ def test_junk_is_refused_in_one_line_naming_the_argument(call, pattern, valid):
         elif result is not None:
             broken[label] = result
     assert not broken, broken
+
+
+MAX = 2**63 - 1  # the largest count numpy's sampler takes
+
+# (label, call, argument name, lo, hi, the range in words); None: unbounded
+RANGES = [
+    ("Processor-data_dim", lambda x: mp.Processor(data_dim=x, program_dim=4, gate=PROC.gate),
+     "data_dim", 1, None, "at least 1"),
+    ("Processor-program_dim", lambda x: mp.Processor(data_dim=2, program_dim=x, gate=PROC.gate),
+     "program_dim", 1, None, "at least 1"),
+    ("OutcomePartition-finest", mp.OutcomePartition.finest,
+     "outcome count", 1, MAX, f"in 1..{MAX}"),
+    ("sample_outcomes-n", lambda x: mp.sample_outcomes(RHO, SIC, x, 0),
+     "sample count", 0, MAX, f"in 0..{MAX}"),
+    ("sample_outcomes-seed", lambda x: mp.sample_outcomes(RHO, SIC, 10, x),
+     "seed", 0, None, "at least 0"),
+    ("post_measurement_state-outcome",
+     lambda x: mp.post_measurement_state(PROC, PROGRAM, RHO, x, PARTITION),
+     "outcome", 0, 3, "in 0..3"),
+    ("pauli-k", mp.pauli, "Pauli index", 0, 3, "in 0..3"),
+    ("pauli_measurement_program-axis", mp.pauli_measurement_program, "axis", 1, 3, "in 1..3"),
+    ("SlotAssignment-slot_maps", lambda x: mp.SlotAssignment(slot_maps=[[x]]),
+     "slot index", 0, None, "at least 0"),
+    ("coprogram_condition-pairing", lambda x: mp.coprogram_condition(SX, SZ, pairing=[[x, x]]),
+     "pairing index", 0, 1, "in 0..1"),
+    ("reconstruct_from_probabilities-residual_tol",
+     lambda x: reconstruct_from_probabilities([0.25] * 4, SIC, residual_tol=x),
+     "residual_tol", 0.0, None, "at least 0"),
+    ("reconstruct_from_counts-residual_tol",
+     lambda x: mp.reconstruct_from_counts([1, 1, 1, 1], SIC, residual_tol=x),
+     "residual_tol", 0.0, None, "at least 0"),
+    ("is_density_operator-tol", lambda x: mp.is_density_operator(RHO, tol=x),
+     "tol", 0.0, None, "at least 0"),
+]
+
+# what a real argument refuses besides its range: no number, a boolean, no finite number
+NO_REAL = {"mapping": {"a": 1}, "bool": True, "string": "x", "nan": np.nan, "inf": np.inf}
+
+
+@pytest.mark.parametrize(
+    "call, name, lo, hi, bound", [pytest.param(*row[1:], id=row[0]) for row in RANGES]
+)
+def test_each_range_is_read_with_its_argument(call, name, lo, hi, bound):
+    _checked_povm.cache_clear()
+    _build_tomographer.cache_clear()
+    for edge in (lo, hi):
+        result = None if edge is None else outcome(call, edge)
+        # accepted, or refused for another reason
+        assert result is None or isinstance(result, ValueError), result
+        assert not str(result or "").startswith(f"{name} must be"), result
+    # every real range here is bounded below only
+    outside = [np.nextafter(lo, -1.0).item() if isinstance(lo, float) else lo - 1]
+    if hi is not None:
+        outside.append(hi + 1)
+    for value in outside:
+        result = outcome(call, value)
+        assert isinstance(result, ValueError), result
+        assert str(result) == f"{name} must be {bound}, got {value}"
+    if isinstance(lo, float):
+        for label, value in NO_REAL.items():
+            result = outcome(call, value)
+            assert isinstance(result, ValueError), (label, result)
+            message = str(result)
+            assert message.startswith(f"{name} must be ") and "\n" not in message, (label, message)

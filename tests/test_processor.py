@@ -9,6 +9,7 @@ from mapproc.processor import (
     OutcomePartition,
     Processor,
     ProgramState,
+    induced_instrument,
     induced_povm,
     kraus_operators,
     outcome_probabilities,
@@ -69,9 +70,9 @@ class TestValidation:
             ((True, 4), np.eye(4), "data_dim must be an integer, got True"),
             ((2.0, 2), np.eye(4), "data_dim must be an integer, got 2.0"),
             ((2, "2"), np.eye(4), "program_dim must be an integer, got '2'"),
-            ((-2, -2), np.eye(4), "data_dim and program_dim must be at least 1, got -2 and -2"),
-            ((0, 2), np.eye(0), "data_dim and program_dim must be at least 1, got 0 and 2"),
-            ((2, 0), np.eye(0), "data_dim and program_dim must be at least 1, got 2 and 0"),
+            ((-2, -2), np.eye(4), "data_dim must be at least 1, got -2"),
+            ((0, 2), np.eye(0), "data_dim must be at least 1, got 0"),
+            ((2, 0), np.eye(0), "program_dim must be at least 1, got 0"),
         ],
         ids=["bool", "float", "str", "negative", "zero-data", "zero-program"],
     )
@@ -125,8 +126,8 @@ class TestValidation:
         [
             (True, "outcome count must be an integer, got True"),
             (2.0, "outcome count must be an integer, got 2.0"),
-            (0, "outcome count must be at least 1, got 0"),
-            (-1, "outcome count must be at least 1, got -1"),
+            (0, "outcome count must be in 1..9223372036854775807, got 0"),
+            (-1, "outcome count must be in 1..9223372036854775807, got -1"),
         ],
         ids=["bool", "float", "zero", "negative"],
     )
@@ -138,7 +139,8 @@ class TestValidation:
     def test_finest_refuses_a_huge_count_before_any_loop(self, n):
         # a loop over range(n) would not end; the timer turns one into a failure
         with time_limit(1.0, f"finest({n})"):
-            with pytest.raises(ValueError, match=re.escape("outcome count must be below 2**63")):
+            message = re.escape("outcome count must be in 1..9223372036854775807, got ")
+            with pytest.raises(ValueError, match=message):
                 OutcomePartition.finest(n)
 
     def test_finest_allocates_before_any_loop(self):
@@ -415,6 +417,21 @@ class TestOutcomeProbabilities:
             assert np.allclose(direct, dilated, atol=1e-10)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        induced_instrument,
+        lambda proc, program, partition: post_measurement_state(
+            proc, program, np.eye(2) / 2, 0, partition
+        ),
+    ],
+    ids=["induced_instrument", "post_measurement_state"],
+)
+def test_partition_must_cover_the_program_outcomes(qid_proc, call):
+    with pytest.raises(ValueError, match="^partition does not cover the program outcomes$"):
+        call(qid_proc, sic_program().program_state(), OutcomePartition.finest(3))
+
+
 class TestPostMeasurementState:
     def test_identity_program_leaves_state_alone(self, qid_proc):
         program = QidProgram(amplitudes=np.eye(4)[0]).program_state()
@@ -515,7 +532,8 @@ class TestSampling:
     @pytest.mark.parametrize("n", [2**63, 10**400], ids=["int64-overflow", "huge"])
     def test_count_numpy_cannot_take_is_refused_before_the_probabilities(self, n):
         # the POVM is not one: a refusal after the probabilities would name it instead
-        with pytest.raises(ValueError, match=re.escape("sample count must be below 2**63")):
+        message = re.escape("sample count must be in 0..9223372036854775807, got ")
+        with pytest.raises(ValueError, match=message):
             sample_outcomes(np.eye(2) / 2, [np.eye(2)] * 4, n, seed=7)
 
     def test_largest_int64_count_is_sampled(self, sic_elements):
@@ -531,7 +549,7 @@ class TestSampling:
     @pytest.mark.parametrize("n", [0, 10], ids=["zero", "ten"])
     def test_negative_seed_is_refused_for_every_count(self, sic_elements, n):
         # n = 0 used to return zeros before the seed was read
-        with pytest.raises(ValueError, match=re.escape("seed must be nonnegative, got -1") + "$"):
+        with pytest.raises(ValueError, match=re.escape("seed must be at least 0, got -1") + "$"):
             sample_outcomes(np.eye(2) / 2, sic_elements, n, seed=-1)
 
     @pytest.mark.parametrize("n", [0, 10], ids=["zero", "ten"])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -76,9 +78,9 @@ def test_measurement_both_forms():
             serialize.decode_processor,
             {"data_dim": 1.5, "program_dim": 1, "gate": {"rows": 1, "cols": 1, "data": [[1, 0]]}},
         ),
-        (serialize.decode_index_lists, [[0.9, 0], [1.2, 1]]),
-        (serialize.decode_index_lists, [[True, 0], [1, True]]),
-        (serialize.decode_index_lists, [0, 1]),
+        (serialize.decode_operator, {"rows": 0, "cols": 1, "data": []}),
+        (serialize.decode_state, {"dim": 0, "amp": []}),
+        (serialize.decode_measurement, {"dim": -1, "basis": []}),
         (serialize.decode_numbers, [True, 1]),
         (serialize.decode_numbers, [0.5, float("nan")]),
         (serialize.decode_numbers, {"weights": [1]}),
@@ -91,6 +93,30 @@ def test_measurement_both_forms():
 )
 def test_malformed_documents_raise_value_error(decoder, payload):
     with pytest.raises(ValueError):
+        decoder(payload)
+
+
+@pytest.mark.parametrize(
+    "decoder, payload, message",
+    [
+        (serialize.decode_operator, {"rows": 0, "cols": 1, "data": []},
+         "rows must be at least 1, got 0"),
+        (serialize.decode_operator, {"rows": 1, "cols": -2, "data": []},
+         "cols must be at least 1, got -2"),
+        (serialize.decode_state, {"dim": 0, "amp": []}, "dim must be at least 1, got 0"),
+        (serialize.decode_measurement, {"dim": 0, "basis": []}, "dim must be at least 1, got 0"),
+        (serialize.decode_processor,
+         {"data_dim": 0, "program_dim": 1, "gate": {"rows": 1, "cols": 1, "data": [[1, 0]]}},
+         "data_dim must be at least 1, got 0"),
+        (serialize.decode_complex, ["a", 0], "real part must be a real number, got 'a'"),
+        (serialize.decode_complex, [0, 1e400], "imaginary part must be finite, got inf"),
+        (serialize.decode_complex, [10**400, 0],
+         "real part must be finite, got a number too large for a float"),
+        (serialize.decode_numbers, [0.5, True], "list entry must be a real number, got True"),
+    ],
+)
+def test_refusals_name_the_key_or_the_number(decoder, payload, message):
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
         decoder(payload)
 
 
@@ -111,7 +137,6 @@ VALID_DOCUMENTS = {
         {"dim": 2, "projectors": [serialize.encode_operator(np.diag(d)) for d in np.eye(2)]},
     ]},
     "decode_numbers": [0.5, 0.5, 1, 0],
-    "decode_index_lists": [[0, 0], [0, 1], [1, 1], [1, 0]],
     "decode_qid_program": serialize.encode_qid_program(sic_program()),
     "decode_density_operator": {"state": serialize.encode_operator(np.eye(2) / 2)},
     "decode_tomography_data": {"outcome_counts": [400, 300, 200, 100]},

@@ -225,12 +225,14 @@ class TestReconstructFromCounts:
 
     @pytest.mark.parametrize(
         "counts, dtype",
-        [(["a"] * 4, "<U1"), ([1, 2, 3, None], "object"), ([1j, 1, 1, 1], "complex128")],
-        ids=["str", "object", "complex"],
+        [(["a"] * 4, "<U1"), ([1, 2, 3, None], "object"), ([1j, 1, 1, 1], "complex128"),
+         # numpy reads the mixed list as integers; the JSON reader and _index refuse booleans too
+         ([True, 1, 1, 1], "bool"), (np.ones(4, dtype=bool), "bool")],
+        ids=["str", "object", "complex", "bool-among-integers", "bool-array"],
     )
     def test_counts_must_be_real_numbers(self, sic_elements, counts, dtype):
         message = f"counts must be real numbers, got entries of type {dtype}"
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
             reconstruct_from_counts(counts, sic_elements)
 
     def test_integer_total_is_exact(self, sic_elements):

@@ -256,6 +256,24 @@ class TestSlotAssignment:
             SlotAssignment(slot_maps=slot_maps)
 
 
+# each function's own rules, past the reading of its arguments
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: VonNeumannMeasurement(projectors=[E0]), "need 2 projectors on dimension 2, got 1"),
+        (lambda: kraus_compatibility([E0, E1], np.zeros((2, 3, 3))),
+         "paired operators must share one dimension"),
+        (lambda: SlotAssignment(slot_maps=[[0, 1], [2, 2]]), "slot maps must be injective"),
+        (lambda: build_orthogonal_processor(SlotAssignment(slot_maps=[[0, 1], [2, 3]]), [SZ]),
+         "one measurement per slot map required"),
+    ],
+    ids=["too-few-projectors", "paired-dimensions", "repeated-slot", "maps-and-measurements"],
+)
+def test_each_rule_is_refused_in_its_own_words(call, message):
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        call()
+
+
 class TestBuildOrthogonalProcessor:
     def test_single_measurement_identity_slots(self):
         assign = SlotAssignment(slot_maps=((0, 1),))
