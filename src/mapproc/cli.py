@@ -243,9 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (
-        ValueError, OSError, KeyError, TypeError, IndexError, OverflowError, FloatingPointError
-    ) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -158,6 +158,8 @@ class OutcomePartition:
                 if k in seen:
                     raise ValueError(f"outcome index {k} appears in two blocks")
                 seen.add(k)
+        if not seen:  # as finest refuses a count below 1
+            raise ValueError("blocks must hold at least one outcome index, got none")
         if seen != set(range(len(seen))):
             raise ValueError("blocks must cover a contiguous index range 0..n-1")
         self._store(np.zeros((len(blocks), len(seen)), dtype=complex), blocks)

@@ -58,8 +58,10 @@ def decode_operator(obj) -> np.ndarray:
         raise ValueError("operator must be an object with rows/cols/data")
     rows, cols = _index(obj.get("rows"), "rows", 1), _index(obj.get("cols"), "cols", 1)
     data = obj.get("data")
-    if not isinstance(data, list) or len(data) != rows * cols:
-        raise ValueError(f"operator needs {rows * cols} entries, got {len(data) if isinstance(data, list) else 'non-list'}")
+    # the count is not quoted: str() of rows * cols fails past 4300 digits
+    got = len(data) if isinstance(data, list) else "no list"
+    if got != rows * cols:
+        raise ValueError(f"operator data must hold rows * cols entries, got {got}")
     return np.array([decode_complex(z) for z in data], dtype=complex).reshape(rows, cols)
 
 

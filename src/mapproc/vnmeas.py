@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import ATOL, InfeasibleError, _array, _index_rows, _is_hermitian, _operator_stack, dag
-from .processor import Processor, _branches, _freeze
+from .qcore import ATOL, InfeasibleError, _array, _index_rows, _operator_stack, dag
+from .processor import Processor, _branches, _freeze, validate_povm
 
 # A post-measurement state matches its projector within POSTULATE_ATOL;
 # outcomes at or below POSTULATE_FLOOR in probability are not checked.
@@ -52,46 +52,35 @@ class IsometryViolationError(InfeasibleError):
         self.slots = slots
 
 
-def _rank_one_pvm_defect(projs: np.ndarray) -> str | None:
-    """Why the (n, d, d) stack is not d orthogonal rank-1 projectors summing to I, or None."""
-    # projectors keep their entries in the unit disc; refusing larger ones
-    # before any product keeps huge finite ones from overflowing
-    bad = np.flatnonzero(~(np.abs(projs) <= 1 + ATOL).all(axis=(1, 2)))
-    if bad.size:
-        return f"element {bad[0]} has an entry not finite or above 1 in modulus"
-    d = projs.shape[1]
-    if len(projs) != d:
-        return f"need {d} projectors on dimension {d}, got {len(projs)}"
-    idempotency = np.abs(projs @ projs - projs).max(axis=(1, 2))
-    trace = np.abs(np.trace(projs, axis1=1, axis2=2).real - 1.0)
-    bad = np.flatnonzero(~(_is_hermitian(projs, ATOL) & (idempotency <= ATOL) & (trace <= ATOL)))
-    if bad.size:
-        return f"element {bad[0]} is not a rank-1 projector"
-    if not np.max(np.abs(projs.sum(axis=0) - np.eye(d))) <= ATOL:
-        return "projectors must sum to the identity"
-    products = np.abs(projs[:, None] @ projs[None, :]).max(axis=(2, 3))
-    bad = np.argwhere(np.triu(products > ATOL, 1))
-    if len(bad):
-        return f"projectors {bad[0][0]} and {bad[0][1]} are not orthogonal"
-    return None
-
-
 @dataclass(frozen=True, eq=False)
 class VonNeumannMeasurement:
     """Ordered complete family of d mutually orthogonal rank-1 projectors.
 
     ``projectors`` is held as one read-only (d, d, d) stack; any sequence
     of (d, d) operators is accepted, read by ``qcore._operator_stack``.
+    It is checked as a POVM of d elements (``validate_povm``, which raises
+    InvalidPovmError) whose elements each have unit trace and are
+    idempotent within ATOL.  Orthogonality then follows: with
+    P_k ~ |v_k><v_k| and V = [v_1 ... v_d], the sum's defect VV^dagger - I
+    has the spectrum of V^dagger V - I, whose off-diagonal entries are the
+    overlaps <v_j|v_k>, so every |P_j P_k| entry is at most d times the
+    sum's max-norm defect, d * ATOL to first order.
     """
 
     projectors: np.ndarray
 
     def __post_init__(self):
         projs = _operator_stack(self.projectors)
-        defect = _rank_one_pvm_defect(projs)
-        if defect is not None:
-            raise ValueError(defect)
-        object.__setattr__(self, "projectors", _freeze(projs))
+        d = projs.shape[1]
+        if len(projs) != d:
+            raise ValueError(f"need {d} projectors on dimension {d}, got {len(projs)}")
+        projs = validate_povm(projs)
+        idempotency = np.abs(projs @ projs - projs).max(axis=(1, 2))
+        trace = np.abs(np.trace(projs, axis1=1, axis2=2).real - 1.0)
+        bad = np.flatnonzero(~((idempotency <= ATOL) & (trace <= ATOL)))
+        if bad.size:
+            raise ValueError(f"element {bad[0]} is not a rank-1 projector")
+        object.__setattr__(self, "projectors", projs)
 
     @classmethod
     def from_basis(cls, vectors: np.ndarray) -> "VonNeumannMeasurement":
@@ -167,6 +156,8 @@ def coprogram_condition(
     if pairing is None:
         pairing = [(j, j) for j in range(d)]
     pairs = _index_rows(pairing, "pairing", "pairing index", 0, d - 1)
+    if not pairs:
+        raise ValueError("pairing must hold at least one (i, j) pair, got none")
     for t, row in enumerate(pairs):
         if len(row) != 2:
             raise ValueError(f"pairing row {t} is not an (i, j) pair")

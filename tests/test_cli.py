@@ -345,7 +345,7 @@ class TestVnCommands:
                 serialize.encode_state(np.array([1, -1j]) / np.sqrt(2)),
             ],
         }
-        doc = json.loads(open(measurements_file(tmp_path)).read())
+        doc = json.loads(Path(measurements_file(tmp_path)).read_text())
         doc["measurements"].append(sy)
         ms = write_json(tmp_path, "three.json", doc)
         code, _ = run(tmp_path, "vn-relaxed", ms)
@@ -360,7 +360,7 @@ class TestVnCommands:
         # three measurements of dimensions 2, 3, 3: the dimension is named
         # before the shift bound N <= d or the slot bound N*d is read
         qutrit = {"dim": 3, "basis": [serialize.encode_state(v) for v in np.eye(3)]}
-        doc = json.loads(open(measurements_file(tmp_path)).read())
+        doc = json.loads(Path(measurements_file(tmp_path)).read_text())
         doc["measurements"][1:] = [qutrit, qutrit]
         ms = write_json(tmp_path, "mixed.json", doc)
         code, out = run(tmp_path, argv[0], ms, *argv[1:])
@@ -653,7 +653,7 @@ _INDEX_LIST_CASES = {
         (["vn-check", ("measurements",), "--pairing", "[[0,0],[1]]"],
          "pairing row 1 is not an (i, j) pair"),
         (["vn-check", ("measurements",), "--pairing", "[]"],
-         "expected at least one (d, d) operator"),
+         "pairing must hold at least one (i, j) pair, got none"),
         (["vn-synth", ("huge-projector",)], _UNBOUNDED),
         (["vn-synth", ("huge-amplitude",)], _UNBOUNDED),
         (["vn-check", ("huge-projector",)], _UNBOUNDED),

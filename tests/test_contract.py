@@ -17,7 +17,9 @@ errors here) and a call that runs past ``LIMIT`` seconds fail.
 argument with its range.  Each edge value is accepted, or refused for
 another reason, and each value just outside the range is refused with
 exactly "<name> must be in lo..hi" (or "at least lo", "at most hi"),
-"got v".
+"got v".  ``EMPTY`` lists the list arguments whose empty value would build
+an object of nothing; each is refused at the call, in the words of the
+argument, not later where the object is used.
 """
 
 import re
@@ -153,8 +155,7 @@ CONTRACT = {
          lambda x: mp.build_orthogonal_processor(mp.pad_with_zero_slots([SZ]), x), [SZ]),
     ),
     "coprogram_condition": (
-        # an empty pairing pairs no operators
-        ("pairing", r"^pairing|^expected at least one \(d, d\) operator",
+        ("pairing", r"^pairing",
          lambda x: mp.coprogram_condition(SX, SZ, pairing=x), [[0, 0], [1, 1]]),
         ("weights", r"^weights", lambda x: mp.coprogram_condition(SX, SZ, weights=x), [1, 1]),
     ),
@@ -289,3 +290,19 @@ def test_each_range_is_read_with_its_argument(call, name, lo, hi, bound):
             assert isinstance(result, ValueError), (label, result)
             message = str(result)
             assert message.startswith(f"{name} must be ") and "\n" not in message, (label, message)
+
+
+# (label, call, the refusal of an empty list)
+EMPTY = [
+    ("OutcomePartition-blocks", lambda x: mp.OutcomePartition(blocks=x),
+     "blocks must hold at least one outcome index, got none"),
+    ("coprogram_condition-pairing", lambda x: mp.coprogram_condition(SX, SZ, pairing=x),
+     "pairing must hold at least one (i, j) pair, got none"),
+]
+
+
+@pytest.mark.parametrize("call, message", [pytest.param(*row[1:], id=row[0]) for row in EMPTY])
+def test_an_empty_list_is_refused_in_the_words_of_its_argument(call, message):
+    for value in ([], ()):
+        result = outcome(call, value)
+        assert isinstance(result, ValueError) and str(result) == message, result

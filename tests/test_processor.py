@@ -115,6 +115,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="cover"):
             OutcomePartition(blocks=((0,), (2,)))
 
+    # zero blocks, or blocks with no index, would cover zero outcomes, as finest(0) would
+    @pytest.mark.parametrize(
+        "blocks", [(), [], ((),), ((), ())], ids=["none", "list", "one-empty", "two-empty"]
+    )
+    def test_partition_of_no_outcome_is_refused(self, blocks):
+        message = "blocks must hold at least one outcome index, got none"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            OutcomePartition(blocks=blocks)
+
     # int() would read 0.5 as 0 and True as 1
     @pytest.mark.parametrize("blocks", [((0.5,), (1,)), ((True,), (0,))], ids=["float", "bool"])
     def test_partition_index_must_be_an_integer(self, blocks):

@@ -681,6 +681,61 @@ def test_whole_stack_povm_check_refuses_as_the_per_element_rule(d, seed):
     assert refusal == per_element_povm_rule(f)
 
 
+def rank_one_pvm_rule(f):
+    """The refusal, if any, of the count, then the POVM rule, then rank 1 element by element."""
+    d = f.shape[1]
+    if len(f) != d:
+        return f"need {d} projectors on dimension {d}, got {len(f)}"
+    refusal = per_element_povm_rule(f)
+    if refusal is not None:
+        return refusal
+    for i, e in enumerate(f):
+        if not (np.abs(e @ e - e).max() <= ATOL and abs(np.trace(e).real - 1) <= ATOL):
+            return f"element {i} is not a rank-1 projector"
+    return None
+
+
+def defective_rank_one_stack(d, rng):
+    """The projectors of a Haar basis, with 0-3 defects of 1e-6 to 1e-13 at random indices."""
+    vs = haar_unitary(d, rng).T
+    f = vs[:, :, None] * vs[:, None, :].conj()
+    for _ in range(int(rng.integers(0, 4))):
+        i, j = rng.choice(d, size=2, replace=False)
+        eps = 10.0 ** -rng.uniform(6, 13)
+        kind = rng.integers(4)
+        if kind == 0:  # not Hermitian
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            f[i] = f[i] + eps * g / np.abs(g).max()
+        elif kind == 1:  # not idempotent: two elements mix, their sum and traces kept
+            f[i], f[j] = (1 - eps) * f[i] + eps * f[j], (1 - eps) * f[j] + eps * f[i]
+        elif kind == 2:  # the sum is off the identity
+            f[i] = f[i] * (1 + eps)
+        else:  # one rotated vector: a rank-1 projector no longer orthogonal to f[j]
+            v = np.cos(eps) * vs[i] + np.sin(eps) * vs[j]
+            f[i] = np.outer(v, v.conj())
+    return f
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=2, max_value=6), seeds)
+def test_measurement_check_refuses_as_the_rank_one_pvm_rule(d, seed):
+    # defects straddle ATOL = 1e-10; no pairwise product is checked, so an
+    # accepted stack must be orthogonal by implication, within d * ATOL
+    f = defective_rank_one_stack(d, np.random.default_rng(seed))
+    assume(np.abs(f).max() <= 1)
+    try:
+        m = VonNeumannMeasurement(f)
+    except ValueError as exc:
+        refusal = str(exc)
+        # only the rank-1 refusal is no POVM refusal
+        assert isinstance(exc, InvalidPovmError) == ("rank-1" not in refusal)
+    else:
+        refusal = None
+        products = np.abs(m.projectors[:, None] @ m.projectors[None, :]).max(axis=(2, 3))
+        assert products[~np.eye(d, dtype=bool)].max() <= d * ATOL
+    assert refusal == rank_one_pvm_rule(f)
+
+
 @SETTINGS
 @given(small_dims, small_dims, seeds)
 def test_post_measurement_state_is_the_instrument_formula(d, dp, seed):

@@ -113,6 +113,13 @@ def test_malformed_documents_raise_value_error(decoder, payload):
         (serialize.decode_complex, [10**400, 0],
          "real part must be finite, got a number too large for a float"),
         (serialize.decode_numbers, [0.5, True], "list entry must be a real number, got True"),
+        # rows * cols is not quoted: past 4300 digits str() of it fails
+        (serialize.decode_operator, {"rows": 10**300, "cols": 1, "data": []},
+         "operator data must hold rows * cols entries, got 0"),
+        (serialize.decode_operator, {"rows": 10**3000, "cols": 10**3000, "data": [[1, 0]]},
+         "operator data must hold rows * cols entries, got 1"),
+        (serialize.decode_operator, {"rows": 1, "cols": 1, "data": "ab"},
+         "operator data must hold rows * cols entries, got no list"),
     ],
 )
 def test_refusals_name_the_key_or_the_number(decoder, payload, message):

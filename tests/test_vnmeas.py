@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,7 +60,7 @@ class TestVonNeumannMeasurement:
     def test_rejects_non_hermitian_idempotents(self):
         # idempotent, unit trace and summing to I: only the Hermitian test fails
         oblique = np.array([[1.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError, match="element 0 is not a rank-1 projector"):
+        with pytest.raises(ValueError, match="element 0 is not Hermitian$"):
             VonNeumannMeasurement(projectors=(oblique, np.eye(2) - oblique))
 
     def test_rejects_incomplete_family(self):
@@ -98,6 +99,21 @@ class TestVonNeumannMeasurement:
         # the (d, d) operators of the outer products the caller never passed
         with pytest.raises(ValueError, match=re.escape(message) + "$"):
             VonNeumannMeasurement.from_basis(vectors)
+
+    def test_check_builds_no_pairwise_product(self):
+        # the checks hold a few (d, d, d) stacks of d**3 * 16 B (512 KiB at d = 32);
+        # a (d, d, d, d) product of the pairs alone would take d**4 * 16 B (16 MiB)
+        d = 32
+        rng = np.random.default_rng(32)
+        VonNeumannMeasurement.from_basis(haar_unitary(d, rng))  # warm-up
+        basis = haar_unitary(d, rng)
+        tracemalloc.start()
+        try:
+            VonNeumannMeasurement.from_basis(basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * d**3 * 16
 
     def test_from_basis(self):
         m = VonNeumannMeasurement.from_basis([np.array([0, 1]), np.array([1, 0])])
