@@ -11,13 +11,13 @@ infeasible request (the library's InfeasibleError).
 
 Each handler imports the library module it runs, so a subcommand loads
 only what it uses: ``simulate`` never loads ``qid``, ``tomography`` or
-``vnmeas``.
+``vnmeas``.  A handler returns its document and input paths; ``main`` adds
+the manifest and writes the artifact through ``serialize.json_text``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import TYPE_CHECKING
 
@@ -30,39 +30,6 @@ if TYPE_CHECKING:
     from .qid import QidPovmReport
 
 
-def _load_json(path: str):
-    try:
-        if path == "-":
-            return json.load(sys.stdin)
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON ({exc})") from exc
-
-
-def _write_text(args, text: str) -> None:
-    if args.output is None or args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _manifest(args, inputs: list[str]) -> dict:
-    return {
-        "command": args.command,
-        "inputs": inputs,
-        "seed": getattr(args, "seed", None),
-        "tolerance": getattr(args, "tol", None),
-        "tool_version": __version__,
-    }
-
-
-def _emit_json(args, payload: dict, inputs: list[str]) -> None:
-    payload["manifest"] = _manifest(args, inputs)
-    _write_text(args, json.dumps(payload, indent=2, allow_nan=False) + "\n")
-
-
 def _qid_report(args) -> tuple[QidPovmReport, list[str]]:
     from . import qid
 
@@ -72,17 +39,16 @@ def _qid_report(args) -> tuple[QidPovmReport, list[str]]:
         return qid.qid_povm(qid.sic_program()), []
     if args.program is None:
         raise ValueError("a program file or --sic is required")
-    program = serialize.decode_qid_program(_load_json(args.program))
+    program = serialize.decode_qid_program(serialize.read_json(args.program))
     return qid.qid_povm(program), [args.program]
 
 
-def _cmd_qid_povm(args) -> int:
+def _cmd_qid_povm(args) -> tuple[dict, list[str]]:
     report, inputs = _qid_report(args)
-    _emit_json(args, serialize.encode_qid_povm_report(report), inputs)
-    return 0
+    return serialize.encode_qid_povm_report(report), inputs
 
 
-def _cmd_qid_program(args) -> int:
+def _cmd_qid_program(args) -> tuple[dict, list[str]]:
     from . import qid
 
     chosen = [bool(args.sic), args.unitary is not None, args.pauli_axis is not None]
@@ -95,81 +61,71 @@ def _cmd_qid_program(args) -> int:
         program = qid.unitary_program(np.array(args.unitary))
     else:
         program, partition = qid.pauli_measurement_program(args.pauli_axis)
-    _emit_json(args, serialize.encode_qid_program(program, partition), [])
-    return 0
+    return serialize.encode_qid_program(program, partition), []
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple[dict, list[str]]:
     from .processor import sample_outcomes
 
-    rho = serialize.decode_density_operator(_load_json(args.state))
-    povm = serialize.decode_povm(_load_json(args.povm))
+    rho = serialize.decode_density_operator(serialize.read_json(args.state))
+    povm = serialize.decode_povm(serialize.read_json(args.povm))
     counts = sample_outcomes(rho, povm, args.n, args.seed)
-    _emit_json(args, serialize.encode_counts(counts, args.seed), [args.state, args.povm])
-    return 0
+    return serialize.encode_counts(counts, args.seed), [args.state, args.povm]
 
 
-def _cmd_reconstruct(args) -> int:
+def _cmd_reconstruct(args) -> tuple[dict, list[str]]:
     from . import tomography
 
-    data, counts = serialize.decode_tomography_data(_load_json(args.data))
-    povm = serialize.decode_povm(_load_json(args.povm))
+    data, counts = serialize.decode_tomography_data(serialize.read_json(args.data))
+    povm = serialize.decode_povm(serialize.read_json(args.povm))
     residual_tol = args.tol if args.tol is not None else tomography.RESIDUAL_TOL
     estimate = (
         tomography.reconstruct_from_counts if counts
         else tomography.reconstruct_from_probabilities
     )
     state, diag = estimate(data, povm, project=args.project, residual_tol=residual_tol)
-    _emit_json(args, serialize.encode_reconstruction(state, diag), [args.data, args.povm])
-    return 0
+    return serialize.encode_reconstruction(state, diag), [args.data, args.povm]
 
 
-def _cmd_vn_check(args) -> int:
+def _cmd_vn_check(args) -> tuple[dict, list[str]]:
     from . import vnmeas
 
-    ms = serialize.decode_measurement_list(_load_json(args.measurements))
+    ms = serialize.decode_measurement_list(serialize.read_json(args.measurements))
     if len(ms) != 2:
         raise ValueError(f"vn-check needs exactly 2 measurements, got {len(ms)}")
     pairing = weights = None
     if args.pairing is not None:
-        pairing = json.loads(args.pairing)
+        pairing = serialize.read_json("--pairing", args.pairing)
     if args.weights is not None:
-        weights = serialize.decode_numbers(json.loads(args.weights))
+        weights = serialize.decode_numbers(serialize.read_json("--weights", args.weights))
     s, k = vnmeas.coprogram_condition(ms[0], ms[1], pairing=pairing, weights=weights)
-    _emit_json(args, serialize.encode_coprogram_condition(s, k), [args.measurements])
-    return 0
+    return serialize.encode_coprogram_condition(s, k), [args.measurements]
 
 
-def _cmd_vn_synth(args) -> int:
+def _cmd_vn_synth(args) -> tuple[dict, list[str]]:
     from . import vnmeas
 
-    ms = serialize.decode_measurement_list(_load_json(args.measurements))
+    ms = serialize.decode_measurement_list(serialize.read_json(args.measurements))
     if args.slots is None:
         assign = vnmeas.pad_with_zero_slots(ms)
     else:
-        assign = vnmeas.SlotAssignment(json.loads(args.slots))
+        assign = vnmeas.SlotAssignment(serialize.read_json("--slots", args.slots))
     report = vnmeas.build_orthogonal_processor(assign, ms)
-    _emit_json(args, serialize.encode_synthesis_report(report), [args.measurements])
-    return 0
+    return serialize.encode_synthesis_report(report), [args.measurements]
 
 
-def _cmd_vn_relaxed(args) -> int:
+def _cmd_vn_relaxed(args) -> tuple[dict, list[str]]:
     from . import vnmeas
 
-    ms = serialize.decode_measurement_list(_load_json(args.measurements))
+    ms = serialize.decode_measurement_list(serialize.read_json(args.measurements))
     report = vnmeas.relaxed_pvm_processor(ms)
-    _emit_json(args, serialize.encode_synthesis_report(report), [args.measurements])
-    return 0
+    return serialize.encode_synthesis_report(report), [args.measurements]
 
 
-def _cmd_bloch_export(args) -> int:
+def _cmd_bloch_export(args) -> tuple[str, list[str]]:
     report, inputs = _qid_report(args)
-    manifest = _manifest(args, inputs)
-    lines = [f"# manifest: {json.dumps(manifest)}", "label,x,y,z"]
-    for label, x, y, z in report.bloch_points():
-        lines.append(f"{label},{x!r},{y!r},{z!r}")
-    _write_text(args, "\n".join(lines) + "\n")
-    return 0
+    rows = "".join(f"{label},{x!r},{y!r},{z!r}\n" for label, x, y, z in report.bloch_points())
+    return f"label,x,y,z\n{rows}", inputs
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -239,7 +195,24 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # an overflow or NaN on the way is malformed input, not a warning
         with np.errstate(over="raise", invalid="raise"):
-            return args.handler(args)
+            doc, inputs = args.handler(args)
+        manifest = {
+            "command": args.command,
+            "inputs": inputs,
+            "seed": getattr(args, "seed", None),
+            "tolerance": getattr(args, "tol", None),
+            "tool_version": __version__,
+        }
+        if isinstance(doc, str):  # a CSV body carries the manifest as its comment line
+            text = f"# manifest: {serialize.json_text(manifest)}{doc}"
+        else:
+            text = serialize.json_text({**doc, "manifest": manifest})
+        if args.output is None or args.output == "-":
+            sys.stdout.write(text)
+        else:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        return 0
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -17,7 +17,8 @@ from functools import lru_cache
 import numpy as np
 
 from .qcore import (
-    _COUNT_MAX, ATOL, _array, _index, _index_rows, _is_hermitian, _operator_stack, dag, is_unitary
+    _COUNT_MAX, ATOL, _array, _index, _index_rows, _is_hermitian, _operator_stack, _typed, dag,
+    is_unitary,
 )
 
 PROB_FLOOR = 1e-12
@@ -221,6 +222,7 @@ def kraus_operators(proc: Processor, program: ProgramState) -> np.ndarray:
     ``program.vectors`` on the program input, so the squared operators sum
     to the identity over both leading axes.
     """
+    proc, program = _typed(proc, Processor, "proc"), _typed(program, ProgramState, "program")
     if program.dim != proc.program_dim:
         raise ValueError(
             f"program dimension {program.dim} does not match processor "
@@ -233,10 +235,10 @@ def induced_instrument(
     proc: Processor, program: ProgramState, partition: OutcomePartition
 ) -> InducedInstrument:
     """Group the Kraus operators by partition block and form the POVM."""
-    if partition.num_indices != proc.program_dim:
+    ops = kraus_operators(proc, program)
+    if _typed(partition, OutcomePartition, "partition").num_indices != proc.program_dim:
         raise ValueError("partition does not cover the program outcomes")
     d, n = proc.data_dim, proc.program_dim
-    ops = kraus_operators(proc, program)
     grouped = ops[:, partition._order]
     branches = tuple(grouped[:, a:b].reshape(-1, d, d) for a, b in partition._spans)
     # stacking the c components of outcome k as rows makes sum_c A_ck^dag A_ck
@@ -322,10 +324,10 @@ def post_measurement_state(
     above PROB_FLOOR (a NaN probability included), since the conditional
     state is undefined there.
     """
-    if partition.num_indices != proc.program_dim:
+    ops = kraus_operators(proc, program)
+    if _typed(partition, OutcomePartition, "partition").num_indices != proc.program_dim:
         raise ValueError("partition does not cover the program outcomes")
     outcome = _index(outcome, "outcome", 0, len(partition) - 1)
-    ops = kraus_operators(proc, program)
     d = proc.data_dim
     rho = _array(rho, complex, (d, d), "state")
     a, b = partition._spans[outcome]

@@ -93,6 +93,14 @@ def _real(value, name: str, lo: float | None = None) -> float:
     return value
 
 
+def _typed(value, cls: type, name: str):
+    """``value`` if it is a ``cls``, unconverted; else ValueError "<name> is not a(n) <cls>"."""
+    if isinstance(value, cls):
+        return value
+    article = "an" if cls.__name__[0] in "AEIOU" else "a"
+    raise ValueError(f"{name} is not {article} {cls.__name__}")
+
+
 def _shape(element) -> tuple[int, ...] | None:
     """np.shape of one element, or None for a ragged nested sequence."""
     try:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import _PAULI, ATOL, RANK_CUTOFF, _array, _index, dag
+from .qcore import _PAULI, ATOL, RANK_CUTOFF, _array, _index, _typed, dag
 from .processor import OutcomePartition, Processor, ProgramState
 
 DATA_DIM = 2
@@ -108,7 +108,7 @@ _SIGNS = np.array(
 
 def qid_povm(program: QidProgram) -> QidPovmReport:
     """POVM induced by a QID program under the finest outcome partition."""
-    alpha = program.amplitudes
+    alpha = _typed(program, QidProgram, "program").amplitudes
     a_op = 0.5 * (alpha @ _PAULI.reshape(4, 4)).reshape(2, 2)
     # the same bits as _PAULI @ M @ _PAULI + 0.0: + 0.0 turns a flipped
     # -0.0 into the +0.0 a summation gives, so exported bytes stay stable

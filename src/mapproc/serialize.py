@@ -1,15 +1,18 @@
-"""Canonical JSON encodings shared by the CLI and all file formats.
+"""Canonical JSON encodings shared by the CLI and all file formats, and their text.
 
 A complex number is a two-element [re, im] array.  Matrices are row-major:
 {"rows": n, "cols": m, "data": [[re, im], ...]}.  A pure state is
 {"dim": n, "amp": [[re, im], ...]}.  Every JSON number is read by one
 number reader, ``qcore._real``, and every JSON integer by the package's one
 integer reader, ``qcore._index``.  Decoders raise ValueError on any
-malformed document so callers can map that to a clean exit.
+malformed document so callers can map that to a clean exit.  ``read_json``
+parses every JSON text and ``json_text`` writes every artifact.
 """
 
 from __future__ import annotations
 
+import json
+import sys
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -23,10 +26,41 @@ if TYPE_CHECKING:
     from .vnmeas import SynthesisReport, VonNeumannMeasurement
 
 
+def read_json(source: str, text: str | None = None):
+    """The document in ``text``, or else in the file ``source`` ('-': stdin).
+
+    A text Python cannot parse (no UTF-8 JSON, nested too deeply, an integer
+    past 4300 digits) raises one ValueError line "<source>: invalid JSON (<why>)".
+    """
+    try:
+        if text is not None:
+            return json.loads(text)
+        if source == "-":
+            return json.load(sys.stdin)
+        with open(source, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
+        raise ValueError(f"{source}: invalid JSON ({exc})") from None
+
+
+def json_text(doc) -> str:
+    """``doc`` as one compact line and a newline; floats by repr, NaN or infinity a ValueError."""
+    return json.dumps(doc, allow_nan=False) + "\n"
+
+
 def _pairs(a) -> list[list[float]]:
     """The entries of a complex array or scalar, row-major, as [re, im] pairs."""
-    a = np.asarray(a, dtype=complex)
-    return np.stack((a.real, a.imag), -1).reshape(-1, 2).tolist()
+    return np.ascontiguousarray(a, dtype=complex).view(float).reshape(-1, 2).tolist()
+
+
+def _complexes(data, n: int, message: str) -> np.ndarray:
+    """``data``, a list of n [re, im] pairs, as a complex vector; else ValueError(message).
+
+    Its "{}" gets the length found, not n: str() of a huge n fails past 4300 digits.
+    """
+    if not isinstance(data, list) or len(data) != n:
+        raise ValueError(message.format(len(data) if isinstance(data, list) else "no list"))
+    return np.array([decode_complex(z) for z in data], dtype=complex)
 
 
 def decode_complex(obj) -> complex:
@@ -58,11 +92,8 @@ def decode_operator(obj) -> np.ndarray:
         raise ValueError("operator must be an object with rows/cols/data")
     rows, cols = _index(obj.get("rows"), "rows", 1), _index(obj.get("cols"), "cols", 1)
     data = obj.get("data")
-    # the count is not quoted: str() of rows * cols fails past 4300 digits
-    got = len(data) if isinstance(data, list) else "no list"
-    if got != rows * cols:
-        raise ValueError(f"operator data must hold rows * cols entries, got {got}")
-    return np.array([decode_complex(z) for z in data], dtype=complex).reshape(rows, cols)
+    message = "operator data must hold rows * cols entries, got {}"
+    return _complexes(data, rows * cols, message).reshape(rows, cols)
 
 
 def decode_density_operator(obj) -> np.ndarray:
@@ -88,10 +119,8 @@ def encode_state(v: np.ndarray) -> dict:
 def decode_state(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValueError("state must be an object with dim/amp")
-    dim, amp = _index(obj.get("dim"), "dim", 1), obj.get("amp")
-    if not isinstance(amp, list) or len(amp) != dim:
-        raise ValueError(f"state needs {dim} amplitudes")
-    return np.array([decode_complex(z) for z in amp], dtype=complex)
+    dim = _index(obj.get("dim"), "dim", 1)
+    return _complexes(obj.get("amp"), dim, f"state needs {dim} amplitudes")
 
 
 def encode_processor(p: Processor) -> dict:
@@ -131,10 +160,8 @@ def decode_qid_program(obj) -> QidProgram:
 
     if not isinstance(obj, dict) or "alpha" not in obj:
         raise ValueError("QID program must carry an alpha list")
-    alpha = obj["alpha"]
-    if not isinstance(alpha, list) or len(alpha) != 4:
-        raise ValueError("alpha must list 4 complex amplitudes")
-    return QidProgram(amplitudes=np.array([decode_complex(z) for z in alpha]))
+    alpha = _complexes(obj["alpha"], 4, "alpha must list 4 complex amplitudes")
+    return QidProgram(amplitudes=alpha)
 
 
 def encode_povm(elements: np.ndarray) -> dict:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import ATOL, InfeasibleError, _array, _index_rows, _operator_stack, dag
-from .processor import Processor, _branches, _freeze, validate_povm
+from .qcore import ATOL, InfeasibleError, _array, _index_rows, _operator_stack, _typed, dag
+from .processor import Processor, _branches, _checked_povm, _freeze
 
 # A post-measurement state matches its projector within POSTULATE_ATOL;
 # outcomes at or below POSTULATE_FLOOR in probability are not checked.
@@ -30,9 +30,8 @@ def _shared_dim(measurements: list[VonNeumannMeasurement]) -> int:
     """The one dimension of a nonempty measurement list; ValueError otherwise."""
     if not isinstance(measurements, (list, tuple)) or not measurements:
         raise ValueError("measurements must be a nonempty list of VonNeumannMeasurement")
-    bad = [i for i, m in enumerate(measurements) if not isinstance(m, VonNeumannMeasurement)]
-    if bad:
-        raise ValueError(f"measurement {bad[0]} is not a VonNeumannMeasurement")
+    for i, m in enumerate(measurements):
+        _typed(m, VonNeumannMeasurement, f"measurement {i}")
     d = measurements[0].dim
     if any(m.dim != d for m in measurements):
         raise ValueError("measurements must share one dimension")
@@ -58,9 +57,11 @@ class VonNeumannMeasurement:
 
     ``projectors`` is held as one read-only (d, d, d) stack; any sequence
     of (d, d) operators is accepted, read by ``qcore._operator_stack``.
-    It is checked as a POVM of d elements (``validate_povm``, which raises
-    InvalidPovmError) whose elements each have unit trace and are
-    idempotent within ATOL.  Orthogonality then follows: with
+    It is checked as a POVM of d elements by the checks of
+    ``validate_povm`` (raising InvalidPovmError), run without its memo: a
+    measurement is checked once, and its entry would only push out the
+    POVMs that are measured with.  Each element must also have unit trace
+    and be idempotent within ATOL.  Orthogonality then follows: with
     P_k ~ |v_k><v_k| and V = [v_1 ... v_d], the sum's defect VV^dagger - I
     has the spectrum of V^dagger V - I, whose off-diagonal entries are the
     overlaps <v_j|v_k>, so every |P_j P_k| entry is at most d times the
@@ -74,7 +75,7 @@ class VonNeumannMeasurement:
         d = projs.shape[1]
         if len(projs) != d:
             raise ValueError(f"need {d} projectors on dimension {d}, got {len(projs)}")
-        projs = validate_povm(projs)
+        projs = _checked_povm.__wrapped__(projs.shape, projs.tobytes())
         idempotency = np.abs(projs @ projs - projs).max(axis=(1, 2))
         trace = np.abs(np.trace(projs, axis1=1, axis2=2).real - 1.0)
         bad = np.flatnonzero(~((idempotency <= ATOL) & (trace <= ATOL)))
@@ -351,7 +352,7 @@ def build_orthogonal_processor(
     above N*d, which would only enlarge the gate, raises ValueError.
     """
     d = _shared_dim(measurements)
-    n, dp = len(measurements), assign.program_dim
+    n, dp = len(measurements), _typed(assign, SlotAssignment, "assign").program_dim
     if n != len(assign.slot_maps):
         raise ValueError("one measurement per slot map required")
     if dp > n * d:
@@ -400,7 +401,8 @@ def verify_projection_postulate(
     projector within POSTULATE_ATOL.  The measurement must be one the
     report realizes.
     """
-    for record in report.measurements:
+    _typed(measurement, VonNeumannMeasurement, "measurement")
+    for record in _typed(report, SynthesisReport, "report").measurements:
         same = record.projectors.shape == measurement.projectors.shape
         if same and np.max(np.abs(record.projectors - measurement.projectors)) <= POSTULATE_ATOL:
             break

@@ -674,6 +674,38 @@ def test_refusal_names_the_input(tmp_path, capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# JSON past the parser's nesting limit, and an integer past Python's 4300 digits
+_DEEP = "[" * 100_000
+_HUGE_INTEGER = "[" + "1" * 5000 + "]"
+
+
+# malformed JSON in a flag or a file is refused in one line starting with its source
+@pytest.mark.parametrize(
+    "text", ["[[0,1", _DEEP, _HUGE_INTEGER], ids=["truncated", "deep", "huge-integer"]
+)
+@pytest.mark.parametrize("source", ["--pairing", "--weights", "--slots", "file"])
+def test_malformed_json_names_its_source(tmp_path, capsys, source, text):
+    measurements = measurements_file(tmp_path)
+    if source == "file":
+        source = str(tmp_path / "bad.json")
+        Path(source).write_text(text, encoding="utf-8")
+        argv = ["vn-synth", source]
+    else:
+        argv = ["vn-synth" if source == "--slots" else "vn-check", measurements, source, text]
+    code, out = run(tmp_path, *argv)
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {source}: invalid JSON (") and err.count("\n") == 1
+
+
+def test_a_file_that_is_no_utf8_names_itself(tmp_path, capsys):
+    source = tmp_path / "latin.json"
+    source.write_bytes(b"\xff{}")
+    code, out = run(tmp_path, "vn-synth", str(source))
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err.startswith(f"error: {source}: invalid JSON (")
+
+
 def skeleton(doc):
     """Keys in order, nesting and list lengths of a JSON document, each number
     and string replaced by its type name; a list of equal skeletons is

@@ -1,11 +1,12 @@
 """One input contract for the whole public surface.
 
 Every name ``mapproc`` exports is either listed in ``CONTRACT`` with the
-argument positions that take an array, an integer, a real number or a list, or excluded by
-name in ``EXCLUDED`` as an error or result type; a new public name without a
-row fails ``test_every_export_has_a_row``.  Typed arguments (a ``Processor``,
-a ``ProgramState``, a partition, a report, a measurement passed alone) are not
-positions: they are built by constructors that are positions themselves.
+argument positions that take an array, an integer, a real number, a list or
+an object of the package (a ``Processor``, a ``ProgramState``, a partition,
+a slot assignment, a report, a QID program, a measurement passed alone), or
+excluded by name in ``EXCLUDED`` as an error or result type; a new public
+name without a row fails ``test_every_export_has_a_row``.  A typed position
+refuses every other value as "<name> is not a(n) <type>", unconverted.
 
 Each position is fed every value of ``JUNK`` with its other arguments valid.
 A call may return, or raise ValueError (InvalidPovmError and InfeasibleError
@@ -64,6 +65,9 @@ TOMOGRAPHER = mp.Tomographer.build(SIC)
 # the words an operator-stack refusal names its input with
 STACK = r"\(d, d\) operator|^element \d"
 MEASUREMENTS = r"measurement"
+PROC_IS_NOT = r"^proc is not a Processor$"
+PROGRAM_IS_NOT = r"^program is not a ProgramState$"
+PARTITION_IS_NOT = r"^partition is not an OutcomePartition$"
 
 # name: ((label, pattern, call, valid value), ...)
 CONTRACT = {
@@ -88,14 +92,32 @@ CONTRACT = {
          lambda x: mp.ProgramState(weights=[1.0], vectors=x), PROGRAM.vectors),
         ("pure", r"^program (vectors|component states)", mp.ProgramState.pure, [1, 0]),
     ),
-    "induced_instrument": (),
-    "induced_povm": (),
-    "kraus_operators": (),
+    "induced_instrument": (
+        ("proc", PROC_IS_NOT, lambda x: mp.induced_instrument(x, PROGRAM, PARTITION), PROC),
+        ("program", PROGRAM_IS_NOT, lambda x: mp.induced_instrument(PROC, x, PARTITION), PROGRAM),
+        ("partition", PARTITION_IS_NOT,
+         lambda x: mp.induced_instrument(PROC, PROGRAM, x), PARTITION),
+    ),
+    "induced_povm": (
+        ("proc", PROC_IS_NOT, lambda x: mp.induced_povm(x, PROGRAM, PARTITION), PROC),
+        ("program", PROGRAM_IS_NOT, lambda x: mp.induced_povm(PROC, x, PARTITION), PROGRAM),
+        ("partition", PARTITION_IS_NOT, lambda x: mp.induced_povm(PROC, PROGRAM, x), PARTITION),
+    ),
+    "kraus_operators": (
+        ("proc", PROC_IS_NOT, lambda x: mp.kraus_operators(x, PROGRAM), PROC),
+        ("program", PROGRAM_IS_NOT, lambda x: mp.kraus_operators(PROC, x), PROGRAM),
+    ),
     "outcome_probabilities": (
         ("rho", r"^state", lambda x: mp.outcome_probabilities(x, SIC), RHO),
         ("povm", STACK, lambda x: mp.outcome_probabilities(RHO, x), SIC),
     ),
     "post_measurement_state": (
+        ("proc", PROC_IS_NOT,
+         lambda x: mp.post_measurement_state(x, PROGRAM, RHO, 0, PARTITION), PROC),
+        ("program", PROGRAM_IS_NOT,
+         lambda x: mp.post_measurement_state(PROC, x, RHO, 0, PARTITION), PROGRAM),
+        ("partition", PARTITION_IS_NOT,
+         lambda x: mp.post_measurement_state(PROC, PROGRAM, RHO, 0, x), PARTITION),
         # a NaN state gives a NaN probability, which is no possible outcome
         ("rho", r"^state|^outcome 0 is impossible",
          lambda x: mp.post_measurement_state(PROC, PROGRAM, x, 0, PARTITION), RHO),
@@ -121,7 +143,7 @@ CONTRACT = {
     "QidProgram": (("amplitudes", r"^QID program amplitudes", mp.QidProgram, [1, 0, 0, 0]),),
     "pauli_measurement_program": (("axis", r"^axis", mp.pauli_measurement_program, 1),),
     "qid_circuit_search": (),
-    "qid_povm": (),
+    "qid_povm": (("program", r"^program is not a QidProgram$", mp.qid_povm, mp.sic_program()),),
     "qid_unitary": (),
     "sic_program": (),
     "unitary_program": (("mu", r"^rotation vector", mp.unitary_program, [0.1, 0.2, 0.3]),),
@@ -151,10 +173,14 @@ CONTRACT = {
         ("from_basis", r"^basis|^element \d", mp.VonNeumannMeasurement.from_basis, np.eye(2)),
     ),
     "build_orthogonal_processor": (
+        ("assign", r"^assign is not a SlotAssignment$",
+         lambda x: mp.build_orthogonal_processor(x, [SZ]), mp.pad_with_zero_slots([SZ])),
         ("measurements", MEASUREMENTS,
          lambda x: mp.build_orthogonal_processor(mp.pad_with_zero_slots([SZ]), x), [SZ]),
     ),
     "coprogram_condition": (
+        ("m1", r"^measurement 0 is not", lambda x: mp.coprogram_condition(x, SZ), SX),
+        ("m2", r"^measurement 1 is not", lambda x: mp.coprogram_condition(SX, x), SZ),
         ("pairing", r"^pairing",
          lambda x: mp.coprogram_condition(SX, SZ, pairing=x), [[0, 0], [1, 1]]),
         ("weights", r"^weights", lambda x: mp.coprogram_condition(SX, SZ, weights=x), [1, 1]),
@@ -167,6 +193,10 @@ CONTRACT = {
     "pad_with_zero_slots": (("measurements", MEASUREMENTS, mp.pad_with_zero_slots, [SZ]),),
     "relaxed_pvm_processor": (("pvms", MEASUREMENTS, mp.relaxed_pvm_processor, [SZ, SX]),),
     "verify_projection_postulate": (
+        ("report", r"^report is not a SynthesisReport$",
+         lambda x: mp.verify_projection_postulate(x, SZ, [RHO]), REPORT),
+        ("measurement", r"^measurement is not a VonNeumannMeasurement$",
+         lambda x: mp.verify_projection_postulate(REPORT, x, [RHO]), SZ),
         ("samples", r"^samples",
          lambda x: mp.verify_projection_postulate(REPORT, SZ, x), [RHO]),
     ),

@@ -10,6 +10,7 @@ from mapproc.processor import (
     OutcomePartition,
     Processor,
     ProgramState,
+    _checked_povm,
     induced_instrument,
     induced_povm,
     kraus_operators,
@@ -66,6 +67,18 @@ class TestVonNeumannMeasurement:
     def test_rejects_incomplete_family(self):
         with pytest.raises(ValueError, match="identity"):
             VonNeumannMeasurement(projectors=(E0, E0))
+
+    def test_measurements_leave_the_povm_memo_to_measured_povms(self):
+        # a measurement's stack is checked once; four of them used to evict the SIC
+        rho, sic = np.eye(2) / 2, qid_povm(sic_program()).elements
+        _checked_povm.cache_clear()
+        outcome_probabilities(rho, sic)
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            VonNeumannMeasurement.from_basis(haar_unitary(2, rng))
+        outcome_probabilities(rho, sic)
+        info = _checked_povm.cache_info()
+        assert info.hits >= 1 and info.currsize == 1
 
     @pytest.mark.parametrize(
         "projectors, message",
