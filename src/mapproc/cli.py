@@ -213,12 +213,9 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         return 0
-    except InfeasibleError as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:  # InfeasibleError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, InfeasibleError) else 2
 
 
 if __name__ == "__main__":

@@ -11,8 +11,8 @@ being |b_k>, is the processor with gate (I (x) B.conj()) @ gate.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,9 +26,12 @@ PROB_FLOOR = 1e-12
 # probabilities before sampling, and a density-operator document in full.
 STATE_TOL = 1e-8
 
-# Validated POVMs kept by content; every entry pins its stack, so the bound
-# stays small (one tomography POVM and a few others in use at a time).
+# One memo of checked POVMs by content, entries [read-only stack, inversion], the
+# inversion None until tomography stores the Tomographer or rank; entries pin their
+# stacks, so the bound stays small (one tomography POVM and a few others in use).
 _POVM_MEMO_SIZE = 4
+_POVM_MEMO: dict[tuple, list] = {}  # in order of entry, the oldest first
+_POVM_LOCK = threading.Lock()
 
 
 class InvalidPovmError(ValueError):
@@ -265,27 +268,39 @@ def validate_povm(povm: np.ndarray) -> np.ndarray:
     within ATOL; negative eigenvalue dust above -ATOL is treated as zero.
     An element with an entry that is not finite or above 1 + ATOL in
     modulus is refused as such, before its other checks.  A stack that
-    passed is remembered by its exact content, so repeated calls on one
-    POVM skip the checks and share the returned array.
+    passed, or came from ``qid_povm``, is remembered by its exact content,
+    so repeated calls on one POVM skip the checks and share the returned array.
     """
+    return _povm_entry(povm)[0]
+
+
+def _povm_entry(povm: np.ndarray, checked: bool = False) -> list:
+    """The memo entry of ``povm``; a miss is checked unless ``checked`` vouches for it."""
     try:
         f = _operator_stack(povm)
     except ValueError as exc:
         raise InvalidPovmError(str(exc)) from None
-    return _checked_povm(f.shape, f.tobytes())
+    key = (f.shape, f.tobytes())
+    entry = _POVM_MEMO.get(key)  # one atomic read: a hit takes no lock
+    if entry is None:
+        f = np.frombuffer(key[1], dtype=complex).reshape(f.shape)  # read-only view
+        entry = [f if checked else _checked_povm(f), None]
+        with _POVM_LOCK:  # entry and eviction of the oldest entry as one step
+            _POVM_MEMO[key] = entry
+            if len(_POVM_MEMO) > _POVM_MEMO_SIZE:
+                del _POVM_MEMO[next(iter(_POVM_MEMO))]
+    return entry
 
 
-@lru_cache(maxsize=_POVM_MEMO_SIZE)
-def _checked_povm(shape: tuple[int, ...], data: bytes) -> np.ndarray:
-    """The numerical POVM checks on a stack given by content; raising is not cached.
+def _checked_povm(f: np.ndarray) -> np.ndarray:
+    """``f``, an (n, d, d) complex stack, if it passes the numerical POVM checks.
 
     One decision over the whole stack; only a refusal walks the elements
     to name the first bad one.  Every entry of 0 <= F <= I lies in the unit
     disc, so larger or non-finite entries are refused first: the later
     checks then cannot overflow or warn.
     """
-    f = np.frombuffer(data, dtype=complex).reshape(shape)  # read-only view
-    d = shape[1]
+    d = f.shape[1]
     if (
         np.abs(f).max() <= 1 + ATOL
         and np.abs(f - f.conj().swapaxes(1, 2)).max() <= ATOL

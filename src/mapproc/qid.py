@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import _PAULI, ATOL, RANK_CUTOFF, _array, _index, _typed, dag
-from .processor import OutcomePartition, Processor, ProgramState
+from .processor import OutcomePartition, Processor, ProgramState, _povm_entry
 
 DATA_DIM = 2
 PROGRAM_DIM = 4
@@ -125,6 +125,8 @@ def qid_povm(program: QidProgram) -> QidPovmReport:
     anchor = np.array(b)
     for array in (a_op, elements, anchor):
         array.setflags(write=False)
+    # a POVM by construction (M = A^dagger A >= 0, sum_k F_k = 2 Tr(M) I = I): enter it checked
+    _povm_entry(elements, checked=True)
     return QidPovmReport(
         program_operator=a_op,
         elements=elements,
@@ -157,9 +159,10 @@ def unitary_program(mu: np.ndarray) -> QidProgram:
     return QidProgram(amplitudes=amps)
 
 
-# the three pairings, built once; a partition is immutable, so callers share it
-_PAULI_PAIRINGS = {
-    axis: OutcomePartition(blocks=((0, axis), tuple(k for k in (1, 2, 3) if k != axis)))
+# the three programs and pairings, built once; both are immutable, so callers share them
+_PAULI_PROGRAMS = {
+    axis: (QidProgram(amplitudes=[(k in (0, axis)) / np.sqrt(2) for k in range(4)]),
+           OutcomePartition(blocks=((0, axis), tuple(k for k in (1, 2, 3) if k != axis))))
     for axis in (1, 2, 3)
 }
 
@@ -172,10 +175,7 @@ def pauli_measurement_program(axis: int) -> tuple[QidProgram, OutcomePartition]:
     paired with outcome ``axis``; the remaining two outcomes form the other
     block.
     """
-    axis = _index(axis, "axis", 1, 3)
-    amps = np.zeros(4, dtype=complex)
-    amps[0] = amps[axis] = 1 / np.sqrt(2)
-    return QidProgram(amplitudes=amps), _PAULI_PAIRINGS[axis]
+    return _PAULI_PROGRAMS[_index(axis, "axis", 1, 3)]
 
 
 # --- circuit realization ------------------------------------------------

@@ -65,7 +65,9 @@ def _complexes(data, n: int, message: str) -> np.ndarray:
 
 def decode_complex(obj) -> complex:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
-        raise ValueError(f"complex value must be a [re, im] pair, got {obj!r}")
+        got = (f"a list of length {len(obj)}" if isinstance(obj, (list, tuple))
+               else f"an object of type {type(obj).__name__}")
+        raise ValueError(f"complex value must be a [re, im] pair, got {got}")
     return complex(_real(obj[0], "real part"), _real(obj[1], "imaginary part"))
 
 

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .qcore import (
     ATOL, RANK_CUTOFF, InfeasibleError, _array, _is_hermitian, _operator_stack, _real
 )
-from .processor import _POVM_MEMO_SIZE, validate_povm
+from .processor import _povm_entry
 
 PROB_SUM_TOL = 1e-6
 RESIDUAL_TOL = 1e-6
@@ -58,9 +57,8 @@ def gram_matrix(povm: np.ndarray) -> np.ndarray:
 
 
 def is_informationally_complete(povm: np.ndarray) -> bool:
-    """True when the elements span the full d^2-dimensional operator space."""
-    f = validate_povm(povm)
-    return isinstance(_build_tomographer(f.shape, f.tobytes()), Tomographer)
+    """True when the elements, checked as by validate_povm, span the d^2-dimensional operators."""
+    return isinstance(_inversion(povm)[1], Tomographer)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,12 +68,12 @@ class Tomographer:
     ``povm`` and ``dual_frame`` are (n, d, d) stacks; the dual operators
     D_k, each exactly Hermitian, give rho = sum_k Tr(rho F_k) D_k.  They
     exist only for informationally complete POVMs, so construction fails
-    otherwise.  ``build`` makes every array read-only, so its instances
-    are immutable and safe to share, and it returns the same instance for
-    a POVM of the same content while that POVM stays among the few most
-    recent.  Construction also keeps, outside the dataclass fields, both
-    stacks as (n, 2 d^2) real views of the same memory, real and
-    imaginary parts interleaved, so an inversion is two real products.
+    otherwise.  ``build`` makes every array read-only, so its instances are
+    immutable and safe to share; it returns one instance per POVM content
+    while the POVM's memo entry lasts.  Construction also keeps, outside
+    the dataclass fields, both stacks as (n, 2 d^2) real views of the same
+    memory, real and imaginary parts interleaved, so an inversion is two
+    real products.
     """
 
     povm: np.ndarray
@@ -88,8 +86,7 @@ class Tomographer:
 
     @classmethod
     def build(cls, povm: np.ndarray) -> "Tomographer":
-        f = validate_povm(povm)
-        built = _build_tomographer(f.shape, f.tobytes())
+        f, built = _inversion(povm)
         if not isinstance(built, Tomographer):
             raise UnderdeterminedPovmError(built, f.shape[1] ** 2)
         return built
@@ -128,26 +125,30 @@ class Tomographer:
         return self._invert(probabilities, RESIDUAL_TOL)[0]
 
 
-@lru_cache(maxsize=_POVM_MEMO_SIZE)
-def _build_tomographer(shape: tuple[int, ...], data: bytes) -> Tomographer | int:
-    """The Tomographer of a validated stack given by content, or its rank if below d^2.
+def _inversion(povm: np.ndarray) -> list:
+    """The POVM memo entry [F, inversion] of ``povm``, the inversion made on first use.
 
-    One SVD F = U S V^dagger of the (n, d^2) stack: the rank counts the singular
-    values above RANK_CUTOFF * s_max; at full rank the dual frame is U S^-1 V^dagger,
+    The inversion is F's Tomographer, or its rank if below d^2, from one SVD
+    F = U S V^dagger of the (n, d^2) stack: the rank counts the singular values
+    above RANK_CUTOFF * s_max; at full rank the dual frame is U S^-1 V^dagger,
     made exactly Hermitian here, once, as (D + D^dagger) / 2.
     """
-    f = np.frombuffer(data, dtype=complex).reshape(shape)  # read-only view
-    n, d, _ = shape
+    f, inversion = entry = _povm_entry(povm)
+    if inversion is not None:  # threads that race past here store equal inversions
+        return entry
+    n, d, _ = f.shape
     u, s, vh = np.linalg.svd(f.reshape(n, d * d), full_matrices=False)
     values = s.tolist()
     cutoff = RANK_CUTOFF * values[0]
     rank = sum(v > cutoff for v in values)
     if rank < d * d:
-        return rank
-    dual = ((u / s) @ vh).reshape(shape)
+        entry[1] = rank
+        return entry
+    dual = ((u / s) @ vh).reshape(f.shape)
     dual = 0.5 * (dual + dual.conj().swapaxes(1, 2))
     dual.setflags(write=False)
-    return Tomographer(povm=f, dual_frame=dual)
+    entry[1] = Tomographer(povm=f, dual_frame=dual)
+    return entry
 
 
 def reconstruct(probabilities: np.ndarray, povm: np.ndarray) -> np.ndarray:

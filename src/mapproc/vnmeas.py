@@ -75,7 +75,7 @@ class VonNeumannMeasurement:
         d = projs.shape[1]
         if len(projs) != d:
             raise ValueError(f"need {d} projectors on dimension {d}, got {len(projs)}")
-        projs = _checked_povm.__wrapped__(projs.shape, projs.tobytes())
+        projs = _checked_povm(_freeze(projs))
         idempotency = np.abs(projs @ projs - projs).max(axis=(1, 2))
         trace = np.abs(np.trace(projs, axis1=1, axis2=2).real - 1.0)
         bad = np.flatnonzero(~((idempotency <= ATOL) & (trace <= ATOL)))

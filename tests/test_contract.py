@@ -30,8 +30,7 @@ import numpy as np
 import pytest
 
 import mapproc as mp
-from mapproc.processor import _checked_povm
-from mapproc.tomography import _build_tomographer, reconstruct_from_probabilities
+from mapproc.tomography import reconstruct_from_probabilities
 from timelimit import time_limit
 
 LIMIT = 2.0
@@ -241,10 +240,8 @@ def outcome(call, value):
 
 
 @pytest.mark.parametrize("call, pattern, valid", POSITIONS)
-def test_junk_is_refused_in_one_line_naming_the_argument(call, pattern, valid):
-    # empty the POVM memos, so every POVM check runs here under the warnings filter
-    _checked_povm.cache_clear()
-    _build_tomographer.cache_clear()
+def test_junk_is_refused_in_one_line_naming_the_argument(call, pattern, valid, empty_povm_memo):
+    # the POVM memo starts empty, so every POVM check runs here under the warnings filter
     assert outcome(call, valid) is None, "the valid value is refused"
     broken = {}
     for label, value in JUNK.items():
@@ -298,9 +295,7 @@ NO_REAL = {"mapping": {"a": 1}, "bool": True, "string": "x", "nan": np.nan, "inf
 @pytest.mark.parametrize(
     "call, name, lo, hi, bound", [pytest.param(*row[1:], id=row[0]) for row in RANGES]
 )
-def test_each_range_is_read_with_its_argument(call, name, lo, hi, bound):
-    _checked_povm.cache_clear()
-    _build_tomographer.cache_clear()
+def test_each_range_is_read_with_its_argument(call, name, lo, hi, bound, empty_povm_memo):
     for edge in (lo, hi):
         result = None if edge is None else outcome(call, edge)
         # accepted, or refused for another reason

@@ -4,16 +4,20 @@ The path runs on 2x2 operators, where numpy's generic contractions
 (``einsum``, ``tensordot``, ``cross``) cost more than the arithmetic.  Each
 call below runs with those three replaced by a function that raises, so a
 generic contraction cannot come back unnoticed.  ``outcome_probabilities``
-is left out: its summation order fixes the sampled counts.  The POVM and
-Tomographer memos are emptied first, so the check and the SVD of each
-POVM run under the guard whatever ran before.  The cases cover an
-informationally complete POVM (the SIC), the three Pauli pairings and a
-unitary program, whose rank-1 stack takes the refusal path.
+is left out: its summation order fixes the sampled counts.  The POVM
+memo is emptied first, so the SVD of each POVM runs under the guard
+whatever ran before.  The cases cover an informationally complete POVM
+(the SIC), the three Pauli pairings and a unitary program, whose rank-1
+stack takes the refusal path.
 
 ``qid_povm`` reads informational completeness from the anchor Bloch
-vector, so it checks no POVM and runs no decomposition: in the same five
-cases it runs with ``np.linalg.svd``, ``eigvalsh`` and ``eigh`` replaced
-by a function that raises, after the memos are emptied.
+vector, and its stack, a POVM by construction, enters the POVM memo as
+checked, so it runs no decomposition: in the same five cases it runs with
+``np.linalg.svd``, ``eigvalsh`` and ``eigh`` replaced by a function that
+raises, after the memo is emptied.  The SVD rank test meets the guard.
+The POVM check does not run on that stack: ``is_informationally_complete``
+on it runs exactly one ``svd`` and no ``eigvalsh``.  The same bytes
+decoded from JSON into an empty memo are checked once.
 
 ``ProgramState.pure`` builds its one row directly, without the mixture
 constructor's per-row loop: in the same five cases the program state is
@@ -24,12 +28,13 @@ built, and its instrument and post-measurement states formed, with
 import numpy as np
 import pytest
 
+from mapproc import processor
 from mapproc.processor import (
     OutcomePartition,
     ProgramState,
-    _checked_povm,
     induced_instrument,
     post_measurement_state,
+    validate_povm,
 )
 from mapproc.qid import (
     pauli_measurement_program,
@@ -39,10 +44,10 @@ from mapproc.qid import (
     unitary_program,
 )
 from mapproc.sampling import random_density_operator
+from mapproc.serialize import decode_povm, encode_povm, json_text, read_json
 from mapproc.tomography import (
     Tomographer,
     UnderdeterminedPovmError,
-    _build_tomographer,
     is_informationally_complete,
     reconstruct_from_counts,
     reconstruct_from_probabilities,
@@ -70,12 +75,10 @@ def test_the_guard_refuses_each_contraction(monkeypatch):
 @pytest.mark.parametrize(
     "case", ["sic", 1, 2, 3, "unitary"], ids=["sic", "pauli-x", "pauli-y", "pauli-z", "unitary"]
 )
-def test_hot_path_runs_without_generic_contractions(monkeypatch, case):
+def test_hot_path_runs_without_generic_contractions(monkeypatch, case, empty_povm_memo):
     proc = qid_unitary()  # built before the patch: its gate is assembled by einsum
     rho = random_density_operator(2, np.random.default_rng(case if case in (1, 2, 3) else 0))
 
-    _checked_povm.cache_clear()
-    _build_tomographer.cache_clear()
     refuse_generic_contractions(monkeypatch)
     if case == "sic":
         program, partition = sic_program(), OutcomePartition.finest(4)
@@ -111,6 +114,15 @@ def test_hot_path_runs_without_generic_contractions(monkeypatch, case):
 DECOMPOSITIONS = ("svd", "eigvalsh", "eigh")
 
 
+def qid_case(case):
+    """The QID program of a case: the SIC, a Pauli axis or a unitary program."""
+    if case == "sic":
+        return sic_program()
+    if case == "unitary":
+        return unitary_program([0.3, -0.2, 0.9])
+    return pauli_measurement_program(case)[0]
+
+
 def _refuse_decomposition(*args, **kwargs):
     raise AssertionError("linear-algebra decomposition under the guard")
 
@@ -118,23 +130,50 @@ def _refuse_decomposition(*args, **kwargs):
 @pytest.mark.parametrize(
     "case", ["sic", 1, 2, 3, "unitary"], ids=["sic", "pauli-x", "pauli-y", "pauli-z", "unitary"]
 )
-def test_qid_povm_runs_no_decomposition(monkeypatch, case):
-    if case == "sic":
-        program = sic_program()
-    elif case == "unitary":
-        program = unitary_program([0.3, -0.2, 0.9])
-    else:
-        program, _ = pauli_measurement_program(case)
-
-    _checked_povm.cache_clear()
-    _build_tomographer.cache_clear()
+def test_qid_povm_runs_no_decomposition(monkeypatch, case, empty_povm_memo):
+    program = qid_case(case)
     for name in DECOMPOSITIONS:
         monkeypatch.setattr(np.linalg, name, _refuse_decomposition)
     report = qid_povm(program)
     assert report.informationally_complete == (case == "sic")
-    # the POVM check and the SVD rank test, which qid_povm does not run, meet the guard
+    # the SVD rank test, which qid_povm does not run, meets the guard
     with pytest.raises(AssertionError, match="decomposition"):
         is_informationally_complete(report.elements)
+
+
+def _counting(monkeypatch, module, name: str) -> dict:
+    """Replace module.name by a wrapper that counts its calls; the count is under "calls"."""
+    tally, original = {"calls": 0}, getattr(module, name)
+
+    def counted(*args, **kwargs):
+        tally["calls"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return tally
+
+
+@pytest.mark.parametrize(
+    "case", ["sic", 1, 2, 3, "unitary"], ids=["sic", "pauli-x", "pauli-y", "pauli-z", "unitary"]
+)
+def test_a_qid_povm_enters_the_memo_checked(monkeypatch, case, empty_povm_memo):
+    report = qid_povm(qid_case(case))
+    svd = _counting(monkeypatch, np.linalg, "svd")
+    eigvalsh = _counting(monkeypatch, np.linalg, "eigvalsh")
+    assert is_informationally_complete(report.elements) == (case == "sic")
+    assert (svd["calls"], eigvalsh["calls"]) == (1, 0)
+
+
+def test_the_same_bytes_from_json_are_checked_once(monkeypatch, empty_povm_memo):
+    elements = qid_povm(sic_program()).elements
+    decoded = decode_povm(read_json("povm", json_text(encode_povm(elements))))
+    assert np.array(decoded).tobytes() == elements.tobytes()
+    empty_povm_memo.clear()  # the bytes no longer come from qid_povm
+    checks = _counting(monkeypatch, processor, "_checked_povm")
+    assert is_informationally_complete(decoded)
+    Tomographer.build(decoded)
+    assert validate_povm(decoded).tobytes() == elements.tobytes()
+    assert checks["calls"] == 1
 
 
 def _refuse_mixture(*args, **kwargs):

@@ -17,6 +17,7 @@ from mapproc.processor import (
     induced_instrument,
     induced_povm,
     kraus_operators,
+    _checked_povm,
     post_measurement_state,
     validate_povm,
 )
@@ -435,8 +436,34 @@ def test_pure_program_state_refuses_what_the_mixture_refuses(state, message):
 @settings(max_examples=300, deadline=None)
 @given(program_kinds, seeds)
 def test_every_qid_report_holds_a_povm(kind, seed):
+    # qid_povm enters its stack into the memo unchecked, so the check runs here uncached
     elements = qid_povm(qid_program(kind, np.random.default_rng(seed))).elements
+    assert _checked_povm(elements) is elements
     assert validate_povm(elements).tobytes() == elements.tobytes()
+
+
+def scaled_program(scale, rng):
+    """Random complex amplitudes, one to three of them scaled by ``scale``."""
+    amps = random_complex_amplitudes(rng)
+    amps[rng.choice(4, size=int(rng.integers(1, 4)), replace=False)] *= scale
+    return QidProgram(amplitudes=amps / np.linalg.norm(amps))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([1.0, 1e-8, 1e-150, 1e-300, "sic", 1, 2, 3, "unitary"]), seeds)
+def test_the_uncached_check_accepts_every_qid_povm(kind, seed):
+    # the guarantee that lets qid_povm enter its stacks into the POVM memo as checked
+    rng = np.random.default_rng(seed)
+    if kind == "sic":
+        program = sic_program()
+    elif kind == "unitary":
+        program = unitary_program(rng.normal(size=3) * 10.0 ** rng.uniform(-8, 2))
+    elif isinstance(kind, int):
+        program = pauli_measurement_program(kind)[0]
+    else:
+        program = scaled_program(kind, rng)
+    elements = qid_povm(program).elements
+    assert _checked_povm(elements) is elements
 
 
 @settings(max_examples=300, deadline=None)

@@ -120,11 +120,23 @@ def test_malformed_documents_raise_value_error(decoder, payload):
          "operator data must hold rows * cols entries, got 1"),
         (serialize.decode_operator, {"rows": 1, "cols": 1, "data": "ab"},
          "operator data must hold rows * cols entries, got no list"),
+        (serialize.decode_complex, [1.0],
+         "complex value must be a [re, im] pair, got a list of length 1"),
+        (serialize.decode_complex, "ab",
+         "complex value must be a [re, im] pair, got an object of type str"),
     ],
 )
 def test_refusals_name_the_key_or_the_number(decoder, payload, message):
     with pytest.raises(ValueError, match=re.escape(message) + "$"):
         decoder(payload)
+
+
+def test_a_huge_refused_value_is_quoted_in_one_short_line():
+    doc = {"rows": 1, "cols": 1, "data": [list(range(100_000))]}
+    with pytest.raises(ValueError) as refusal:
+        serialize.decode_operator(doc)
+    message = str(refusal.value)
+    assert "\n" not in message and len(message) <= 200 and "[re, im] pair" in message
 
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)

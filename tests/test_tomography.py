@@ -1,4 +1,6 @@
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from mapproc.processor import outcome_probabilities, sample_outcomes
 from mapproc.qcore import is_density_operator, pauli, trace_distance
+from mapproc.qid import QidProgram, pauli_measurement_program, qid_povm
 from mapproc.sampling import haar_unitary, random_density_operator
 from mapproc.tomography import (
     InconsistentProbabilitiesError,
@@ -183,6 +186,41 @@ class TestTomographer:
                 array[0] = 0.0
         assert np.shares_memory(tom._povm_real, tom.povm)
         assert np.shares_memory(tom._dual_real, tom.dual_frame)
+
+
+def test_the_povm_memo_is_shared_safely_between_threads(empty_povm_memo):
+    # six POVMs over four entries: each thread's calls evict entries the others use
+    rng = np.random.default_rng(17)
+    programs = [pauli_measurement_program(1)[0]] + [
+        QidProgram(amplitudes=a / np.linalg.norm(a))
+        for a in rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+    ]
+    povms = [np.array(qid_povm(program).elements) for program in programs]  # caller copies
+    rho = random_density_operator(2, rng)
+
+    def work(start):
+        out = []
+        for i in range(start, start + 300):
+            k = i % 6
+            elements = qid_povm(programs[(k + 1) % 6]).elements
+            p = outcome_probabilities(rho, povms[k])
+            out.append(elements.tobytes() + p.tobytes())
+            if is_informationally_complete(povms[k]):
+                tom = Tomographer.build(povms[k])
+                out.append(tom.dual_frame.tobytes() + tom.reconstruct(p).tobytes())
+        return out
+
+    expected = [work(start) for start in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so memo updates interleave
+    try:
+        empty_povm_memo.clear()
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(work, range(4), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected
+    assert len(empty_povm_memo) <= 4
 
 
 class TestReconstructFromCounts:

@@ -10,7 +10,6 @@ from mapproc.processor import (
     OutcomePartition,
     Processor,
     ProgramState,
-    _checked_povm,
     induced_instrument,
     induced_povm,
     kraus_operators,
@@ -68,17 +67,18 @@ class TestVonNeumannMeasurement:
         with pytest.raises(ValueError, match="identity"):
             VonNeumannMeasurement(projectors=(E0, E0))
 
-    def test_measurements_leave_the_povm_memo_to_measured_povms(self):
+    def test_measurements_leave_the_povm_memo_to_measured_povms(self, empty_povm_memo):
         # a measurement's stack is checked once; four of them used to evict the SIC
         rho, sic = np.eye(2) / 2, qid_povm(sic_program()).elements
-        _checked_povm.cache_clear()
+        empty_povm_memo.clear()  # qid_povm entered the stack; the first call below checks it
         outcome_probabilities(rho, sic)
+        (entry,) = empty_povm_memo.values()
         rng = np.random.default_rng(5)
         for _ in range(4):
             VonNeumannMeasurement.from_basis(haar_unitary(2, rng))
         outcome_probabilities(rho, sic)
-        info = _checked_povm.cache_info()
-        assert info.hits >= 1 and info.currsize == 1
+        # a hit: the entry the first call made is still the only one
+        assert len(empty_povm_memo) == 1 and next(iter(empty_povm_memo.values())) is entry
 
     @pytest.mark.parametrize(
         "projectors, message",
