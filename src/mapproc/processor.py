@@ -56,6 +56,12 @@ def _freeze(a: np.ndarray, dtype: type = complex) -> np.ndarray:
     return out
 
 
+def _check_normalized(v: np.ndarray) -> None:
+    """Refuse a program component state ``v`` whose norm is not within ATOL of 1."""
+    if not abs(math.sqrt(np.vdot(v, v).real) - 1.0) <= ATOL:
+        raise ValueError("program component states must be normalized")
+
+
 @dataclass(frozen=True, eq=False)
 class Processor:
     """Fixed unitary ``gate`` on data (x) program; the program is measured in |k>.
@@ -106,8 +112,7 @@ class ProgramState:
         for w, v in zip(weights.tolist(), vectors):
             if not -ATOL <= w <= 1 + ATOL:
                 raise ValueError(f"component weight {w} outside [0, 1]")
-            if not abs(math.sqrt(np.vdot(v, v).real) - 1.0) <= ATOL:
-                raise ValueError("program component states must be normalized")
+            _check_normalized(v)
             total += w
             scales.append(math.sqrt(max(0.0, w)))
         if not abs(total - 1.0) <= ATOL:
@@ -124,9 +129,7 @@ class ProgramState:
         # a tuple always converts to a new array, so freezing it copies nothing
         vectors = _array((state,), complex, (1, None), "program vectors")
         vectors.setflags(write=False)
-        v = vectors[0]
-        if not abs(math.sqrt(np.vdot(v, v).real) - 1.0) <= ATOL:
-            raise ValueError("program component states must be normalized")
+        _check_normalized(vectors[0])
         # the mixture's sqrt(1.0) * v: a complex product that also sets the sign of zeros
         rows = vectors * 1.0
         rows.setflags(write=False)
@@ -234,13 +237,19 @@ def kraus_operators(proc: Processor, program: ProgramState) -> np.ndarray:
     return _branches(proc, program._rows)
 
 
+def _kraus_for(proc: Processor, program: ProgramState, partition: OutcomePartition) -> np.ndarray:
+    """``kraus_operators(proc, program)``, once ``partition`` is shown to cover their outcomes."""
+    ops = kraus_operators(proc, program)
+    if _typed(partition, OutcomePartition, "partition").num_indices != proc.program_dim:
+        raise ValueError("partition does not cover the program outcomes")
+    return ops
+
+
 def induced_instrument(
     proc: Processor, program: ProgramState, partition: OutcomePartition
 ) -> InducedInstrument:
     """Group the Kraus operators by partition block and form the POVM."""
-    ops = kraus_operators(proc, program)
-    if _typed(partition, OutcomePartition, "partition").num_indices != proc.program_dim:
-        raise ValueError("partition does not cover the program outcomes")
+    ops = _kraus_for(proc, program, partition)
     d, n = proc.data_dim, proc.program_dim
     grouped = ops[:, partition._order]
     branches = tuple(grouped[:, a:b].reshape(-1, d, d) for a, b in partition._spans)
@@ -295,27 +304,21 @@ def _povm_entry(povm: np.ndarray, checked: bool = False) -> list:
 def _checked_povm(f: np.ndarray) -> np.ndarray:
     """``f``, an (n, d, d) complex stack, if it passes the numerical POVM checks.
 
-    One decision over the whole stack; only a refusal walks the elements
-    to name the first bad one.  Every entry of 0 <= F <= I lies in the unit
-    disc, so larger or non-finite entries are refused first: the later
-    checks then cannot overflow or warn.
+    One walk refuses the first bad element: its entries must lie in the unit
+    disc, as those of 0 <= F <= I do (so the later checks cannot overflow or
+    warn), then it must be Hermitian, then PSD, all within ATOL.  Last, the
+    elements must sum to the identity.
     """
-    d = f.shape[1]
-    if (
-        np.abs(f).max() <= 1 + ATOL
-        and np.abs(f - f.conj().swapaxes(1, 2)).max() <= ATOL
-        and np.linalg.eigvalsh(f)[:, 0].min() >= -ATOL  # eigvalsh sorts ascending
-        and np.abs(f.sum(axis=0) - np.eye(d)).max() <= ATOL
-    ):
-        return f
     for i, e in enumerate(f):
         if not np.abs(e).max() <= 1 + ATOL:
             raise InvalidPovmError(f"element {i} has an entry not finite or above 1 in modulus")
         if not _is_hermitian(e, ATOL):
             raise InvalidPovmError(f"element {i} is not Hermitian")
-        if np.linalg.eigvalsh(e)[0] < -ATOL:
+        if not np.linalg.eigvalsh(e)[0] >= -ATOL:  # eigvalsh sorts ascending
             raise InvalidPovmError(f"element {i} is not positive semidefinite")
-    raise InvalidPovmError("elements do not sum to the identity")
+    if not np.abs(f.sum(axis=0) - np.eye(f.shape[1])).max() <= ATOL:
+        raise InvalidPovmError("elements do not sum to the identity")
+    return f
 
 
 def outcome_probabilities(rho: np.ndarray, povm: np.ndarray) -> np.ndarray:
@@ -339,9 +342,7 @@ def post_measurement_state(
     above PROB_FLOOR (a NaN probability included), since the conditional
     state is undefined there.
     """
-    ops = kraus_operators(proc, program)
-    if _typed(partition, OutcomePartition, "partition").num_indices != proc.program_dim:
-        raise ValueError("partition does not cover the program outcomes")
+    ops = _kraus_for(proc, program, partition)
     outcome = _index(outcome, "outcome", 0, len(partition) - 1)
     d = proc.data_dim
     rho = _array(rho, complex, (d, d), "state")

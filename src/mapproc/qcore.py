@@ -41,8 +41,14 @@ class InfeasibleError(ValueError):
 
 
 def _brief(value) -> str:
-    """repr(value) on one line: a message quoting a numpy array stays one line."""
-    return " ".join(repr(value).split())
+    """repr(value) on one line, cut to 100 characters; an integer past 64 bits by its size."""
+    if isinstance(value, int) and value.bit_length() > 64:  # str() fails past 4300 digits
+        return f"an integer of {value.bit_length()} bits"
+    try:
+        text = " ".join(repr(value).split())
+    except Exception:  # a failing repr: a list holding such an integer, or nested too deeply
+        return f"an object of type {type(value).__name__}"
+    return text if len(text) <= 100 else text[:97] + "..."
 
 
 def _index(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
@@ -61,9 +67,7 @@ def _index(value, name: str, lo: int | None = None, hi: int | None = None) -> in
                 return k
             bound = f"in {lo}..{hi}" if None not in (lo, hi) else (
                 f"at least {lo}" if hi is None else f"at most {hi}")
-            # str() of an int fails past 4300 digits
-            got = k if k.bit_length() <= 64 else f"an integer of {k.bit_length()} bits"
-            raise ValueError(f"{name} must be {bound}, got {got}")
+            raise ValueError(f"{name} must be {bound}, got {_brief(k)}")
     raise ValueError(f"{name} must be an integer, got {_brief(value)}")
 
 
@@ -143,7 +147,8 @@ def _array(obj, dtype, shape: tuple[int | None, ...], name: str) -> np.ndarray:
         got = a.shape
         if got == shape or _fits(shape, got):
             return a
-    spec = str(shape).replace("None", "n") + (" with n >= 1" if None in shape else "")
+    dims = ", ".join("n" if s is None else _brief(s) for s in shape) + "," * (len(shape) == 1)
+    spec = f"({dims})" + (" with n >= 1" if None in shape else "")
     raise ValueError(f"{name} must have shape {spec}, got {got}")
 
 

@@ -44,11 +44,10 @@ class QidProgram:
 
     def __post_init__(self):
         amps = _array(self.amplitudes, complex, (4,), "QID program amplitudes")
-        # a normalized vector has no amplitude above 1; refusing larger ones
-        # first keeps huge finite amplitudes from overflowing in the norm
-        if not max(np.abs(amps).tolist()) <= 1 + ATOL:
-            raise ValueError("QID program amplitudes must be normalized")
-        norm = math.sqrt(amps.real.dot(amps.real) + amps.imag.dot(amps.imag))  # np.linalg.norm
+        # a normalized vector has no amplitude above 1; testing that first keeps huge finite
+        # amplitudes from overflowing in the norm (np.linalg.norm's sum: np.vdot rounds apart)
+        bounded = max(np.abs(amps).tolist()) <= 1 + ATOL
+        norm = math.sqrt(amps.real.dot(amps.real) + amps.imag.dot(amps.imag)) if bounded else 0.0
         if not abs(norm - 1.0) <= ATOL:
             raise ValueError("QID program amplitudes must be normalized")
         amps = amps / norm

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .processor import STATE_TOL, OutcomePartition, Processor
-from .qcore import ATOL, _index, _real, is_density_operator
+from .qcore import ATOL, _brief, _index, _real, is_density_operator
 
 if TYPE_CHECKING:
     from .qid import QidPovmReport, QidProgram
@@ -122,7 +122,7 @@ def decode_state(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValueError("state must be an object with dim/amp")
     dim = _index(obj.get("dim"), "dim", 1)
-    return _complexes(obj.get("amp"), dim, f"state needs {dim} amplitudes")
+    return _complexes(obj.get("amp"), dim, f"state needs {_brief(dim)} amplitudes")
 
 
 def encode_processor(p: Processor) -> dict:

@@ -163,18 +163,12 @@ class ReconstructionDiagnostics:
     projected: bool
 
 
-def project_to_state(estimate: np.ndarray) -> np.ndarray:
-    """Closest density operator to a Hermitian estimate in Frobenius norm.
+def _project(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
+    """The density operator closest in Frobenius norm to the Hermitian estimate ``eigh`` gave.
 
     Keeps the eigenvectors and projects the eigenvalues onto the
     probability simplex: lambda_i = max(mu_i - theta, 0) with theta fixed
     by unit trace (Smolin, Gambetta & Smith, PRL 108, 070502 (2012)).
-    """
-    return _project(*np.linalg.eigh(np.asarray(estimate, dtype=complex)))
-
-
-def _project(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
-    """project_to_state from the eigendecomposition of the estimate.
 
     One pass over the eigenvalues in descending order: theta is
     (mu_1 + ... + mu_k - 1)/k for the last k with k mu_k above the
@@ -205,7 +199,7 @@ def reconstruct_from_probabilities(
     """Linear inversion with diagnostics.
 
     With ``project`` the estimate is replaced by the closest density
-    operator (see project_to_state); the diagnostics always report the
+    operator (see _project); the diagnostics always report the
     pre-projection spectrum and the inversion residual.  ``residual_tol``
     must be a finite real number of at least 0.
     """

@@ -10,9 +10,10 @@ refuses every other value as "<name> is not a(n) <type>", unconverted.
 
 Each position is fed every value of ``JUNK`` with its other arguments valid.
 A call may return, or raise ValueError (InvalidPovmError and InfeasibleError
-are ValueErrors) with a one-line message that matches the position's pattern,
-which names the argument.  Any other exception, any warning (warnings are
-errors here) and a call that runs past ``LIMIT`` seconds fail.
+are ValueErrors) with a one-line message of at most ``MESSAGE_MAX`` characters
+that matches the position's pattern, which names the argument.  Any other
+exception, any warning (warnings are errors here) and a call that runs past
+``LIMIT`` seconds fail.
 
 ``RANGES`` is the contract's range column: every bounded integer or real
 argument with its range.  Each edge value is accepted, or refused for
@@ -34,6 +35,17 @@ from mapproc.tomography import reconstruct_from_probabilities
 from timelimit import time_limit
 
 LIMIT = 2.0
+# the longest refusal a junk value may produce: a quoted value is cut short
+MESSAGE_MAX = 300
+
+
+def nested(depth):
+    """[[...[]...]] ``depth`` lists deep: its repr exceeds the recursion limit."""
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
 
 JUNK = {
     "float": 5.0,
@@ -43,6 +55,10 @@ JUNK = {
     "flat-list": [1, 0],
     "ragged-list": [[1, 0], [1]],
     "huge-int": 10**400,
+    # str() of an int fails past 4300 digits
+    "huger-int": 10**5000,
+    "long-string": "x" * 100_000,
+    "deep-list": nested(100_000),
     "nans": np.full((2, 2), np.nan),
     "huge-entries": [1e200, 0, 0],
     "bool": True,
@@ -248,7 +264,7 @@ def test_junk_is_refused_in_one_line_naming_the_argument(call, pattern, valid, e
         result = outcome(call, value)
         if isinstance(result, ValueError):
             message = str(result)
-            if "\n" in message or not re.search(pattern, message):
+            if "\n" in message or len(message) > MESSAGE_MAX or not re.search(pattern, message):
                 broken[label] = f"ValueError: {message}"
         elif result is not None:
             broken[label] = result

@@ -124,6 +124,14 @@ def test_malformed_documents_raise_value_error(decoder, payload):
          "complex value must be a [re, im] pair, got a list of length 1"),
         (serialize.decode_complex, "ab",
          "complex value must be a [re, im] pair, got an object of type str"),
+        (serialize.decode_measurement,
+         {"dim": 3, "projectors": [serialize.encode_operator(np.eye(2))]},
+         "projector shape does not match dim"),
+        (serialize.decode_measurement, {"dim": 3, "basis": [{"dim": 2, "amp": [[1, 0], [0, 0]]}]},
+         "basis vector length does not match dim"),
+        # a dimension past 4300 digits is quoted by its bit count
+        (serialize.decode_state, {"dim": 10**5000, "amp": []},
+         "state needs an integer of 16610 bits amplitudes"),
     ],
 )
 def test_refusals_name_the_key_or_the_number(decoder, payload, message):
