@@ -11,6 +11,7 @@ import math
 import numbers
 import operator
 from functools import lru_cache
+from itertools import takewhile
 
 import numpy as np
 
@@ -20,7 +21,7 @@ import numpy as np
 # package is a named module constant; the README's "Numerical notes" table
 # lists each one with its value and what it decides.
 ATOL = 1e-10
-# relative cutoff on the stacked POVM's singular values: decides informational completeness
+# relative cutoff on the stacked POVM's singular values (closed form for Pauli conjugates)
 RANK_CUTOFF = 1e-9
 # the largest count numpy's sampler takes, and the bound of every count read
 _COUNT_MAX = 2**63 - 1
@@ -31,6 +32,10 @@ _PAULI = np.array(
     dtype=complex,
 )
 _PAULI.setflags(write=False)
+# sigma_k M sigma_k gathers the entries of a 2x2 M: entry [k, i, j] is M.ravel()[|t| - 1]
+# with the sign of t = _CONJUGATION[k, i, j]
+_CONJUGATION = np.reshape([1, 2, 3, 4, 4, 3, 2, 1, 4, -3, -2, 1, 1, -2, -3, 4], (4, 2, 2))
+_SOURCES, _SIGNS = abs(_CONJUGATION) - 1, np.sign(_CONJUGATION) + 0j
 
 
 class InfeasibleError(ValueError):
@@ -45,10 +50,23 @@ def _brief(value) -> str:
     if isinstance(value, int) and value.bit_length() > 64:  # str() fails past 4300 digits
         return f"an integer of {value.bit_length()} bits"
     try:
-        text = " ".join(repr(value).split())
-    except Exception:  # a failing repr: a list holding such an integer, or nested too deeply
+        text = " ".join(repr(_prefix(value, [101])).split())
+    except Exception:  # a failing repr: a list holding such an integer
         return f"an object of type {type(value).__name__}"
     return text if len(text) <= 100 else text[:97] + "..."
+
+
+def _prefix(value, budget: list[int]):
+    """``value``, its repr unchanged if at most 100 characters, in bounded work: nested lists,
+    tuples and dicts cut after budget[0] items in all, strings after 100 characters."""
+    budget[0] -= 1
+    kind = type(value)
+    if kind not in (list, tuple, dict):
+        return value[:100] if kind is str else value
+    items = takewhile(lambda _: budget[0] > 0, value.items() if kind is dict else value)
+    if kind is dict:
+        return {_prefix(k, budget): _prefix(v, budget) for k, v in items}
+    return kind(_prefix(item, budget) for item in items)
 
 
 def _index(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
@@ -174,6 +192,11 @@ def _square(m, name: str) -> np.ndarray:
 def pauli(k: int) -> np.ndarray:
     """Return the k-th Pauli matrix; index 0 is the 2x2 identity."""
     return _PAULI[_index(k, "Pauli index", 0, 3)].copy()
+
+
+def _pauli_conjugates(m: np.ndarray) -> np.ndarray:
+    """The (4, 2, 2) stack sigma_k m sigma_k of a 2x2 ``m``: one gather, exact in value."""
+    return m.ravel()[_SOURCES] * _SIGNS
 
 
 def dag(m: np.ndarray) -> np.ndarray:

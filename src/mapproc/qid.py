@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import _PAULI, ATOL, RANK_CUTOFF, _array, _index, _typed, dag
+from .qcore import _PAULI, ATOL, RANK_CUTOFF, _array, _index, _pauli_conjugates, _typed, dag
 from .processor import OutcomePartition, Processor, ProgramState, _povm_entry
 
 DATA_DIM = 2
@@ -77,7 +77,7 @@ class QidPovmReport:
     + i conj(alpha_vec) x alpha_vec has |b| <= 1, since 4 A^dagger A is
     positive with trace 2.  The arrays are read-only.  The stacked POVM has
     singular values (1, |b_1|, |b_2|, |b_3|)/sqrt(2), the largest 1/sqrt(2), so
-    ``informationally_complete``, the SVD rank test, is min_i |b_i| > RANK_CUTOFF.
+    ``informationally_complete``, tomography's rank test, is min_i |b_i| > RANK_CUTOFF.
     """
 
     program_operator: np.ndarray
@@ -97,21 +97,13 @@ class QidPovmReport:
         return [(f"F{k}", x, y, z) for k, (x, y, z) in enumerate(points.tolist())]
 
 
-# sigma_k M sigma_k permutes and signs the entries of M: entry [k, i, j]
-# is _SIGNS[k, i, j] * M.ravel()[_SOURCES[k, i, j]]
-_SOURCES = np.array([[0, 1, 2, 3], [3, 2, 1, 0], [3, 2, 1, 0], [0, 1, 2, 3]]).reshape(4, 2, 2)
-_SIGNS = np.array(
-    [[1, 1, 1, 1], [1, 1, 1, 1], [1, -1, -1, 1], [1, -1, -1, 1]], dtype=complex
-).reshape(4, 2, 2)
-
-
 def qid_povm(program: QidProgram) -> QidPovmReport:
     """POVM induced by a QID program under the finest outcome partition."""
     alpha = _typed(program, QidProgram, "program").amplitudes
     a_op = 0.5 * (alpha @ _PAULI.reshape(4, 4)).reshape(2, 2)
     # the same bits as _PAULI @ M @ _PAULI + 0.0: + 0.0 turns a flipped
     # -0.0 into the +0.0 a summation gives, so exported bytes stay stable
-    elements = (dag(a_op) @ a_op).ravel()[_SOURCES] * _SIGNS + 0.0
+    elements = _pauli_conjugates(dag(a_op) @ a_op) + 0.0
     # b_i = 2 Re(conj(a0) a_i) + i (conj(a_vec) x a_vec)_i on four Python complex
     # scalars; numpy calls on 3-element arrays cost more than the arithmetic
     a0, a1, a2, a3 = alpha.tolist()

@@ -1,10 +1,11 @@
 """State reconstruction from POVM statistics by linear inversion.
 
 The probabilities p_j = Tr(rho F_j) are the stacked POVM F applied to
-rho.  One SVD F = U S V^dagger decides informational completeness and
-gives the canonical dual frame D = G^+ F = U S^-1 V^dagger, with
-G_jk = Tr(F_j F_k) the Gram matrix, so overcomplete POVMs work too;
-under-determined ones are refused.
+rho.  Its singular values decide informational completeness and the
+canonical dual frame D = G^+ F, G_jk = Tr(F_j F_k), inverts it, so
+overcomplete POVMs work too; under-determined ones are refused.  Both come
+in closed form for a stack of Pauli conjugates, as every QID POVM is, and
+from one SVD F = U S V^dagger, D = U S^-1 V^dagger, for any other stack.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import (
-    ATOL, RANK_CUTOFF, InfeasibleError, _array, _is_hermitian, _operator_stack, _real
+    ATOL, RANK_CUTOFF, InfeasibleError, _array, _is_hermitian, _operator_stack, _pauli_conjugates,
+    _real,
 )
 from .processor import _povm_entry
 
@@ -65,24 +67,21 @@ def is_informationally_complete(povm: np.ndarray) -> bool:
 class Tomographer:
     """Precomputed inversion data for one informationally complete POVM.
 
-    ``povm`` and ``dual_frame`` are (n, d, d) stacks; the dual operators
-    D_k, each exactly Hermitian, give rho = sum_k Tr(rho F_k) D_k.  They
-    exist only for informationally complete POVMs, so construction fails
-    otherwise.  ``build`` makes every array read-only, so its instances are
-    immutable and safe to share; it returns one instance per POVM content
-    while the POVM's memo entry lasts.  Construction also keeps, outside
-    the dataclass fields, both stacks as (n, 2 d^2) real views of the same
-    memory, real and imaginary parts interleaved, so an inversion is two
-    real products.
+    ``povm`` and ``dual_frame`` are (n, d, d) stacks; the dual operators D_k,
+    each exactly Hermitian, give rho = sum_k Tr(rho F_k) D_k.  They exist only
+    for informationally complete POVMs, so ``build``, the one way to make an
+    instance, fails otherwise.  It makes every array read-only, so instances
+    are immutable and safe to share; it returns one per POVM content while the
+    POVM's memo entry lasts.  An instance also keeps, outside the dataclass
+    fields, both stacks as (n, 2 d^2) real views of the same memory, real and
+    imaginary parts interleaved, so an inversion is two real products.
     """
 
     povm: np.ndarray
     dual_frame: np.ndarray
 
     def __post_init__(self):
-        n = len(self.povm)
-        object.__setattr__(self, "_povm_real", self.povm.reshape(n, -1).view(float))
-        object.__setattr__(self, "_dual_real", self.dual_frame.reshape(n, -1).view(float))
+        raise TypeError("a Tomographer is made by Tomographer.build(povm), not from arrays")
 
     @classmethod
     def build(cls, povm: np.ndarray) -> "Tomographer":
@@ -128,26 +127,42 @@ class Tomographer:
 def _inversion(povm: np.ndarray) -> list:
     """The POVM memo entry [F, inversion] of ``povm``, the inversion made on first use.
 
-    The inversion is F's Tomographer, or its rank if below d^2, from one SVD
-    F = U S V^dagger of the (n, d^2) stack: the rank counts the singular values
-    above RANK_CUTOFF * s_max; at full rank the dual frame is U S^-1 V^dagger,
-    made exactly Hermitian here, once, as (D + D^dagger) / 2.
+    The inversion is F's Tomographer, or its rank if below d^2: the rank counts
+    the singular values of the (n, d^2) stack above RANK_CUTOFF * s_max.  A stack
+    that is exactly F_k = sigma_k F_0 sigma_k, F_0 = sum_i c_i sigma_i, is H diag(sqrt(2) c)
+    in the basis sigma_i / sqrt(2), H / 2 orthogonal: singular values 2 sqrt(2) |c_i|,
+    inverse D_k = sigma_k D_0 sigma_k with D_0 = sum_i sigma_i / (8 conj(c_i)).  Any
+    other stack takes one SVD F = U S V^dagger and D = U S^-1 V^dagger.  The Hermitian
+    part of D is kept, once; the path is chosen by F's values alone.
     """
     f, inversion = entry = _povm_entry(povm)
     if inversion is not None:  # threads that race past here store equal inversions
         return entry
     n, d, _ = f.shape
-    u, s, vh = np.linalg.svd(f.reshape(n, d * d), full_matrices=False)
-    values = s.tolist()
-    cutoff = RANK_CUTOFF * values[0]
+    closed = f.shape == (4, 2, 2) and bool((_pauli_conjugates(f[0]) == f).all())
+    if closed:
+        a, b, c, e = f[0].ravel().tolist()
+        coefficients = [(a + e) / 2, (b + c) / 2, 1j * (b - c) / 2, (a - e) / 2]
+        values = [abs(x) for x in coefficients]
+    else:
+        u, s, vh = np.linalg.svd(f.reshape(n, d * d), full_matrices=False)
+        values = s.tolist()
+    cutoff = RANK_CUTOFF * max(values)
     rank = sum(v > cutoff for v in values)
     if rank < d * d:
         entry[1] = rank
         return entry
-    dual = ((u / s) @ vh).reshape(f.shape)
-    dual = 0.5 * (dual + dual.conj().swapaxes(1, 2))
+    if closed:  # the Hermitian part sum_i Re(1 / (8 c_i)) sigma_i, exactly Hermitian as built
+        r0, r1, r2, r3 = [(1 / (8 * x)).real for x in coefficients]
+        dual = _pauli_conjugates(np.array([r0 + r3, r1 - 1j * r2, r1 + 1j * r2, r0 - r3]))
+    else:
+        dual = ((u / s) @ vh).reshape(f.shape)
+        dual = 0.5 * (dual + dual.conj().swapaxes(1, 2))
     dual.setflags(write=False)
-    entry[1] = Tomographer(povm=f, dual_frame=dual)
+    tomographer = object.__new__(Tomographer)  # past the constructor, which refuses
+    vars(tomographer).update(povm=f, dual_frame=dual, _povm_real=f.reshape(n, -1).view(float),
+                             _dual_real=dual.reshape(n, -1).view(float))
+    entry[1] = tomographer
     return entry
 
 

@@ -15,6 +15,11 @@ that matches the position's pattern, which names the argument.  Any other
 exception, any warning (warnings are errors here) and a call that runs past
 ``LIMIT`` seconds fail.
 
+``Tomographer`` is made only by ``Tomographer.build``: ``DIRECT`` lists
+the positions of its dataclass constructor, and each, fed its valid value
+or any value of ``JUNK``, is refused with one TypeError that points to
+``build``.
+
 ``RANGES`` is the contract's range column: every bounded integer or real
 argument with its range.  Each edge value is accepted, or refused for
 another reason, and each value just outside the range is refused with
@@ -269,6 +274,24 @@ def test_junk_is_refused_in_one_line_naming_the_argument(call, pattern, valid, e
         elif result is not None:
             broken[label] = result
     assert not broken, broken
+
+
+# (label, call, valid value); the stacks a direct call once built unchecked are in the rows
+DIRECT = [
+    ("Tomographer-povm", lambda x: mp.Tomographer(povm=x, dual_frame=TOMOGRAPHER.dual_frame), SIC),
+    ("Tomographer-dual_frame", lambda x: mp.Tomographer(povm=SIC, dual_frame=x),
+     TOMOGRAPHER.dual_frame),
+]
+UNCHECKED = {"list": SIC.tolist(), "float-stack": SIC.real, "zero-stack": np.zeros((4, 2, 2))}
+
+
+@pytest.mark.parametrize("call, valid", [pytest.param(*row[1:], id=row[0]) for row in DIRECT])
+def test_a_direct_construction_is_refused_pointing_to_build(call, valid):
+    for label, value in {"valid": valid, **UNCHECKED, **JUNK}.items():
+        with pytest.raises(TypeError) as refusal:
+            call(value)
+        message = str(refusal.value)
+        assert "Tomographer.build(povm)" in message and "\n" not in message, label
 
 
 MAX = 2**63 - 1  # the largest count numpy's sampler takes

@@ -4,12 +4,15 @@ Every operator family is an (n, d, d) stack; the checks below compare each
 library result against a direct loop over its elements.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mapproc.processor import (
+    _POVM_MEMO,
     InvalidPovmError,
     OutcomePartition,
     Processor,
@@ -481,6 +484,30 @@ def test_qid_dual_frame_is_the_closed_form(kind, seed):
     # the SVD's relative error is about 1e-16 times the condition number 1/min |b_i|
     condition = 1.0 / np.abs(b).min()
     assert np.abs(dual - closed).max() <= 1e-13 * condition * np.abs(closed).max()
+
+
+@settings(max_examples=300, deadline=None)
+@given(program_kinds, seeds)
+def test_qid_closed_form_inversion_is_the_svd_inversion(kind, seed):
+    # the stack is Pauli conjugates of its element 0, so its inversion takes the
+    # closed form; swapping F_0 and F_1 leaves it so only if b_2 = b_3 = 0, that
+    # is below full rank, so a full-rank swapped stack takes the SVD
+    _POVM_MEMO.clear()  # the swapped stack is inverted anew, whatever ran before
+    report = qid_povm(qid_program(kind, np.random.default_rng(seed)))
+    b, swap = report.anchor_bloch, [1, 0, 2, 3]
+    values = np.linalg.svd(report.elements.reshape(4, 4), compute_uv=False)
+    smallest = np.abs(b).min()
+    if abs(smallest / RANK_CUTOFF - 1.0) > CUTOFF_BAND:
+        svd_complete = (values > RANK_CUTOFF * values[0]).all()
+        assert is_informationally_complete(report.elements) == svd_complete
+    if not is_informationally_complete(report.elements):
+        return
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        reference = Tomographer.build(report.elements[swap]).dual_frame[swap]
+    assert svd.call_count == 1
+    dual = Tomographer.build(report.elements).dual_frame
+    condition = 1.0 / smallest
+    assert np.abs(dual - reference).max() <= 1e-13 * condition * np.abs(reference).max()
 
 
 @settings(max_examples=200, deadline=None)

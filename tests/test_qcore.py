@@ -1,11 +1,16 @@
 import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mapproc.serialize import decode_numbers
+from timelimit import time_limit
+
 from mapproc.qcore import (
+    _brief,
     is_density_operator,
     is_unitary,
     pauli,
@@ -85,3 +90,78 @@ class TestStructureChecks:
 
 def test_trace_distance_of_orthogonal_pure_states():
     assert abs(trace_distance(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) - 1.0) < 1e-14
+
+
+# values a refusal may quote: JSON-like nests of lists, tuples and dicts
+quotable = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=30),
+    lambda inner: st.lists(inner, max_size=8) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=40,
+)
+
+
+class Counted:
+    """An element whose repr counts its calls."""
+
+    calls = 0
+
+    def __repr__(self):
+        Counted.calls += 1
+        return "c"
+
+
+def nested(depth, width):
+    """``width`` references to one list, ``depth`` levels deep: little memory, a huge repr."""
+    value = [Counted()]
+    for _ in range(depth):
+        value = [value] * width
+    return value
+
+
+def whole_quote(value):
+    """The quote made from the whole repr: the reference for any repr of at most 100 characters."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"an integer of {value.bit_length()} bits"
+    text = " ".join(repr(value).split())
+    return text if len(text) <= 100 else text[:97] + "..."
+
+
+class TestBrief:
+    @settings(max_examples=200, deadline=None)
+    @given(quotable)
+    def test_a_quote_is_the_repr_up_to_100_characters(self, value):
+        quote = _brief(value)
+        if len(" ".join(repr(value).split())) <= 100:
+            assert quote == whole_quote(value)
+        else:
+            assert len(quote) == 100 and quote.endswith("...")
+
+    @pytest.mark.parametrize(
+        "value",
+        [[Counted()] * 10**6, (Counted(),) * 10**6, {k: Counted() for k in range(10**5)},
+         nested(40, 10)],
+        ids=["list", "tuple", "dict", "shared-nest"],
+    )
+    def test_a_quote_reprs_at_most_101_elements(self, value):
+        Counted.calls = 0
+        with time_limit(2.0, "the quote"):
+            quote = _brief(value)
+        assert len(quote) == 100 and 0 < Counted.calls <= 101
+
+    def test_a_huge_integer_is_quoted_by_its_size(self):
+        assert _brief(10**5000) == "an integer of 16610 bits"
+        assert _brief([10**5000]) == "an object of type list"
+
+    def test_a_deep_list_is_quoted_in_bounded_depth(self):
+        value = []
+        for _ in range(10 * sys.getrecursionlimit()):
+            value = [value]
+        assert _brief(value) == "[" * 97 + "..."
+
+    def test_a_refused_million_entry_list_is_quoted_from_its_head(self):
+        Counted.calls = 0
+        with time_limit(2.0, "the refusal"), pytest.raises(ValueError) as refusal:
+            decode_numbers([[Counted()] * 10**6])
+        assert str(refusal.value).startswith("list entry must be a real number, got [c, c, ")
+        assert Counted.calls <= 101
