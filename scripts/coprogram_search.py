@@ -65,7 +65,7 @@ def main() -> None:
         deviation = 0.0
         for _ in range(args.trials):
             psi = random_pure_state(d, rng)
-            povm = induced_povm(proc, ProgramState.pure(psi), OutcomePartition.finest(d))
+            povm = induced_povm(proc, ProgramState(psi), OutcomePartition.finest(d))
             closed = np.tensordot(np.abs(psi) ** 2, projectors, axes=1)
             deviation = max(deviation, float(np.abs(povm - closed).max()))
         print(

@@ -23,7 +23,8 @@ from .qcore import (
 
 PROB_FLOOR = 1e-12
 # A state, typed or rounded by hand, passes within STATE_TOL: its outcome
-# probabilities before sampling, and a density-operator document in full.
+# probabilities before sampling, and a density-operator document or a
+# projection-postulate sample in full.
 STATE_TOL = 1e-8
 
 # One memo of checked POVMs by content, entries [read-only stack, inversion], the
@@ -50,16 +51,10 @@ class ImpossibleOutcomeError(ValueError):
         self.probability = probability
 
 
-def _freeze(a: np.ndarray, dtype: type = complex) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
+def _freeze(a: np.ndarray) -> np.ndarray:
+    out = np.array(a, dtype=complex)
     out.setflags(write=False)
     return out
-
-
-def _check_normalized(v: np.ndarray) -> None:
-    """Refuse a program component state ``v`` whose norm is not within ATOL of 1."""
-    if not abs(math.sqrt(np.vdot(v, v).real) - 1.0) <= ATOL:
-        raise ValueError("program component states must be normalized")
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,63 +80,25 @@ class Processor:
         object.__setattr__(self, "gate", _freeze(gate))
 
 
-_UNIT_WEIGHT = _freeze((1.0,), float)
-
-
 @dataclass(frozen=True, eq=False)
 class ProgramState:
-    """Program-register state as a convex mixture of pure states.
+    """Pure program-register state: ``vector``, a normalized (program_dim,) read-only copy.
 
-    ``weights`` is a (c,) array of weights summing to 1 and row c of the
-    (c, program_dim) array ``vectors`` is the normalized state of weight
-    ``weights[c]``; both are read-only copies.  A pure program is one row.
-    Construction also stores, outside the dataclass fields, the read-only
-    rows sqrt(w_c) v_c that ``kraus_operators`` contracts with the gate;
-    weights are clipped at 0 there, since rounding dust down to -ATOL is
-    admitted.
+    A mixture of programs induces the same mixture of instruments, by
+    linearity, so it needs no form of its own.
     """
 
-    weights: np.ndarray
-    vectors: np.ndarray
+    vector: np.ndarray
 
     def __post_init__(self):
-        weights = _freeze(_array(self.weights, float, (None,), "program weights"), float)
-        vectors = _freeze(_array(self.vectors, complex, (len(weights), None), "program vectors"))
-        total = 0.0  # scalar checks per row beat array reductions on so few rows
-        scales = []
-        for w, v in zip(weights.tolist(), vectors):
-            if not -ATOL <= w <= 1 + ATOL:
-                raise ValueError(f"component weight {w} outside [0, 1]")
-            _check_normalized(v)
-            total += w
-            scales.append(math.sqrt(max(0.0, w)))
-        if not abs(total - 1.0) <= ATOL:
-            raise ValueError(f"component weights sum to {total}, expected 1")
-        rows = np.array(scales)[:, None] * vectors
-        rows.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "_rows", rows)
-
-    @classmethod
-    def pure(cls, state: np.ndarray) -> "ProgramState":
-        """The one-row state of weight 1, built directly: the same checks and bits as a mixture."""
-        # a tuple always converts to a new array, so freezing it copies nothing
-        vectors = _array((state,), complex, (1, None), "program vectors")
-        vectors.setflags(write=False)
-        _check_normalized(vectors[0])
-        # the mixture's sqrt(1.0) * v: a complex product that also sets the sign of zeros
-        rows = vectors * 1.0
-        rows.setflags(write=False)
-        program = object.__new__(cls)
-        object.__setattr__(program, "weights", _UNIT_WEIGHT)
-        object.__setattr__(program, "vectors", vectors)
-        object.__setattr__(program, "_rows", rows)
-        return program
+        vector = _freeze(_array(self.vector, complex, (None,), "program vector"))
+        if not abs(math.sqrt(np.vdot(vector, vector).real) - 1.0) <= ATOL:
+            raise ValueError("program vector must be normalized")
+        object.__setattr__(self, "vector", vector)
 
     @property
     def dim(self) -> int:
-        return self.vectors.shape[1]
+        return len(self.vector)
 
 
 @dataclass(frozen=True)
@@ -214,19 +171,18 @@ class InducedInstrument:
 
 
 def _branches(proc: Processor, rows: np.ndarray) -> np.ndarray:
-    """Branches [c, k] = (I (x) <k|) gate (I (x) |rows[c]>) of (c, program_dim) rows."""
+    """Branches [r, k] = (I (x) <k|) gate (I (x) |rows[r]>) of a (rows, program_dim) batch."""
     d, dp = proc.data_dim, proc.program_dim
-    contracted = proc.gate.reshape(d, dp, d, dp) @ rows.T  # [i, k, j, c]
+    contracted = proc.gate.reshape(d, dp, d, dp) @ rows.T  # [i, k, j, r]
     return contracted.transpose(3, 1, 0, 2)
 
 
 def kraus_operators(proc: Processor, program: ProgramState) -> np.ndarray:
     """Extract the Kraus operators induced by a program state.
 
-    Returns a (c, program_dim, d, d) array whose entry [c, k] is sqrt(w_c)
-    times the gate contracted with <k| on the program output and row c of
-    ``program.vectors`` on the program input, so the squared operators sum
-    to the identity over both leading axes.
+    Returns a (program_dim, d, d) array whose entry k is the gate contracted
+    with <k| on the program output and ``program.vector`` on the program
+    input, so the squared operators sum to the identity.
     """
     proc, program = _typed(proc, Processor, "proc"), _typed(program, ProgramState, "program")
     if program.dim != proc.program_dim:
@@ -234,7 +190,7 @@ def kraus_operators(proc: Processor, program: ProgramState) -> np.ndarray:
             f"program dimension {program.dim} does not match processor "
             f"program_dim {proc.program_dim}"
         )
-    return _branches(proc, program._rows)
+    return _branches(proc, program.vector[None])[0]
 
 
 def _kraus_for(proc: Processor, program: ProgramState, partition: OutcomePartition) -> np.ndarray:
@@ -251,12 +207,9 @@ def induced_instrument(
     """Group the Kraus operators by partition block and form the POVM."""
     ops = _kraus_for(proc, program, partition)
     d, n = proc.data_dim, proc.program_dim
-    grouped = ops[:, partition._order]
-    branches = tuple(grouped[:, a:b].reshape(-1, d, d) for a, b in partition._spans)
-    # stacking the c components of outcome k as rows makes sum_c A_ck^dag A_ck
-    # one product; the view needs no copy for a pure program (c = 1)
-    stacked = ops.swapaxes(0, 1).reshape(n, -1, d)
-    elements = stacked.conj().swapaxes(1, 2) @ stacked
+    grouped = ops[partition._order]
+    branches = tuple(grouped[a:b] for a, b in partition._spans)
+    elements = ops.conj().swapaxes(1, 2) @ ops
     povm = (partition._membership @ elements.reshape(n, d * d)).reshape(-1, d, d)
     return InducedInstrument(branches=branches, povm=povm)
 
@@ -347,7 +300,7 @@ def post_measurement_state(
     d = proc.data_dim
     rho = _array(rho, complex, (d, d), "state")
     a, b = partition._spans[outcome]
-    branch = ops[:, partition._order[a:b]].reshape(-1, d, d)
+    branch = ops[partition._order[a:b]]
     out = (branch @ rho @ branch.conj().swapaxes(-1, -2)).sum(axis=0)
     p = out.trace().real  # Tr(sum B rho B^dagger) = Tr(rho F_b)
     if not p > PROB_FLOOR:

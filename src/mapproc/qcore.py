@@ -235,7 +235,17 @@ def is_density_operator(m: np.ndarray, tol: float = ATOL) -> bool:
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Half the trace norm of a - b (both Hermitian)."""
+    """Half the trace norm of a - b; ValueError naming the operand unless it is a finite
+    Hermitian matrix within ATOL, or when the trace norm of a - b leaves the float range."""
     a = _square(a, "operand a")
-    evals = np.linalg.eigvalsh(a - _array(b, complex, a.shape, "operand b"))
-    return 0.5 * float(np.sum(np.abs(evals)))
+    b = _array(b, complex, a.shape, "operand b")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        for name, m in (("a", a), ("b", b)):
+            if not np.isfinite(m).all():
+                raise ValueError(f"operand {name} has an entry that is not finite")
+            if not _is_hermitian(m, ATOL):  # eigvalsh would read one triangle only
+                raise ValueError(f"operand {name} is not Hermitian within {ATOL}")
+        norm = float(np.abs(np.linalg.eigvalsh(a - b)).sum())
+    if not math.isfinite(norm):
+        raise ValueError("operand a - b has a trace norm beyond the float range")
+    return 0.5 * norm

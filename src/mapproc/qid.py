@@ -59,7 +59,7 @@ class QidProgram:
         return self.amplitudes @ _XI
 
     def program_state(self) -> ProgramState:
-        return ProgramState.pure(self.state_vector())
+        return ProgramState(self.state_vector())
 
 
 # row k: the signs sigma_k sigma_j sigma_k = +-sigma_j puts on the Bloch axes j

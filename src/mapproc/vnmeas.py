@@ -13,8 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import ATOL, InfeasibleError, _array, _index_rows, _operator_stack, _typed, dag
-from .processor import Processor, _branches, _checked_povm, _freeze
+from .qcore import (
+    ATOL, InfeasibleError, _array, _index_rows, _operator_stack, _typed, dag, is_density_operator,
+)
+from .processor import STATE_TOL, Processor, _branches, _checked_povm, _freeze
 
 # A post-measurement state matches its projector within POSTULATE_ATOL;
 # outcomes at or below POSTULATE_FLOOR in probability are not checked.
@@ -399,7 +401,7 @@ def verify_projection_postulate(
     For every sample state and every outcome with probability above
     POSTULATE_FLOOR, the conditional post-state must equal the outcome's
     projector within POSTULATE_ATOL.  The measurement must be one the
-    report realizes.
+    report realizes, and every sample a density operator within STATE_TOL.
     """
     _typed(measurement, VonNeumannMeasurement, "measurement")
     for record in _typed(report, SynthesisReport, "report").measurements:
@@ -410,6 +412,9 @@ def verify_projection_postulate(
         raise ValueError("measurement is not realized by this report")
     ops = _branches(report.processor, record.program_state[None])[0]
     rhos = _array(samples, complex, (None, measurement.dim, measurement.dim), "samples")
+    for i, rho in enumerate(rhos):  # a NaN sample would leave no outcome to check
+        if not is_density_operator(rho, STATE_TOL):
+            raise ValueError(f"samples[{i}] is not a density operator within {STATE_TOL}")
     return _post_states_match(ops, record.slot_map, measurement.projectors, rhos)
 
 

@@ -125,7 +125,7 @@ def test_criterion_4_unitary_programs():
             rho = random_density_operator(2, rng)
             assert np.max(np.abs(outcome_probabilities(rho, povm) - 0.25)) < 1e-12
         u = expm(1j * sum(mu[j] * pauli(j + 1) for j in range(3)))
-        branch0 = kraus_operators(QID, program.program_state())[0, 0]
+        branch0 = kraus_operators(QID, program.program_state())[0]
         rho = random_density_operator(2, rng)
         got = branch0 @ rho @ dag(branch0) / 0.25
         assert np.max(np.abs(got - u @ rho @ dag(u))) < 1e-10
@@ -182,7 +182,7 @@ def test_criterion_7_padded_synthesis():
         gate = report.gate
         assert np.max(np.abs(dag(gate) @ gate - np.eye(n * d * d))) < 1e-12
         for rec, m in zip(report.measurements, ms):
-            ops = kraus_operators(report.processor, ProgramState.pure(rec.program_state))[0]
+            ops = kraus_operators(report.processor, ProgramState(rec.program_state))
             for _ in range(20):
                 rho = random_density_operator(d, rng)
                 for j, slot in enumerate(rec.slot_map):
@@ -210,7 +210,7 @@ def test_criterion_8_relaxed_construction():
         assert np.max(np.abs(dag(gate) @ gate - np.eye(d * d))) < 1e-12
         samples = [random_density_operator(d, sample_rng) for _ in range(10)]
         for rec, m in zip(report.measurements, pvms):
-            ops = kraus_operators(report.processor, ProgramState.pure(rec.program_state))[0]
+            ops = kraus_operators(report.processor, ProgramState(rec.program_state))
             povm = [dag(op) @ op for op in ops]
             for rho in samples:
                 got = outcome_probabilities(rho, povm)

@@ -104,14 +104,7 @@ CONTRACT = {
         ("gate", r"^gate|^processor gate",
          lambda x: mp.Processor(data_dim=1, program_dim=2, gate=x), np.eye(2)),
     ),
-    "ProgramState": (
-        # weights that do not match the rows of the vectors name both
-        ("weights", r"^program (weights|vectors)|^component weight",
-         lambda x: mp.ProgramState(weights=x, vectors=PROGRAM.vectors), [1.0]),
-        ("vectors", r"^program (vectors|component states)",
-         lambda x: mp.ProgramState(weights=[1.0], vectors=x), PROGRAM.vectors),
-        ("pure", r"^program (vectors|component states)", mp.ProgramState.pure, [1, 0]),
-    ),
+    "ProgramState": (("vector", r"^program vector", mp.ProgramState, [1, 0]),),
     "induced_instrument": (
         ("proc", PROC_IS_NOT, lambda x: mp.induced_instrument(x, PROGRAM, PARTITION), PROC),
         ("program", PROGRAM_IS_NOT, lambda x: mp.induced_instrument(PROC, x, PARTITION), PROGRAM),

@@ -22,11 +22,6 @@ counts 0 ``svd`` and 0 ``eigvalsh`` calls.  Any other stack, a reordered
 SIC or a random qubit POVM, runs exactly one ``svd``.  The same bytes
 decoded from JSON into an empty memo are checked once, and the dual frame
 is the same bits whichever way the stack enters the memo.
-
-``ProgramState.pure`` builds its one row directly, without the mixture
-constructor's per-row loop: in the same five cases the program state is
-built, and its instrument and post-measurement states formed, with
-``ProgramState.__post_init__`` replaced by a function that raises.
 """
 
 import numpy as np
@@ -35,7 +30,6 @@ import pytest
 from mapproc import processor
 from mapproc.processor import (
     OutcomePartition,
-    ProgramState,
     induced_instrument,
     post_measurement_state,
     validate_povm,
@@ -260,33 +254,3 @@ def test_the_dual_frame_depends_only_on_the_bytes(case, empty_povm_memo):
     assert not any(entry[0].tobytes() == elements.tobytes() for entry in empty_povm_memo.values())
     again = Tomographer.build(elements).dual_frame.tobytes()
     assert entered == from_json == again
-
-
-def _refuse_mixture(*args, **kwargs):
-    raise AssertionError("mixture constructor under the guard")
-
-
-@pytest.mark.parametrize(
-    "case", ["sic", 1, 2, 3, "unitary"], ids=["sic", "pauli-x", "pauli-y", "pauli-z", "unitary"]
-)
-def test_pure_program_state_skips_the_mixture_constructor(monkeypatch, case):
-    proc = qid_unitary()
-    if case == "sic":
-        program, partition = sic_program(), OutcomePartition.finest(4)
-    elif case == "unitary":
-        program, partition = unitary_program([0.3, -0.2, 0.9]), OutcomePartition.finest(4)
-    else:
-        program, partition = pauli_measurement_program(case)
-    expected = ProgramState(weights=(1.0,), vectors=(program.state_vector(),))
-
-    monkeypatch.setattr(ProgramState, "__post_init__", _refuse_mixture)
-    state = program.program_state()
-    inst = induced_instrument(proc, state, partition)
-    rho = np.eye(2) / 2
-    posts = [post_measurement_state(proc, state, rho, b, partition) for b in range(len(partition))]
-    assert state._rows.tobytes() == expected._rows.tobytes()
-    assert inst.povm.tobytes() == induced_instrument(proc, expected, partition).povm.tobytes()
-    assert all(abs(np.trace(post) - 1) < 1e-12 for post in posts)
-    # a mixture, even of one row, still runs the generic constructor and meets the guard
-    with pytest.raises(AssertionError, match="mixture constructor"):
-        ProgramState(weights=(1.0,), vectors=(program.state_vector(),))

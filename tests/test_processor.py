@@ -42,9 +42,7 @@ def unbounded(element):
 
 def dilated_probabilities(proc, program, rho, partition):
     """Independent oracle: Tr[(I (x) Q_a) G (rho (x) xi) G^dagger]."""
-    xi = sum(
-        w * np.outer(v, v.conj()) for w, v in zip(program.weights, program.vectors)
-    )
+    xi = np.outer(program.vector, program.vector.conj())
     big = proc.gate @ np.kron(rho, xi) @ dag(proc.gate)
     probs = []
     for block in partition.blocks:
@@ -85,27 +83,21 @@ class TestValidation:
         assert (proc.data_dim, proc.program_dim) == (2, 2)
         assert type(proc.data_dim) is int and type(proc.program_dim) is int
 
-    def test_program_state_weights_must_sum_to_one(self):
-        e = np.eye(2, dtype=complex)
-        with pytest.raises(ValueError, match="sum"):
-            ProgramState(weights=[0.5, 0.4], vectors=e)
-
-    def test_program_state_components_normalized(self):
-        with pytest.raises(ValueError, match="normalized"):
-            ProgramState(weights=[1.0], vectors=[[1.0, 1.0]])
-
     @pytest.mark.parametrize(
-        "weights, vectors",
+        "vector, message",
         [
-            ([1.0], [1.0, 0.0]),
-            ([0.5, 0.5], [[1.0, 0.0]]),
-            ([], np.zeros((0, 2))),
+            (np.eye(2) + 0j, "program vector must have shape (n,) with n >= 1, got (2, 2)"),
+            # an empty vector is a shape defect, refused before the norm check
+            (np.zeros(0), "program vector must have shape (n,) with n >= 1, got (0,)"),
+            (np.array([1.0, 1.0]), "program vector must be normalized"),
+            (0.5, "program vector must have shape (n,) with n >= 1, got ()"),
+            ([np.nan, 0.0], "program vector must be normalized"),
         ],
-        ids=["one-dimensional-vectors", "length-mismatch", "no-rows"],
+        ids=["2-d", "empty", "unnormalized", "scalar", "nan"],
     )
-    def test_program_state_arrays_are_checked(self, weights, vectors):
-        with pytest.raises(ValueError):
-            ProgramState(weights=weights, vectors=vectors)
+    def test_program_state_is_one_unit_vector(self, vector, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ProgramState(vector)
 
     def test_partition_blocks_must_be_disjoint(self):
         with pytest.raises(ValueError, match="two blocks"):
@@ -186,13 +178,13 @@ class TestValidation:
         "build",
         [
             lambda: QidProgram(amplitudes=[np.nan, 0, 0, 0]),
-            lambda: ProgramState(weights=[np.nan], vectors=[[1.0, 0.0]]),
+            lambda: ProgramState([np.nan, 0.0]),
             lambda: Processor(data_dim=1, program_dim=2, gate=[[1, 0], [0, np.nan]]),
             lambda: SlotAssignment(slot_maps=((np.nan,),)),
             lambda: VonNeumannMeasurement(projectors=[np.diag([1, 0]), np.diag([0, np.nan])]),
             lambda: validate_povm([np.diag([np.nan, 0.5]), np.diag([0.0, 0.5])]),
         ],
-        ids=["qid-program", "program-weight", "gate", "slot-maps", "projector", "povm"],
+        ids=["qid-program", "program-vector", "gate", "slot-maps", "projector", "povm"],
     )
     def test_nan_is_refused(self, build):
         with pytest.raises(ValueError):  # InvalidPovmError is a ValueError
@@ -242,26 +234,26 @@ class TestKrausOperators:
     def test_anchor_program_gives_identity_branches(self, qid_proc):
         program = QidProgram(amplitudes=np.eye(4)[0]).program_state()
         ops = kraus_operators(qid_proc, program)
-        assert ops.shape == (1, 4, 2, 2)
-        for a in ops[0]:
+        assert ops.shape == (4, 2, 2)
+        for a in ops:
             assert np.allclose(a, 0.5 * np.eye(2), atol=1e-12)
 
     def test_sic_program_branches_are_pauli_conjugates(self, qid_proc):
         a_op = 0.5 * (np.eye(2) / np.sqrt(2) + (pauli(1) + pauli(2) + pauli(3)) / np.sqrt(6))
-        for k, a in enumerate(kraus_operators(qid_proc, sic_program().program_state())[0]):
+        for k, a in enumerate(kraus_operators(qid_proc, sic_program().program_state())):
             assert np.allclose(a, pauli(k) @ a_op @ pauli(k), atol=1e-12)
 
     def test_completeness_for_random_gate_and_program(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
             proc = Processor(data_dim=2, program_dim=2, gate=haar_unitary(4, rng))
-            program = ProgramState.pure(random_pure_state(2, rng))
-            total = sum(dag(a) @ a for a in kraus_operators(proc, program)[0])
+            program = ProgramState(random_pure_state(2, rng))
+            total = sum(dag(a) @ a for a in kraus_operators(proc, program))
             assert np.allclose(total, np.eye(2), atol=1e-10)
 
     def test_dimension_mismatch(self, qid_proc):
         with pytest.raises(ValueError, match="dimension"):
-            kraus_operators(qid_proc, ProgramState.pure(np.array([1.0, 0.0])))
+            kraus_operators(qid_proc, ProgramState(np.array([1.0, 0.0])))
 
 
 class TestInducedPovm:
@@ -280,10 +272,14 @@ class TestInducedPovm:
             assert np.allclose(got, expected, atol=1e-12)
 
     def test_maximally_mixed_program_gives_trivial_povm(self, qid_proc):
-        # direct summation over the four Bell-like components of I/4
-        family = [QidProgram(amplitudes=e).state_vector() for e in np.eye(4)]
-        program = ProgramState(weights=np.full(4, 0.25), vectors=family)
-        povm = induced_povm(qid_proc, program, OutcomePartition.finest(4))
+        # the POVM is linear in the program's density operator, so the maximally
+        # mixed program I/4, the mean of the four Bell-like Xi_k, induces the mean
+        # of the four Xi_k programs' POVMs
+        finest = OutcomePartition.finest(4)
+        povm = sum(
+            induced_povm(qid_proc, QidProgram(amplitudes=e).program_state(), finest)
+            for e in np.eye(4)
+        ) / 4
         for f in povm:
             assert np.allclose(f, np.eye(2) / 4, atol=1e-12)
 
@@ -479,7 +475,7 @@ class TestPostMeasurementState:
             for a in range(2)
         )
         channel = sum(
-            a @ rho @ dag(a) for a in kraus_operators(qid_proc, program)[0]
+            a @ rho @ dag(a) for a in kraus_operators(qid_proc, program)
         )
         assert np.allclose(total, channel, atol=1e-10)
 

@@ -67,18 +67,8 @@ def random_processor(d, dp, rng):
     return Processor(data_dim=d, program_dim=dp, gate=haar_unitary(d * dp, rng))
 
 
-def random_mixed_program(dp, rng):
-    """Up to three weighted components, sometimes plus one of weight -1e-12.
-
-    ProgramState admits rounding dust down to -ATOL; its Kraus operators
-    must carry weight 0, not the square root of a negative number.
-    """
-    weights = list(rng.dirichlet(np.ones(int(rng.integers(1, 4)))))
-    if rng.random() < 0.3:
-        weights.append(-1e-12)
-    return ProgramState(
-        weights=weights, vectors=[random_pure_state(dp, rng) for _ in weights]
-    )
+def random_program(dp, rng):
+    return ProgramState(random_pure_state(dp, rng))
 
 
 def random_partition(n, rng):
@@ -111,12 +101,12 @@ def random_ic_povm(d, rng, extra=None):
 
 @SETTINGS
 @given(dims, st.integers(min_value=1, max_value=4), seeds)
-def test_mixed_program_kraus_operators_are_trace_preserving(d, dp, seed):
+def test_program_kraus_operators_are_trace_preserving(d, dp, seed):
     rng = np.random.default_rng(seed)
-    program = random_mixed_program(dp, rng)
+    program = random_program(dp, rng)
     ops = kraus_operators(random_processor(d, dp, rng), program)
-    assert ops.shape == (len(program.weights), dp, d, d)
-    total = sum(dag(a) @ a for a in ops.reshape(-1, d, d))
+    assert ops.shape == (dp, d, d)
+    total = sum(dag(a) @ a for a in ops)
     assert np.max(np.abs(total - np.eye(d))) < 1e-10
 
 
@@ -129,8 +119,8 @@ def test_a_measured_program_basis_folds_into_the_gate(d, dp, seed):
     program = random_pure_state(dp, rng)
     folded = Processor(data_dim=d, program_dim=dp, gate=np.kron(np.eye(d), basis.conj()) @ u)
     expected = np.einsum("km,imjn,n->kij", basis.conj(), u.reshape(d, dp, d, dp), program)
-    got = kraus_operators(folded, ProgramState.pure(program))
-    assert np.max(np.abs(got[0] - expected)) <= 1e-12
+    got = kraus_operators(folded, ProgramState(program))
+    assert np.max(np.abs(got - expected)) <= 1e-12
 
 
 @SETTINGS
@@ -138,7 +128,7 @@ def test_a_measured_program_basis_folds_into_the_gate(d, dp, seed):
 def test_induced_povms_are_psd_and_complete(d, dp, seed):
     rng = np.random.default_rng(seed)
     proc = random_processor(d, dp, rng)
-    program = random_mixed_program(dp, rng)
+    program = random_program(dp, rng)
     partition = random_partition(dp, rng)
     inst = induced_instrument(proc, program, partition)
     assert inst.povm.shape == (len(partition), d, d)
@@ -146,7 +136,7 @@ def test_induced_povms_are_psd_and_complete(d, dp, seed):
     assert np.linalg.eigvalsh(inst.povm).min() > -1e-10
     assert np.max(np.abs(inst.povm.sum(axis=0) - np.eye(d))) < 1e-10
     for block, branch, element in zip(partition.blocks, inst.branches, inst.povm):
-        assert branch.shape == (len(program.weights) * len(block), d, d)
+        assert branch.shape == (len(block), d, d)
         assert np.max(np.abs(sum(dag(a) @ a for a in branch) - element)) < 1e-10
 
 
@@ -217,8 +207,8 @@ def test_kraus_compatibility_is_the_pairwise_sum(d, dp, seed):
     rng = np.random.default_rng(seed)
     proc = random_processor(d, dp, rng)
     psi, phi = random_pure_state(dp, rng), random_pure_state(dp, rng)
-    ops_a = kraus_operators(proc, ProgramState.pure(psi))[0]
-    ops_b = kraus_operators(proc, ProgramState.pure(phi))[0]
+    ops_a = kraus_operators(proc, ProgramState(psi))
+    ops_b = kraus_operators(proc, ProgramState(phi))
     s, k = kraus_compatibility(ops_a, ops_b)
     assert np.max(np.abs(s - sum(dag(a) @ b for a, b in zip(ops_a, ops_b)))) < 1e-12
     # a unitary gate makes the sum the program overlap times the identity
@@ -261,7 +251,7 @@ def test_synthesis_records_match_the_per_program_kraus_operators(d, n, layout, s
     assert report.gate.reshape(d * dp, d, dp)[:, :, :n].tobytes() == image.tobytes()
     assert is_unitary(report.gate)
     for rec in report.measurements:
-        ops = kraus_operators(report.processor, ProgramState.pure(rec.program_state))[0]
+        ops = kraus_operators(report.processor, ProgramState(rec.program_state))
         assert np.max(np.abs(rec.realized_povm - ops.conj().transpose(0, 2, 1) @ ops)) <= 1e-12
 
 
@@ -354,15 +344,6 @@ program_kinds = st.sampled_from(
 CUTOFF_BAND = 1e-3
 
 
-@settings(max_examples=300, deadline=None)
-@given(program_kinds, seeds)
-def test_qid_completeness_is_the_svd_rank_test_outside_the_cutoff_band(kind, seed):
-    report = qid_povm(qid_program(kind, np.random.default_rng(seed)))
-    smallest = np.abs(report.anchor_bloch).min()
-    if abs(smallest / RANK_CUTOFF - 1.0) > CUTOFF_BAND:
-        assert report.informationally_complete == is_informationally_complete(report.elements)
-
-
 # the numpy expression qid_povm evaluated b with before it used four Python complex
 # scalars: cyclic successors and predecessors of the Bloch axes gather conj(vec) x vec
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
@@ -394,46 +375,6 @@ def test_qid_completeness_is_the_numpy_anchor_rule_outside_the_cutoff_band(kind,
     smallest = np.abs(numpy_anchor(program.amplitudes)).min()
     if abs(smallest / RANK_CUTOFF - 1.0) > CUTOFF_BAND:
         assert qid_povm(program).informationally_complete == (smallest > RANK_CUTOFF)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=1, max_value=8), seeds)
-def test_pure_program_state_is_bitwise_the_one_row_mixture(dp, seed):
-    # -0.0 - 0.3j comes out of the mixture's product with sqrt(1.0) as +0.0 - 0.3j
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=dp) + 1j * rng.normal(size=dp)
-    special = rng.choice(dp, size=int(rng.integers(0, dp + 1)), replace=False)
-    for n, k in enumerate(special):  # the first keeps the vector nonzero
-        v[k] = complex(-0.0, -0.3) if n == 0 or rng.random() < 0.5 else complex(-0.0, 0.0)
-    v = v / np.linalg.norm(v)
-    pure, mixture = ProgramState.pure(v), ProgramState(weights=(1.0,), vectors=(v,))
-    for name in ("weights", "vectors", "_rows"):
-        a, b = getattr(pure, name), getattr(mixture, name)
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-        assert not a.flags.writeable
-
-
-@pytest.mark.parametrize(
-    "state, message",
-    [
-        (np.eye(2) + 0j, "program vectors must have shape (1, n) with n >= 1, got (1, 2, 2)"),
-        # an empty vector is a shape defect, refused before the norm check
-        (
-            np.zeros(0, dtype=complex),
-            "program vectors must have shape (1, n) with n >= 1, got (1, 0)",
-        ),
-        (np.array([1.0, 1.0]), "program component states must be normalized"),
-        (0.5, "program vectors must have shape (1, n) with n >= 1, got (1,)"),
-    ],
-    ids=["2-d", "empty", "unnormalized", "scalar"],
-)
-def test_pure_program_state_refuses_what_the_mixture_refuses(state, message):
-    with pytest.raises(ValueError) as mixture:
-        ProgramState(weights=(1.0,), vectors=(state,))
-    with pytest.raises(ValueError) as pure:
-        ProgramState.pure(state)
-    assert type(pure.value) is type(mixture.value)
-    assert str(pure.value) == str(mixture.value) == message
 
 
 @settings(max_examples=300, deadline=None)
@@ -497,9 +438,11 @@ def test_qid_closed_form_inversion_is_the_svd_inversion(kind, seed):
     b, swap = report.anchor_bloch, [1, 0, 2, 3]
     values = np.linalg.svd(report.elements.reshape(4, 4), compute_uv=False)
     smallest = np.abs(b).min()
+    # outside the band, the report's flag and the tomography test are the SVD rank decision
     if abs(smallest / RANK_CUTOFF - 1.0) > CUTOFF_BAND:
         svd_complete = (values > RANK_CUTOFF * values[0]).all()
         assert is_informationally_complete(report.elements) == svd_complete
+        assert report.informationally_complete == svd_complete
     if not is_informationally_complete(report.elements):
         return
     with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
@@ -536,25 +479,17 @@ def test_unitary_program_is_bitwise_the_numpy_norm_form(seed, scale, zeros):
 
 
 @SETTINGS
-@given(small_dims, small_dims, st.booleans(), seeds)
-def test_induced_povm_is_the_summed_products_of_the_kraus_operators(d, dp, pure, seed):
-    # the replaced formula: the batched A_ck^dagger A_ck summed over components c;
-    # one component gives the same bits, a mixture sums in another order
+@given(small_dims, small_dims, seeds)
+def test_induced_povm_is_the_summed_products_of_the_kraus_operators(d, dp, seed):
+    # the batched A_k^dagger A_k, summed over each block by the membership matrix
     rng = np.random.default_rng(seed)
     proc = random_processor(d, dp, rng)
-    if pure:
-        program = ProgramState.pure(random_pure_state(dp, rng))
-    else:
-        program = random_mixed_program(dp, rng)
+    program = random_program(dp, rng)
     partition = random_scattered_partition(dp, rng)
     ops = kraus_operators(proc, program)
-    elements = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=0)
+    elements = ops.conj().swapaxes(-1, -2) @ ops
     reference = (partition._membership @ elements.reshape(dp, d * d)).reshape(-1, d, d)
-    povm = induced_instrument(proc, program, partition).povm
-    if pure:
-        assert povm.tobytes() == reference.tobytes()
-    else:
-        assert np.max(np.abs(povm - reference)) <= 1e-15
+    assert induced_instrument(proc, program, partition).povm.tobytes() == reference.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -602,7 +537,7 @@ def test_post_measurement_states_reassemble_the_channel(d, dp, seed):
     # sum_b p_b rho_b = sum_k A_k rho A_k^dagger with p_b = Tr(rho F_b)
     rng = np.random.default_rng(seed)
     proc = random_processor(d, dp, rng)
-    program = random_mixed_program(dp, rng)
+    program = random_program(dp, rng)
     partition = random_scattered_partition(dp, rng)
     rho = random_density_operator(d, rng)
     povm = induced_povm(proc, program, partition)
@@ -610,7 +545,7 @@ def test_post_measurement_states_reassemble_the_channel(d, dp, seed):
         np.trace(rho @ povm[b]).real * post_measurement_state(proc, program, rho, b, partition)
         for b in range(len(partition))
     )
-    channel = sum(a @ rho @ dag(a) for a in kraus_operators(proc, program).reshape(-1, d, d))
+    channel = sum(a @ rho @ dag(a) for a in kraus_operators(proc, program))
     assert np.max(np.abs(total - channel)) < 1e-10
 
 
@@ -796,7 +731,7 @@ def test_post_measurement_state_is_the_instrument_formula(d, dp, seed):
     # the formula through the whole instrument, as before the one-block slice
     rng = np.random.default_rng(seed)
     proc = random_processor(d, dp, rng)
-    program = random_mixed_program(dp, rng)
+    program = random_program(dp, rng)
     partition = random_scattered_partition(dp, rng)
     rho = random_density_operator(d, rng)
     inst = induced_instrument(proc, program, partition)

@@ -92,6 +92,36 @@ def test_trace_distance_of_orthogonal_pure_states():
     assert abs(trace_distance(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) - 1.0) < 1e-14
 
 
+# eigvalsh reads one triangle only, so a non-Hermitian operand would give a
+# silent wrong answer ([[0, 1], [0, 0]] read as 0, not 0.5), and a NaN one 0
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        ([[np.nan, 0], [0, 0]], np.zeros((2, 2)), "operand a has an entry that is not finite"),
+        (np.eye(2) / 2, [[0.5, 0], [0, np.inf]], "operand b has an entry that is not finite"),
+        ([[0, 1], [0, 0]], np.zeros((2, 2)), "operand a is not Hermitian within 1e-10"),
+        (np.eye(2) / 2, [[0.5, 1e-9], [0, 0.5]], "operand b is not Hermitian within 1e-10"),
+        (np.diag([1e308, 0.0]), np.diag([-1e308, 0.0]),
+         "operand a - b has a trace norm beyond the float range"),
+        (np.diag([1e308, 1e308]), np.zeros((2, 2)),
+         "operand a - b has a trace norm beyond the float range"),
+        (np.full((2, 2), 1e308), np.zeros((2, 2)),
+         "operand a - b has a trace norm beyond the float range"),
+        ([[0, 1e308], [-1e308, 0]], np.zeros((2, 2)), "operand a is not Hermitian within 1e-10"),
+    ],
+    ids=["nan-a", "inf-b", "upper-triangle", "skew-b", "difference-overflows",
+         "norm-overflows", "eigenvalue-overflows", "skew-huge"],
+)
+def test_trace_distance_refuses_what_has_no_trace_distance(a, b, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        trace_distance(a, b)
+
+
+def test_trace_distance_of_huge_operands_within_the_float_range():
+    distance = trace_distance(np.diag([1e307, 0.0]), np.diag([-1e307, 0.0]))
+    assert abs(distance / 1e307 - 1.0) < 1e-15
+
+
 # values a refusal may quote: JSON-like nests of lists, tuples and dicts
 quotable = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=30),

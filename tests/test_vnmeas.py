@@ -339,8 +339,8 @@ class TestBuildOrthogonalProcessor:
         ms = [random_measurement(2, rng) for _ in range(2)]
         report = build_orthogonal_processor(pad_with_zero_slots(ms), ms)
         for rec, m in zip(report.measurements, ms):
-            program = ProgramState.pure(rec.program_state)
-            ops = kraus_operators(report.processor, program)[0]
+            program = ProgramState(rec.program_state)
+            ops = kraus_operators(report.processor, program)
             for _ in range(5):
                 rho = random_density_operator(2, rng)
                 for j, slot in enumerate(rec.slot_map):
@@ -438,13 +438,13 @@ class TestRelaxedProcessor:
         m2 = VonNeumannMeasurement.from_basis([phi, phi_perp])
         report = relaxed_pvm_processor([SZ, m2])
         assert report.processor.program_dim == 2
-        ops = kraus_operators(report.processor, ProgramState.pure(np.eye(2)[1]))[0]
+        ops = kraus_operators(report.processor, ProgramState(np.eye(2)[1]))
         # shifted operators send phi to |1> and phi_perp to |0>
         assert np.allclose(dag(ops[0]) @ ops[0], m2.projectors[0], atol=1e-12)
         assert np.allclose(ops[0] @ dag(ops[0]), E1, atol=1e-12)
         assert np.allclose(ops[1] @ dag(ops[1]), E0, atol=1e-12)
         # cross condition with the first program's operators vanishes
-        first = kraus_operators(report.processor, ProgramState.pure(np.eye(2)[0]))[0]
+        first = kraus_operators(report.processor, ProgramState(np.eye(2)[0]))
         s, k = kraus_compatibility(first, ops)
         assert np.max(np.abs(s)) < 1e-12
         assert abs(k) < 1e-12
@@ -463,8 +463,8 @@ class TestRelaxedProcessor:
         g = report.gate
         assert np.max(np.abs(dag(g) @ g - np.eye(9))) < 1e-12
         for rec, m in zip(report.measurements, ms):
-            program = ProgramState.pure(rec.program_state)
-            povm = [dag(a) @ a for a in kraus_operators(report.processor, program)[0]]
+            program = ProgramState(rec.program_state)
+            povm = [dag(a) @ a for a in kraus_operators(report.processor, program)]
             for _ in range(10):
                 rho = random_density_operator(3, rng)
                 got = outcome_probabilities(rho, povm)
@@ -539,6 +539,18 @@ class TestProjectionPostulate:
         with pytest.raises(ValueError, match="not realized"):
             verify_projection_postulate(report, SX, [E0])
 
+    # each would pass unrefused: a NaN sample has no outcome above the floor, and
+    # in the other two outcome 1 has negative probability, so only E0 is checked
+    @pytest.mark.parametrize(
+        "sample", [np.full((2, 2), np.nan), np.diag([1.0, -1.0]), np.diag([1.5, -0.5])],
+        ids=["nan", "traceless", "negative"],
+    )
+    def test_a_sample_that_is_no_state_is_refused(self, sample):
+        report = build_orthogonal_processor(pad_with_zero_slots([SZ]), [SZ])
+        message = "samples[1] is not a density operator within 1e-08"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_projection_postulate(report, SZ, [E0, sample])
+
 
 class TestFeasibilityTable:
     def test_x_z_violates_row_orthogonality(self):
@@ -569,7 +581,7 @@ class TestProgrammabilityLimits:
         ms = [random_measurement(d, rng) for _ in range(d)]
         proc = relaxed_pvm_processor(ms).processor
         psi = random_pure_state(d, rng)
-        povm = induced_povm(proc, ProgramState.pure(psi), OutcomePartition.finest(d))
+        povm = induced_povm(proc, ProgramState(psi), OutcomePartition.finest(d))
         weights = np.abs(psi) ** 2
         closed = sum(w * m.projectors for w, m in zip(weights, ms))
         assert np.max(np.abs(povm - closed)) <= 1e-12
@@ -592,14 +604,14 @@ def test_dataclass_arrays_are_read_only():
     measurement = VonNeumannMeasurement(projectors=projectors)
     projectors[0, 0, 0] = 5  # the caller's array stays the caller's
     assert measurement.projectors[0, 0, 0] == 1
-    weights, vectors = np.array([0.5, 0.5]), np.eye(2, dtype=complex)
-    program = ProgramState(weights=weights, vectors=vectors)
-    weights[0], vectors[0, 0] = 5, 5
-    assert program.weights[0] == 0.5 and program.vectors[0, 0] == 1
+    vector = np.eye(2, dtype=complex)[0]
+    program = ProgramState(vector)
+    vector[0] = 5
+    assert program.vector[0] == 1
     assign = pad_with_zero_slots([SZ, SX])
     qid = qid_povm(sic_program())
     arrays = [measurement.projectors, qid.elements, qid.program_operator, qid.anchor_bloch,
-              program.weights, program.vectors]
+              program.vector]
     padded = build_orthogonal_processor(assign, [SZ, SX])
     relaxed = relaxed_pvm_processor([SZ, SX])
     for record in padded.measurements + relaxed.measurements:
