@@ -17,14 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import (
-    _COUNT_MAX, ATOL, _array, _index, _index_rows, _is_hermitian, _operator_stack, _typed, dag,
-    is_unitary,
+    _COUNT_MAX, ATOL, _array, _index, _index_rows, _is_hermitian, _operator_stack, _qubit_spectrum,
+    _typed, dag, is_density_operator, is_unitary,
 )
 
 PROB_FLOOR = 1e-12
-# A state, typed or rounded by hand, passes within STATE_TOL: its outcome
-# probabilities before sampling, and a density-operator document or a
-# projection-postulate sample in full.
+# A state, typed or rounded by hand, passes within STATE_TOL: every rho argument,
+# a density-operator document and a projection-postulate sample (see _state).
 STATE_TOL = 1e-8
 
 # One memo of checked POVMs by content, entries [read-only stack, inversion], the
@@ -33,6 +32,36 @@ STATE_TOL = 1e-8
 _POVM_MEMO_SIZE = 4
 _POVM_MEMO: dict[tuple, list] = {}  # in order of entry, the oldest first
 _POVM_LOCK = threading.Lock()
+
+
+def _state(rho, d: int | None, name: str) -> np.ndarray:
+    """``rho`` as a complex (d, d) array (None: any n) if it is a density operator within
+    STATE_TOL, as is_density_operator decides; else one ValueError line naming it.
+
+    A 2x2 is decided in closed form on Python scalars, by is_density_operator's
+    checks: entries in the unit disc, Hermitian, unit trace, and the smallest
+    eigenvalue m - r of the lower triangle, as eigvalsh reads it (see
+    qcore._qubit_spectrum).  A NaN entry fails a comparison.
+    """
+    rho = _array(rho, complex, (d, d), name)
+    if rho.shape == (2, 2):
+        (a, b), (c, e) = rho.tolist()
+        bound = 1 + STATE_TOL  # |rho_ij| <= sqrt(rho_ii rho_jj) <= 1
+        try:  # abs of a finite complex beyond the float range raises
+            m, r = _qubit_spectrum(a.real, c, e.real)
+            valid = (
+                abs(a) <= bound >= abs(e) and abs(b) <= bound >= abs(c)
+                and abs(b - c.conjugate()) <= STATE_TOL
+                and 2 * abs(a.imag) <= STATE_TOL >= 2 * abs(e.imag)
+                and abs(a.real + e.real - 1.0) <= STATE_TOL and m - r >= -STATE_TOL
+            )
+        except OverflowError:
+            valid = False
+    else:
+        valid = is_density_operator(rho, STATE_TOL)
+    if not valid:
+        raise ValueError(f"{name} is not a density operator within {STATE_TOL}")
+    return rho
 
 
 class InvalidPovmError(ValueError):
@@ -275,10 +304,9 @@ def _checked_povm(f: np.ndarray) -> np.ndarray:
 
 
 def outcome_probabilities(rho: np.ndarray, povm: np.ndarray) -> np.ndarray:
-    """p_a = Tr(rho F_a) for each POVM element, unclamped."""
+    """p_a = Tr(rho F_a) for each POVM element, unclamped; ``rho`` is read by _state."""
     f = validate_povm(povm)
-    rho = _array(rho, complex, f.shape[1:], "state")
-    return np.einsum("ij,kji->k", rho, f).real
+    return np.einsum("ij,kji->k", _state(rho, f.shape[1], "state"), f).real
 
 
 def post_measurement_state(
@@ -290,15 +318,14 @@ def post_measurement_state(
 ) -> np.ndarray:
     """Normalized data state after observing one coarse outcome.
 
-    ``outcome`` is an integer block index and ``rho`` a (d, d) operator.
-    Raises ImpossibleOutcomeError when the outcome probability is not
-    above PROB_FLOOR (a NaN probability included), since the conditional
+    ``outcome`` is an integer block index and ``rho`` a (d, d) density
+    operator, read by _state.  Raises ImpossibleOutcomeError when the
+    outcome probability is not above PROB_FLOOR, since the conditional
     state is undefined there.
     """
     ops = _kraus_for(proc, program, partition)
     outcome = _index(outcome, "outcome", 0, len(partition) - 1)
-    d = proc.data_dim
-    rho = _array(rho, complex, (d, d), "state")
+    rho = _state(rho, proc.data_dim, "state")
     a, b = partition._spans[outcome]
     branch = ops[partition._order[a:b]]
     out = (branch @ rho @ branch.conj().swapaxes(-1, -2)).sum(axis=0)
@@ -317,24 +344,14 @@ def sample_outcomes(
     ``seed`` is a Generator, used as given, or an integer >= 0.  It is read
     with ``n``, before the probabilities, so n = 0 refuses a bad seed too.
 
-    Raises ValueError naming the outcome probabilities p_k = Tr(rho F_k)
-    unless they form a distribution within STATE_TOL: no p_k below
-    -STATE_TOL and |sum p - 1| <= STATE_TOL.  Only p is checked, not
-    ``rho``: an operator that is not a state but gives such p, such as
-    (I + 1.2 n.sigma)/2 with n a tetrahedron vertex on the tetrahedron
-    POVM, is sampled.  Check ``rho`` with ``is_density_operator`` first
-    when it may not be a state, as ``simulate`` does.
+    ``rho`` must be a density operator within STATE_TOL; it is read once, by
+    ``outcome_probabilities``, which refuses anything else in one line,
+    "state is not a density operator within 1e-08".  Rounding can leave a
+    probability a little below 0: it is sampled as 0, and p renormalized.
     """
     n = _index(n, "sample count", 0, _COUNT_MAX)
     if not isinstance(seed, np.random.Generator):
         seed = _index(seed, "seed", 0)
-    p = outcome_probabilities(rho, povm)
-    # scalar checks on a few floats beat array reductions; a NaN fails the sum
-    probs = p.tolist()
-    if not (min(probs) >= -STATE_TOL and abs(sum(probs) - 1.0) <= STATE_TOL):
-        raise ValueError(
-            f"outcome probabilities {probs} are not a distribution: rho is not a state"
-        )
-    p = np.maximum(p, 0.0)
+    p = np.maximum(outcome_probabilities(rho, povm), 0.0)
     p = p / p.sum()
     return np.random.default_rng(seed).multinomial(n, p)

@@ -219,6 +219,11 @@ def is_unitary(m: np.ndarray) -> bool:
     )
 
 
+def _qubit_spectrum(a: float, b: complex, e: float) -> tuple[float, float]:
+    """Centre m and half-gap r of the Hermitian [[a, b], [conj(b), e]]: eigenvalues m -+ r."""
+    return (a + e) / 2, math.hypot((a - e) / 2, abs(b))
+
+
 def is_density_operator(m: np.ndarray, tol: float = ATOL) -> bool:
     """Hermitian, unit trace, and no eigenvalue below -tol; False for what is no square matrix."""
     tol = _real(tol, "tol", 0)

@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .processor import STATE_TOL, OutcomePartition, Processor
-from .qcore import ATOL, _brief, _index, _real, is_density_operator
+from .processor import OutcomePartition, Processor, _state
+from .qcore import ATOL, _brief, _index, _real
 
 if TYPE_CHECKING:
     from .qid import QidPovmReport, QidProgram
@@ -101,14 +101,11 @@ def decode_operator(obj) -> np.ndarray:
 def decode_density_operator(obj) -> np.ndarray:
     """A bare operator document, or the {"state": operator} output of reconstruct.
 
-    The operator must be a density operator within STATE_TOL.
+    The operator must be a density operator within STATE_TOL, as processor._state reads it.
     """
     if isinstance(obj, dict) and "state" in obj:
         obj = obj["state"]
-    rho = decode_operator(obj)
-    if not is_density_operator(rho, tol=STATE_TOL):
-        raise ValueError(f"state is not a density operator within {STATE_TOL}")
-    return rho
+    return _state(decode_operator(obj), None, "state")
 
 
 def encode_state(v: np.ndarray) -> dict:

@@ -6,6 +6,10 @@ canonical dual frame D = G^+ F, G_jk = Tr(F_j F_k), inverts it, so
 overcomplete POVMs work too; under-determined ones are refused.  Both come
 in closed form for a stack of Pauli conjugates, as every QID POVM is, and
 from one SVD F = U S V^dagger, D = U S^-1 V^dagger, for any other stack.
+
+The estimate's spectrum, and its projection onto the states, come from one
+eigh; for a qubit, in closed form with no decomposition: the eigenvalues
+m -+ r of the 2x2 and the projection onto the Bloch ball (see _qubit).
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from .qcore import (
     ATOL, RANK_CUTOFF, InfeasibleError, _array, _is_hermitian, _operator_stack, _pauli_conjugates,
-    _real,
+    _qubit_spectrum, _real,
 )
 from .processor import _povm_entry
 
@@ -178,20 +182,16 @@ class ReconstructionDiagnostics:
     projected: bool
 
 
-def _project(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
-    """The density operator closest in Frobenius norm to the Hermitian estimate ``eigh`` gave.
+def _threshold(mus: list[float]) -> list[float]:
+    """The ascending eigenvalues ``mus`` projected onto the probability simplex.
 
-    Keeps the eigenvectors and projects the eigenvalues onto the
-    probability simplex: lambda_i = max(mu_i - theta, 0) with theta fixed
-    by unit trace (Smolin, Gambetta & Smith, PRL 108, 070502 (2012)).
-
-    One pass over the eigenvalues in descending order: theta is
-    (mu_1 + ... + mu_k - 1)/k for the last k with k mu_k above the
-    numerator.  The sum runs left to right and subtracts 1 last, as
-    ``np.cumsum(mu) - 1`` does; grouping it as -1 + mu_1 + ... changes
-    theta in its last bit on many spectra.
+    lambda_i = max(mu_i - theta, 0) with theta fixed by unit trace (Smolin,
+    Gambetta & Smith, PRL 108, 070502 (2012)), in one pass over the
+    eigenvalues in descending order: theta is (mu_1 + ... + mu_k - 1)/k for
+    the last k with k mu_k above the numerator.  The sum runs left to right
+    and subtracts 1 last, as ``np.cumsum(mu) - 1`` does; grouping it as
+    -1 + mu_1 + ... changes theta in its last bit on many spectra.
     """
-    mus = evals.tolist()
     theta = None
     total = 0.0
     for k, mu in enumerate(reversed(mus), 1):
@@ -202,7 +202,33 @@ def _project(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
     if theta is None:  # k = 1 qualifies unless mu_1 is not finite or |mu_1| > 2^53
         raise ValueError(f"estimate spectrum {mus} has no simplex threshold")
     # max(0.0, x) keeps +0.0 for x = -0.0, as np.maximum(x, 0.0) does
-    return (evecs * [max(0.0, mu - theta) for mu in mus]) @ evecs.conj().T
+    return [max(0.0, mu - theta) for mu in mus]
+
+
+def _project(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
+    """The density operator closest in Frobenius norm to the Hermitian estimate ``eigh`` gave:
+    its eigenvectors, with the eigenvalues projected by _threshold."""
+    return (evecs * _threshold(evals.tolist())) @ evecs.conj().T
+
+
+def _qubit(estimate: np.ndarray, project: bool) -> tuple[list[float], np.ndarray]:
+    """The ascending spectrum of a Hermitian 2x2 estimate E and E, or with ``project`` the
+    nearest state, in closed form.
+
+    E = [[a, b], [conj(b), e]] has eigenvalues m -+ r (qcore._qubit_spectrum).
+    The nearest state keeps E's eigenbasis, so it is s I + (Delta / 2r)(E - m I)
+    for the projected eigenvalues lambda_-+ of _threshold, s their mean and
+    Delta their gap; at r = 0 it is lambda I.  Delta <= 2r, so the factor
+    Delta / 2r stays in [0, 1] up to rounding.
+    """
+    (a, b), (c, e) = estimate.tolist()
+    m, r = _qubit_spectrum(a.real, b, e.real)
+    mus = [m - r, m + r]
+    if not project:
+        return mus, estimate
+    low, high = _threshold(mus)
+    s, f, h = (low + high) / 2, ((high - low) / 2 / r if r else 0.0), (a.real - e.real) / 2
+    return mus, np.array([[s + f * h, f * b], [f * c, s - f * h]])
 
 
 def reconstruct_from_probabilities(
@@ -214,21 +240,21 @@ def reconstruct_from_probabilities(
     """Linear inversion with diagnostics.
 
     With ``project`` the estimate is replaced by the closest density
-    operator (see _project); the diagnostics always report the
-    pre-projection spectrum and the inversion residual.  ``residual_tol``
-    must be a finite real number of at least 0.
+    operator (see _project, and _qubit for d = 2); the diagnostics always
+    report the pre-projection spectrum, ascending, and the inversion
+    residual.  ``residual_tol`` must be a finite real number of at least 0.
     """
     residual_tol = _real(residual_tol, "residual_tol", 0)
     estimate, residual = Tomographer.build(povm)._invert(probabilities, residual_tol)
-    evals, evecs = np.linalg.eigh(estimate)
+    if estimate.shape == (2, 2):  # no decomposition
+        evals, out = _qubit(estimate, project)
+    else:
+        spectrum, evecs = np.linalg.eigh(estimate)
+        evals, out = spectrum.tolist(), (_project(spectrum, evecs) if project else estimate)
     diagnostics = ReconstructionDiagnostics(
-        residual=residual,
-        eigenvalues=tuple(evals.tolist()),
-        projected=bool(project),
+        residual=residual, eigenvalues=tuple(evals), projected=bool(project)
     )
-    if project:
-        return _project(evals, evecs), diagnostics
-    return estimate, diagnostics
+    return out, diagnostics
 
 
 def reconstruct_from_counts(

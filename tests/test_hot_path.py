@@ -22,6 +22,15 @@ counts 0 ``svd`` and 0 ``eigvalsh`` calls.  Any other stack, a reordered
 SIC or a random qubit POVM, runs exactly one ``svd``.  The same bytes
 decoded from JSON into an empty memo are checked once, and the dual frame
 is the same bits whichever way the stack enters the memo.
+
+The post-processing of a qubit estimate is in closed form too: its
+spectrum and its projection onto the Bloch ball, and so
+``reconstruct_from_probabilities`` and ``reconstruct_from_counts`` with or
+without ``project``, run with ``eigh`` and ``eigvalsh`` replaced by a
+function that raises, as does the state reader of every rho argument
+(``outcome_probabilities``, ``sample_outcomes``, ``post_measurement_state``,
+a state document and a projection-postulate sample).  A qutrit
+reconstruction still runs exactly one ``eigh``.
 """
 
 import numpy as np
@@ -31,7 +40,9 @@ from mapproc import processor
 from mapproc.processor import (
     OutcomePartition,
     induced_instrument,
+    outcome_probabilities,
     post_measurement_state,
+    sample_outcomes,
     validate_povm,
 )
 from mapproc.qid import (
@@ -43,7 +54,9 @@ from mapproc.qid import (
     unitary_program,
 )
 from mapproc.sampling import random_density_operator
-from mapproc.serialize import decode_povm, encode_povm, json_text, read_json
+from mapproc.serialize import (
+    decode_density_operator, decode_povm, encode_operator, encode_povm, json_text, read_json,
+)
 from mapproc.tomography import (
     Tomographer,
     UnderdeterminedPovmError,
@@ -51,6 +64,10 @@ from mapproc.tomography import (
     reconstruct,
     reconstruct_from_counts,
     reconstruct_from_probabilities,
+)
+from mapproc.vnmeas import (
+    VonNeumannMeasurement, build_orthogonal_processor, pad_with_zero_slots,
+    verify_projection_postulate,
 )
 
 GENERIC_CONTRACTIONS = ("einsum", "tensordot", "cross")
@@ -217,9 +234,9 @@ def test_a_program_sweep_cycle_runs_no_svd(monkeypatch, case, empty_povm_memo):
     assert (svd["calls"], eigvalsh["calls"]) == (0, 0)
 
 
-def random_qubit_povm(rng):
-    """Four random positive operators, normalized to sum to the identity."""
-    a = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
+def random_povm(rng, d=2, n=4):
+    """``n`` random positive operators on dimension ``d``, normalized to sum to the identity."""
+    a = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
     a = a @ a.conj().swapaxes(1, 2)
     w, v = np.linalg.eigh(a.sum(axis=0))
     root = (v / np.sqrt(w)) @ v.conj().T
@@ -230,7 +247,7 @@ def random_qubit_povm(rng):
 @pytest.mark.parametrize("case", ["reordered-sic", "random"])
 def test_a_stack_of_no_pauli_conjugates_runs_one_svd(monkeypatch, case, empty_povm_memo):
     sic = qid_povm(sic_program()).elements
-    povm = sic[[1, 0, 2, 3]] if case == "reordered-sic" else random_qubit_povm(
+    povm = sic[[1, 0, 2, 3]] if case == "reordered-sic" else random_povm(
         np.random.default_rng(11))
     svd = _counting(monkeypatch, np.linalg, "svd")
     tomographer = Tomographer.build(povm)
@@ -254,3 +271,42 @@ def test_the_dual_frame_depends_only_on_the_bytes(case, empty_povm_memo):
     assert not any(entry[0].tobytes() == elements.tobytes() for entry in empty_povm_memo.values())
     again = Tomographer.build(elements).dual_frame.tobytes()
     assert entered == from_json == again
+
+
+@pytest.mark.parametrize("project", [False, True], ids=["estimate", "projected"])
+def test_qubit_post_processing_runs_no_eigendecomposition(monkeypatch, project, empty_povm_memo):
+    proc = qid_unitary()
+    elements = qid_povm(sic_program()).elements  # enters the memo checked, with no eigvalsh
+    z = VonNeumannMeasurement.from_basis(np.eye(2))
+    report = build_orthogonal_processor(pad_with_zero_slots([z]), [z])
+    state, partition = sic_program().program_state(), OutcomePartition.finest(4)
+    rho = random_density_operator(2, np.random.default_rng(5))
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, _refuse_decomposition)
+    p = outcome_probabilities(rho, elements)
+    counts = sample_outcomes(rho, elements, 10**4, seed=1)
+    estimate, diagnostics = reconstruct_from_probabilities(p, elements, project=project)
+    counted, _ = reconstruct_from_counts(counts, elements, project=project)
+    assert np.max(np.abs(estimate - rho)) < 1e-12
+    assert np.max(np.abs(counted - rho)) < 0.1
+    assert diagnostics.eigenvalues[0] <= diagnostics.eigenvalues[1]
+    posts = [post_measurement_state(proc, state, rho, b, partition) for b in range(4)]
+    assert all(abs(np.trace(post) - 1) < 1e-12 for post in posts)
+    decoded = decode_density_operator(read_json("state", json_text(encode_operator(rho))))
+    assert np.max(np.abs(decoded - rho)) < 1e-15
+    assert verify_projection_postulate(report, z, [rho])
+    with pytest.raises(AssertionError, match="decomposition"):  # the guard still holds
+        np.linalg.eigh(rho)
+
+
+@pytest.mark.parametrize("project", [False, True], ids=["estimate", "projected"])
+def test_a_qutrit_reconstruction_runs_one_eigh(monkeypatch, project, empty_povm_memo):
+    rng = np.random.default_rng(13)
+    povm = random_povm(rng, 3, 9)
+    Tomographer.build(povm)  # the POVM check and the SVD run here, before the count
+    rho = random_density_operator(3, rng)
+    p = np.array([np.vdot(f, rho).real for f in povm])
+    eigh = _counting(monkeypatch, np.linalg, "eigh")
+    estimate, _ = reconstruct_from_probabilities(p, povm, project=project)
+    assert np.max(np.abs(estimate - rho)) < 1e-12
+    assert eigh["calls"] == 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mapproc.processor import (
+    STATE_TOL,
     ImpossibleOutcomeError,
     InvalidPovmError,
     OutcomePartition,
@@ -16,8 +17,9 @@ from mapproc.processor import (
     post_measurement_state,
     sample_outcomes,
     validate_povm,
+    _state,
 )
-from mapproc.qcore import dag, pauli
+from mapproc.qcore import dag, is_density_operator, pauli
 from mapproc.qid import QidProgram, pauli_measurement_program, sic_program, unitary_program
 from mapproc.sampling import haar_unitary, random_density_operator, random_pure_state
 from mapproc.tomography import gram_matrix
@@ -26,6 +28,7 @@ from timelimit import time_limit
 
 
 NOT_FLOATS = "elements must be (d, d) operators of numbers in the float range"
+NOT_A_STATE = r"^state is not a density operator within 1e-08$"
 
 # every public function that reads an (n, d, d) operator stack
 STACK_READERS = {
@@ -481,11 +484,12 @@ class TestPostMeasurementState:
 
     @pytest.mark.filterwarnings("error")
     def test_nan_state_is_refused(self, qid_proc):
-        # Tr(rho F) is NaN, which must fail the probability floor, not pass it
+        # a NaN entry is no density operator: refused before any probability is formed
         program, partition = pauli_measurement_program(1)
         rho = np.full((2, 2), np.nan)
-        with pytest.raises(ImpossibleOutcomeError):
+        with pytest.raises(ValueError, match=NOT_A_STATE) as caught:
             post_measurement_state(qid_proc, program.program_state(), rho, 0, partition)
+        assert type(caught.value) is ValueError
 
     @pytest.mark.parametrize(
         "outcome", [True, 1.5, np.float64(1.0), "1"], ids=["bool", "fraction", "float64", "str"]
@@ -573,17 +577,13 @@ class TestSampling:
         assert np.array_equal(counts, sample_outcomes(np.eye(2) / 2, sic_elements, 50, seed=7))
 
     @pytest.mark.parametrize(
-        "rho, probabilities",
-        [
-            (np.diag([2.0, -1.0]), "-0.183"),  # trace 1, not positive: a negative p_k
-            (np.zeros((2, 2)), "[0.0, 0.0, 0.0, 0.0]"),  # probabilities sum to 0
-        ],
+        "rho",
+        [np.diag([2.0, -1.0]), np.zeros((2, 2))],  # trace 1, not positive; trace 0
         ids=["not-positive", "zero"],
     )
-    def test_non_state_is_refused(self, sic_elements, rho, probabilities):
-        with pytest.raises(ValueError, match="not a distribution") as caught:
+    def test_non_state_is_refused(self, sic_elements, rho):
+        with pytest.raises(ValueError, match=NOT_A_STATE):
             sample_outcomes(rho, sic_elements, 1000, seed=0)
-        assert probabilities in str(caught.value)
 
     # counts recorded when negative rounding dust was clipped with np.clip;
     # the antipode of the first tetrahedron vertex has p_0 = -4.2e-17
@@ -604,3 +604,115 @@ class TestSampling:
             "antipode": 0.5 * (np.eye(2) - (pauli(1) + pauli(2) + pauli(3)) / np.sqrt(3)),
         }[state]
         assert sample_outcomes(rho, sic_elements, n, seed).tolist() == counts
+
+
+# inputs once read without a word: Tr(rho F) of a non-Hermitian operator and of a
+# trace-1 operator with a negative eigenvalue, which blamed the outcome instead
+FOUND_NON_STATES = {"non-hermitian": [[1, 3], [0, 0]], "not-positive": np.diag([1.5, -0.5])}
+
+
+def near_cutoff_operator(rng):
+    """A 2x2 whose defects for is_density_operator's checks lie around STATE_TOL.
+
+    A Bloch radius of 1 + 2x puts the smallest eigenvalue at -x; an upper
+    entry off by about STATE_TOL breaks hermiticity, a shifted diagonal the
+    trace, an imaginary diagonal both.  One in eight is a random Hermitian
+    matrix instead, mostly far from any cutoff.
+    """
+    t = STATE_TOL
+    if rng.random() < 0.125:
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        return (g + dag(g)) / 4 + np.eye(2) / 2
+    v = rng.normal(size=3)
+    v *= (1 + 2 * t * rng.uniform(-3, 3)) / np.linalg.norm(v)
+    rho = (np.eye(2) + sum(x * pauli(k) for k, x in enumerate(v, 1))) / 2
+    if rng.random() < 0.5:
+        rho[0, 1] += t * rng.uniform(0, 2) * np.exp(2j * np.pi * rng.random())
+    if rng.random() < 0.5:
+        rho[0, 0] += t * rng.uniform(-2, 2)
+    if rng.random() < 0.25:
+        rho[1, 1] += 1j * t * rng.uniform(-1, 1)
+    return rho
+
+
+def reads_as_state(rho) -> bool:
+    try:
+        _state(rho, 2, "state")
+    except ValueError as exc:
+        assert str(exc) == "state is not a density operator within 1e-08"
+        return False
+    return True
+
+
+class TestStateReader:
+    """Every rho argument is read once, as a density operator within STATE_TOL."""
+
+    @pytest.mark.parametrize("rho", FOUND_NON_STATES.values(), ids=FOUND_NON_STATES.keys())
+    def test_a_non_state_is_refused_naming_the_argument(self, qid_proc, sic_elements, rho):
+        program, partition = sic_program().program_state(), OutcomePartition.finest(4)
+        calls = [
+            lambda: outcome_probabilities(rho, sic_elements),
+            lambda: sample_outcomes(rho, sic_elements, 10, seed=0),
+        ] + [
+            lambda b=b: post_measurement_state(qid_proc, program, rho, b, partition)
+            for b in range(4)
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=NOT_A_STATE) as caught:
+                call()
+            assert type(caught.value) is ValueError  # not an outcome refused as impossible
+
+    def test_a_non_state_with_a_distribution_is_not_sampled(self, sic_elements):
+        # (I + 1.2 n.sigma)/2 for the first tetrahedron vertex n has eigenvalues -0.1
+        # and 1.1, yet tetrahedron probabilities [0.55, 0.15, 0.15, 0.15]
+        n = [2 * np.trace(sic_elements[0] @ pauli(k)).real for k in (1, 2, 3)]
+        rho = (np.eye(2) + 1.2 * sum(x * pauli(k) for k, x in enumerate(n, 1))) / 2
+        p = np.einsum("ij,kji->k", rho, sic_elements).real
+        assert np.allclose(p, [0.55, 0.15, 0.15, 0.15], atol=1e-12)
+        with pytest.raises(ValueError, match=NOT_A_STATE):
+            sample_outcomes(rho, sic_elements, 1000, seed=0)
+
+    def test_the_qubit_verdict_is_is_density_operator_outside_the_cutoff_band(self):
+        # the closed form and eigvalsh round differently, so matrices whose defect for
+        # any of the four checks lies within BAND of its cutoff are not compared
+        band, rng = 1e-13, np.random.default_rng(31)
+        verdicts = {True: 0, False: 0}
+        for _ in range(20_000):
+            rho = near_cutoff_operator(rng)
+            defects = [
+                np.abs(rho).max() - 1 - STATE_TOL,
+                np.abs(rho - dag(rho)).max() - STATE_TOL,
+                abs(np.trace(rho).real - 1) - STATE_TOL,
+                -np.linalg.eigvalsh(rho)[0] - STATE_TOL,
+            ]
+            if min(abs(x) for x in defects) < band:
+                continue
+            verdict = is_density_operator(rho, STATE_TOL)
+            assert reads_as_state(rho) is verdict, rho
+            verdicts[verdict] += 1
+        assert min(verdicts.values()) > 5_000, verdicts
+
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            [[np.nan, 0], [0, 1]],
+            [[1, 0], [0, np.inf]],
+            [[0.5, 1.7e308 + 1.7e308j], [1.7e308 - 1.7e308j, 0.5]],  # abs overflows
+            [[1 + 1.5e-8, 0], [0, -0.8e-8]],  # only an entry above 1 + STATE_TOL
+            [[0.5, 0], [0, 0.5 + 1e-8j]],  # only the defect 2 Im rho_11 of hermiticity
+        ],
+        ids=["nan", "inf", "overflow", "entry", "imaginary-diagonal"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_a_qubit_no_state_is_refused_as_is_density_operator_refuses_it(self, rho):
+        assert not is_density_operator(rho, STATE_TOL)
+        assert not reads_as_state(rho)
+
+    def test_other_dimensions_take_is_density_operator(self):
+        assert _state([[1]], 1, "state").shape == (1, 1)
+        assert np.array_equal(_state(np.eye(3) / 3, None, "state"), np.eye(3) / 3)
+        for rho in (np.diag([1.2, -0.1, -0.1]), np.ones((2, 3)) / 2):
+            with pytest.raises(ValueError, match=NOT_A_STATE):
+                _state(rho, None, "state")
+        with pytest.raises(ValueError, match=r"^samples\[3\] is not a density operator"):
+            _state(np.eye(2), 2, "samples[3]")

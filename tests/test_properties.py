@@ -587,10 +587,52 @@ def test_one_eigendecomposition_gives_spectrum_and_projection(d, seed):
     p = p + 0.2 * (np.eye(len(p))[0] - 1 / len(p))  # push the estimate off the state space
     estimate, diagnostics = reconstruct_from_probabilities(p, povm, residual_tol=1.0)
     projected, _ = reconstruct_from_probabilities(p, povm, project=True, residual_tol=1.0)
-    # eigh and eigvalsh agree bit for bit on qubits, to rounding above that
     spectrum = np.linalg.eigvalsh(estimate)
     assert np.max(np.abs(np.subtract(diagnostics.eigenvalues, spectrum))) < 1e-12
-    assert np.array_equal(projected, _project(*np.linalg.eigh(estimate)))
+    if d > 2:  # a qubit takes the closed form: see test_qubit_closed_form_is_the_eigh_projection
+        assert np.array_equal(projected, _project(*np.linalg.eigh(estimate)))
+
+
+def qubit_bloch_cases(rng, n):
+    """(trace, Bloch vector) of n random qubit estimates (t I + v.sigma)/2, then edge cases.
+
+    The radii spread over [0, 2], inside and outside the Bloch ball, and the
+    trace is 1 within PROB_SUM_TOL.  The edge cases: I/2, pure states, b = 0
+    (v along z), a = e (v in the xy-plane), radii 1 -+ 1 ulp and 1 -+ 1e-9,
+    and radii below rounding, which leave r zero (on the SIC) or at rounding level.
+    """
+    cases = []
+    for _ in range(n):
+        v = rng.normal(size=3)
+        cases.append((1 + 1e-7 * rng.uniform(-1, 1), v / np.linalg.norm(v) * rng.uniform(0, 2)))
+    unit = [np.array(v) / np.linalg.norm(v) for v in ([1, 0, 0], [0, 1, 0], [0, 0, -1], [1, 2, 2])]
+    radii = [0.0, 1e-300, 1e-17, 0.3, 1 - 1e-9, 1 - 2**-53, 1.0, 1 + 2**-52, 1 + 1e-9, 1.5, 2.0]
+    cases += [(1.0, u * radius) for u in unit for radius in radii]
+    cases += [(1.0, np.array([0, 0, z])) for z in (-1.5, -1.0, -0.2, 0.7, 1.0, 1.2)]  # b = 0
+    cases += [(1.0, np.array([x, y, 0])) for x, y in ((0.6, 0.8), (0.3, -0.2), (-1.1, 0.4))]
+    return cases
+
+
+@pytest.mark.parametrize("povm_kind", ["sic", "random"])
+def test_qubit_closed_form_is_the_eigh_projection(povm_kind):
+    # a qubit estimate runs no eigh: its spectrum m -+ r and its projection onto the
+    # Bloch ball come in closed form, within 1e-13 of eigh + _project on the same
+    # estimate, and the projection meets the optimality condition of the nearest state
+    rng = np.random.default_rng(2 if povm_kind == "sic" else 3)
+    povm = qid_povm(sic_program()).elements if povm_kind == "sic" else random_ic_povm(2, rng)
+    for trace, v in qubit_bloch_cases(rng, 5_000):
+        target = (trace * np.eye(2) + sum(x * pauli(k) for k, x in enumerate(v, 1))) / 2
+        p = np.einsum("ab,jba->j", target, povm).real
+        estimate, diagnostics = reconstruct_from_probabilities(p, povm)
+        projected, again = reconstruct_from_probabilities(p, povm, project=True)
+        assert diagnostics.eigenvalues == again.eigenvalues
+        evals, evecs = np.linalg.eigh(estimate)
+        assert np.max(np.abs(np.subtract(diagnostics.eigenvalues, evals))) < 1e-13
+        assert np.max(np.abs(projected - _project(evals, evecs))) < 1e-13
+        assert np.array_equal(projected, projected.conj().T)
+        gradient = projected - estimate
+        optimality = np.linalg.eigvalsh(gradient)[0] - np.trace(gradient @ projected).real
+        assert abs(optimality) < 1e-13
 
 
 @SETTINGS
